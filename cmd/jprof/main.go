@@ -266,26 +266,21 @@ func profileCell(ctx context.Context, s scenarios.Scenario, agentName string, sc
 		}
 		return checkpoint.CanonicalPayload(text)
 	}
-	if raw, ok := cache.Get(key); ok {
+	var text string
+	if raw, ok := cache.GetInto(key, &text); ok {
+		source := "cache"
 		if resultcache.VerifySample(key, verifyN) {
 			fresh, err := execute()
 			if err != nil {
 				return "", err
 			}
+			// A passing Verify means fresh == raw, so text is fresh's text.
 			if err := cache.Verify(key, raw, fresh); err != nil {
 				return "", err
 			}
-			text, err := decode(fresh, "verify")
-			if err != nil {
-				return "", err
-			}
-			return finish(text, "verify")
+			source = "verify"
 		}
-		if text, err := decode(raw, "cache"); err == nil {
-			return finish(text, "cache")
-		}
-		// A valid record wrapping an undecodable payload falls through as
-		// a miss, like every other flavour of cache damage.
+		return finish(text, source)
 	}
 	raw, shared, err := memo.Do(key, func() (json.RawMessage, error) {
 		raw, err := execute()
@@ -315,7 +310,7 @@ func profileCell(ctx context.Context, s scenarios.Scenario, agentName string, sc
 		cache.AddDeduped(1)
 		source = "dedup"
 	}
-	text, err := decode(raw, "execution")
+	text, err = decode(raw, "execution")
 	if err != nil {
 		return "", err
 	}

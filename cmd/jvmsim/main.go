@@ -329,28 +329,22 @@ func runCell(ctx context.Context, s scenarios.Scenario, agentName string, scale 
 			return decode(raw, "checkpoint")
 		}
 	}
-	if raw, ok := cache.Get(key); ok {
+	var text string
+	if raw, ok := cache.GetInto(key, &text); ok {
 		if resultcache.VerifySample(key, verifyN) {
 			fresh, err := execute()
 			if err != nil {
 				return "", err
 			}
+			// A passing Verify means fresh == raw, so text is fresh's text.
 			if err := cache.Verify(key, raw, fresh); err != nil {
 				return "", err
 			}
-			if err := journalPut(fresh); err != nil {
-				return "", err
-			}
-			return decode(fresh, "verified")
 		}
-		if text, err := decode(raw, "cache"); err == nil {
-			if err := journalPut(raw); err != nil {
-				return "", err
-			}
-			return text, nil
+		if err := journalPut(raw); err != nil {
+			return "", err
 		}
-		// A valid record wrapping an undecodable payload falls through as
-		// a miss, like every other flavour of cache damage.
+		return text, nil
 	}
 	raw, shared, err := memo.Do(key, func() (json.RawMessage, error) {
 		raw, err := execute()

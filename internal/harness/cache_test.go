@@ -225,6 +225,51 @@ func TestCampaignCacheVerifyDetectsTamper(t *testing.T) {
 	}
 }
 
+// TestCampaignCacheUndecodableEntryIsMiss pins the stats for an entry
+// that is well framed and valid JSON but does not decode into a
+// Measurement: it counts as a miss, the cell re-executes and is stored
+// again, the output stays byte-identical, and the next run hits 100%.
+func TestCampaignCacheUndecodableEntryIsMiss(t *testing.T) {
+	suite := robustScenarios(t)
+	dir := t.TempDir()
+	cfg := DefaultConfig()
+	cfg.Runs = 1
+	cfg.Scale = 8
+	cfg.Cache = openTestCache(t, dir)
+	coldRes, coldText := runCachedCampaign(t, suite, cfg)
+	cells := uint64(len(coldRes.Rows))
+
+	var victim string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && victim == "" && !d.IsDir() && d.Name() != "VERSION" {
+			victim = path
+		}
+		return err
+	})
+	if err != nil || victim == "" {
+		t.Fatalf("no cache entry to overwrite (err %v)", err)
+	}
+	entry := `{"key":"` + filepath.Base(victim) + `","payload":{"MedianCycles":"x"}}`
+	if err := os.WriteFile(victim, []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Cache = openTestCache(t, dir)
+	_, text := runCachedCampaign(t, suite, cfg)
+	if s := cfg.Cache.Stats(); s.Misses != 1 || s.Puts != 1 || s.Hits != cells-1 {
+		t.Fatalf("stats %+v, want %d hits, 1 miss and 1 put", s, cells-1)
+	}
+	if text != coldText {
+		t.Fatalf("output after an undecodable entry diverged from cold:\n--- cold ---\n%s--- now ---\n%s", coldText, text)
+	}
+
+	cfg.Cache = openTestCache(t, dir)
+	runCachedCampaign(t, suite, cfg)
+	if s := cfg.Cache.Stats(); s.Hits != cells || s.Misses != 0 {
+		t.Fatalf("stats %+v after the entry healed, want %d hits and 0 misses", s, cells)
+	}
+}
+
 // asVerifyError unwraps r's error chain looking for a *VerifyError;
 // errors.As via a helper keeps the call sites readable.
 func asVerifyError(err error, target **resultcache.VerifyError) bool {

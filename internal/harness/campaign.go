@@ -285,15 +285,18 @@ func (c Campaign) runCellFrom(ctx context.Context, sc scenarios.Scenario, agent,
 	if cfg.CellStats {
 		doneHost = core.StartHostMeasure()
 	}
+	stamp := func(m *Measurement, source string) *Measurement {
+		if doneHost != nil {
+			m.Host = doneHost(source)
+		}
+		return m
+	}
 	decode := func(raw json.RawMessage, source string) (*Measurement, error) {
 		m := new(Measurement)
 		if err := json.Unmarshal(raw, m); err != nil {
 			return nil, fmt.Errorf("harness: corrupt %s payload for %s/%s: %w", source, sc.Name(), agent, err)
 		}
-		if doneHost != nil {
-			m.Host = doneHost(source)
-		}
-		return m, nil
+		return stamp(m, source), nil
 	}
 	execute := func() (json.RawMessage, error) {
 		m, err := MeasureScenario(ctx, sc, agent, cfg)
@@ -323,29 +326,29 @@ func (c Campaign) runCellFrom(ctx context.Context, sc scenarios.Scenario, agent,
 	}
 
 	cache := cfg.Cache
-	if raw, ok := cache.Get(key); ok {
-		if resultcache.VerifySample(key, cfg.CacheVerify) {
-			fresh, err := execute()
-			if err != nil {
-				return nil, "", err
+	if cache != nil {
+		// The hit decodes straight into m; an entry whose payload does not
+		// decode is a counted miss and falls through to execution.
+		m := new(Measurement)
+		if raw, ok := cache.GetInto(key, m); ok {
+			source := "cache"
+			if resultcache.VerifySample(key, cfg.CacheVerify) {
+				fresh, err := execute()
+				if err != nil {
+					return nil, "", err
+				}
+				// A passing Verify means fresh == raw byte for byte, so m
+				// is already fresh's decoding.
+				if err := cache.Verify(key, raw, fresh); err != nil {
+					return nil, "", err
+				}
+				source = "verify"
 			}
-			if err := cache.Verify(key, raw, fresh); err != nil {
-				return nil, "", err
-			}
-			if err := journal(fresh); err != nil {
-				return nil, "", err
-			}
-			m, err := decode(fresh, "verify")
-			return m, "verify", err
-		}
-		if m, err := decode(raw, "cache"); err == nil {
 			if err := journal(raw); err != nil {
 				return nil, "", err
 			}
-			return m, "cache", nil
+			return stamp(m, source), source, nil
 		}
-		// A well-formed record wrapping an undecodable Measurement is
-		// corruption like any other: fall through to execution as a miss.
 	}
 
 	raw, shared, err := memo.Do(key, func() (json.RawMessage, error) {
@@ -408,22 +411,27 @@ func EvaluateChecks(sc scenarios.Scenario, rows []CampaignRow, scale int) []stri
 		}
 		return v
 	}
-	var mine []CampaignRow
-	for _, r := range rows {
-		if r.Scenario.Name() == sc.Name() && r.M != nil {
-			mine = append(mine, r)
-		}
-	}
-	if len(mine) == 0 {
-		return nil
-	}
+	// Rows are visited by index: each carries a whole Scenario, and Run
+	// calls this once per scenario, so copying rows would cost S×R
+	// struct copies.
+	name := sc.Name()
+	var base *Measurement
 	byAgent := map[string]*Measurement{}
-	for _, r := range mine {
+	for i := range rows {
+		r := &rows[i]
+		if r.M == nil || r.Scenario.Name() != name {
+			continue
+		}
+		if base == nil {
+			base = r.M
+		}
 		if _, dup := byAgent[r.AgentName]; !dup {
 			byAgent[r.AgentName] = r.M
 		}
 	}
-	base := mine[0].M
+	if base == nil {
+		return nil
+	}
 	if m, ok := byAgent["none"]; ok {
 		base = m
 	}

@@ -17,13 +17,17 @@
 // Each entry holds one JSON object {"key": <hex>, "payload": <raw>} —
 // the same record codec the checkpoint journal appends — written to a
 // temp file and renamed into place, so concurrent writers (two processes
-// sharing a cache directory) can never expose a torn entry. Reads treat
-// any unreadable, truncated or key-mismatched entry as a miss, never a
-// crash: a corrupted cache costs re-execution, not correctness.
+// sharing a cache directory) can never expose a torn entry. Reads check
+// the exact bytes Put writes and make one JSON pass over the payload
+// (decoding it straight into the caller's value, or validating it):
+// an unreadable, truncated, key-mismatched or non-canonical entry, or a
+// payload that does not decode into the caller's value, is a miss, never
+// a crash — a corrupted cache costs re-execution, not correctness.
 //
-// Eviction is a size-capped LRU pass over entry mtimes (Get touches its
-// entry), run by Close when a cap is configured. Failed cells are never
-// stored — Put is only reached with a complete, successful payload.
+// Eviction is a size-capped LRU pass over entry mtimes (an rw-mode hit
+// touches its entry), run by Close when a cap is configured. Failed
+// cells are never stored — Put is only reached with a complete,
+// successful payload.
 package resultcache
 
 import (
@@ -237,33 +241,107 @@ func (c *Cache) entryPath(key string) string {
 	return filepath.Join(c.dir, shard, key)
 }
 
-// Get returns the stored canonical payload for key. Every failure mode —
-// absent entry, unreadable file, truncated or otherwise corrupt JSON, a
-// record whose embedded key does not match — is a miss; the cache never
-// turns its own damage into a caller's crash. A hit touches the entry's
-// mtime so the LRU eviction pass sees recency, not just insertion order.
+// Get returns the stored canonical payload for key, validated as JSON;
+// it is GetInto(key, nil).
 func (c *Cache) Get(key string) (json.RawMessage, bool) {
+	return c.GetInto(key, nil)
+}
+
+// GetInto looks key up and, on a hit, decodes the stored payload into v
+// (a nil v only validates it) and returns the payload bytes. A hit costs
+// one file read, one framing check and one JSON pass. Every failure mode
+// — absent entry, unreadable file, an entry that is not byte-for-byte
+// the framing Put writes for key (truncated, key-mismatched, hand-edited
+// or re-indented), or a payload that does not decode into v — is a
+// counted miss: the cache never turns its own damage into a caller's
+// crash. On a miss v may have been partly written and must be
+// discarded. An rw-mode hit touches the entry's mtime so the LRU
+// eviction pass sees recency, not just insertion order; ro mode never
+// writes, metadata included.
+func (c *Cache) GetInto(key string, v any) (json.RawMessage, bool) {
 	if c == nil {
 		return nil, false
 	}
 	path := c.entryPath(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		c.misses.Add(1)
-		c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheMisses, 1)
-		return nil, false
+		return c.miss()
 	}
-	var rec record
-	if err := json.Unmarshal(data, &rec); err != nil || rec.Key != key || len(rec.Payload) == 0 {
-		c.misses.Add(1)
-		c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheMisses, 1)
-		return nil, false
+	payload, ok := decodeEntry(data, key, v)
+	if !ok {
+		return c.miss()
 	}
-	now := time.Now()
-	os.Chtimes(path, now, now) // best effort: LRU recency only
+	if c.mode == ModeRW {
+		now := time.Now()
+		os.Chtimes(path, now, now) // best effort: LRU recency only
+	}
 	c.hits.Add(1)
 	c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheHits, 1)
-	return rec.Payload, true
+	return payload, true
+}
+
+// miss counts one failed lookup.
+func (c *Cache) miss() (json.RawMessage, bool) {
+	c.misses.Add(1)
+	c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheMisses, 1)
+	return nil, false
+}
+
+// Entry framing: Put writes json.Marshal(record{key, payload}), which for
+// a plain key is exactly entryHead + key + entryMid + P + entryTail,
+// with P the compacted payload.
+const (
+	entryHead = `{"key":"`
+	entryMid  = `","payload":`
+	entryTail = `}`
+)
+
+// plainKey reports whether key is made only of bytes that json.Marshal
+// writes verbatim inside a string, so that its framing in an entry is
+// the key itself. Cell keys (hex digests) always are; any other key
+// never hits.
+func plainKey(key string) bool {
+	for i := 0; i < len(key); i++ {
+		switch b := key[i]; {
+		case b < 0x20 || b > 0x7e, b == '"', b == '\\', b == '<', b == '>', b == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// decodeEntry checks that data is framed exactly as Put frames it for
+// key and makes the one JSON pass over its payload P: json.Unmarshal
+// into v, or json.Valid when v is nil. P must not start or end with JSON
+// whitespace, which a compacted payload never does; that rule keeps P
+// byte-identical to the payload json.Unmarshal would extract from the
+// same record.
+func decodeEntry(data []byte, key string, v any) (json.RawMessage, bool) {
+	n := len(entryHead) + len(key) + len(entryMid)
+	if len(data) <= n+len(entryTail) || !plainKey(key) ||
+		string(data[:len(entryHead)]) != entryHead ||
+		string(data[len(entryHead):len(entryHead)+len(key)]) != key ||
+		string(data[len(entryHead)+len(key):n]) != entryMid ||
+		string(data[len(data)-len(entryTail):]) != entryTail {
+		return nil, false
+	}
+	p := data[n : len(data)-len(entryTail)]
+	if isSpace(p[0]) || isSpace(p[len(p)-1]) {
+		return nil, false
+	}
+	if v == nil {
+		if !json.Valid(p) {
+			return nil, false
+		}
+	} else if json.Unmarshal(p, v) != nil {
+		return nil, false
+	}
+	return p, true
+}
+
+// isSpace reports whether b is JSON insignificant whitespace.
+func isSpace(b byte) bool {
+	return b == ' ' || b == '\t' || b == '\n' || b == '\r'
 }
 
 // Put stores payload (a canonical JSON encoding, e.g. from
@@ -381,8 +459,8 @@ func (c *Cache) walkEntries() ([]entryInfo, error) {
 }
 
 // Evict runs the size-capped LRU pass: while the summed entry size
-// exceeds MaxBytes, the least-recently-used entry (oldest mtime; Get
-// touches entries) is deleted. No-op when MaxBytes is zero or the mode
+// exceeds MaxBytes, the least-recently-used entry (oldest mtime; an
+// rw-mode hit touches its entry) is deleted. No-op when MaxBytes is zero or the mode
 // is not rw. Returns the number of entries evicted.
 func (c *Cache) Evict() (int, error) {
 	if c == nil || c.mode != ModeRW || c.MaxBytes <= 0 {

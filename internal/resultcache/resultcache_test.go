@@ -97,6 +97,128 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	}
 }
 
+// TestGetIntoDecodesOnce covers the decode-into-caller read path: a hit
+// fills v and returns the stored bytes, and a well-framed entry whose
+// payload does not decode into v is a counted miss.
+func TestGetIntoDecodesOnce(t *testing.T) {
+	c, err := Open(t.TempDir(), ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, "getinto")
+	payload := json.RawMessage(`{"median":42,"name":"\u003cinit\u003e"}`)
+	if err := c.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	var v struct {
+		Median int    `json:"median"`
+		Name   string `json:"name"`
+	}
+	raw, ok := c.GetInto(key, &v)
+	if !ok {
+		t.Fatal("miss on a stored entry")
+	}
+	if string(raw) != string(payload) || v.Median != 42 || v.Name != "<init>" {
+		t.Fatalf("GetInto = %s, %+v", raw, v)
+	}
+	var wrong struct {
+		Median string `json:"median"`
+	}
+	if _, ok := c.GetInto(key, &wrong); ok {
+		t.Fatal("a payload that does not decode into v served a hit")
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("stats %+v, want 1 hit / 1 miss", s)
+	}
+}
+
+// TestNonCanonicalEntryIsMiss pins exact framing: a record the JSON
+// codec would accept but Put would never write (truncations are
+// TestCorruptEntryIsMiss's) is a miss.
+func TestNonCanonicalEntryIsMiss(t *testing.T) {
+	c, err := Open(t.TempDir(), ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, "framing")
+	path := c.entryPath(key)
+	if err := c.Put(key, json.RawMessage(`{"median":42}`)); err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range []string{
+		`{"key":"` + key + `","payload":{"median":42}}` + "\n",
+		`{"key":"` + key + `","payload": {"median":42}}`,
+		`{"key":"` + key + `","payload":{"median":42} }`,
+		`{"payload":{"median":42},"key":"` + key + `"}`,
+		`{ "key":"` + key + `","payload":{"median":42}}`,
+	} {
+		if err := os.WriteFile(path, []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(key); ok {
+			t.Errorf("non-canonical entry %q served a hit", entry)
+		}
+	}
+	if err := os.WriteFile(path, canonical, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(key); !ok {
+		t.Fatal("the canonical entry missed")
+	}
+}
+
+// FuzzEntryPayload checks the framing parser against the record codec
+// it replaces: whenever it accepts (data, key), json.Unmarshal of data
+// into a record succeeds with the same key and byte-identical payload;
+// and every record Put would write for a plain key is accepted.
+func FuzzEntryPayload(f *testing.F) {
+	c, err := Open(f.TempDir(), ModeRW)
+	if err != nil {
+		f.Fatal(err)
+	}
+	key, err := checkpoint.CellKey("fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := c.Put(key, json.RawMessage(`{"median":42,"runs":[1,2.5e3,null]}`)); err != nil {
+		f.Fatal(err)
+	}
+	written, err := os.ReadFile(c.entryPath(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written, key)
+	f.Add([]byte(`{"key":"k","payload":{"method":"\u003cinit\u003e"}}`), "k")
+	f.Add([]byte(`{"key":"k","payload":"" }`), "k")
+	f.Add([]byte(`{"key":"k","payload": 1}`), "k")
+	f.Add([]byte(`{"key":"a\"b","payload":1}`), `a\"b`)
+	f.Fuzz(func(t *testing.T, data []byte, key string) {
+		var rec record
+		oldErr := json.Unmarshal(data, &rec)
+		if p, ok := decodeEntry(data, key, nil); ok {
+			if oldErr != nil {
+				t.Fatalf("accepted %q for %q; json.Unmarshal rejects it: %v", data, key, oldErr)
+			}
+			if rec.Key != key || string(rec.Payload) != string(p) {
+				t.Fatalf("accepted %q for %q as payload %q; json.Unmarshal reads key %q, payload %q",
+					data, key, p, rec.Key, rec.Payload)
+			}
+			return
+		}
+		if oldErr != nil || rec.Key != key || !plainKey(key) {
+			return
+		}
+		canonical, err := json.Marshal(record{Key: key, Payload: rec.Payload})
+		if err == nil && string(canonical) == string(data) {
+			t.Fatalf("rejected %q for %q, which Put writes byte for byte", data, key)
+		}
+	})
+}
+
 func TestROModeNeverWrites(t *testing.T) {
 	dir := t.TempDir()
 	rw, err := Open(dir, ModeRW)
@@ -111,8 +233,20 @@ func TestROModeNeverWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A hit in ro mode must not touch the entry's mtime either.
+	past := time.Date(2001, 2, 3, 4, 5, 6, 0, time.UTC)
+	if err := os.Chtimes(rw.entryPath(key), past, past); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := ro.Get(key); !ok {
 		t.Fatal("ro mode missed an existing entry")
+	}
+	info, err := os.Stat(rw.entryPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.ModTime().Equal(past) {
+		t.Fatalf("ro hit moved the entry's mtime from %v to %v", past, info.ModTime())
 	}
 	if err := ro.Put(testKey(t, "ro-new"), json.RawMessage(`2`)); err != nil {
 		t.Fatal(err)

@@ -173,10 +173,10 @@ func TestGCPreservesResultsAndCharges(t *testing.T) {
 func TestGCAllocationEventsFire(t *testing.T) {
 	cls := retainClass(t, 24, 16, 4)
 	type seen struct {
-		allocs    int
-		words     int64
-		gcs       int
-		survArr   uint64
+		allocs     int
+		words      int64
+		gcs        int
+		survArr    uint64
 		siteAllocs map[int]int
 	}
 	run := func(opts Options) seen {

@@ -225,7 +225,7 @@ func TestHeapLegacyModeNeverCollects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h.NeedsMinor(1 << 20) || h.NeedsMajor() {
+	if h.NeedsMinor(1<<20) || h.NeedsMajor() {
 		t.Fatal("legacy heap asked for a collection")
 	}
 	st := h.Stats()

@@ -57,13 +57,13 @@ const (
 	fPop
 	fSwap
 	// Pairs: producer/consumer combinations.
-	fLoadConst // push locals[a]; push imm
-	fLoadLoad  // push locals[a]; push locals[b]
-	fLoadStore // locals[b] = locals[a]
-	fStoreLoad // locals[a] = pop; push locals[b]
-	fConstStore// locals[a] = imm
-	fStoreInc  // locals[a] = pop; locals[b] += imm
-	fIncLoad   // locals[a] += imm; push locals[b]
+	fLoadConst  // push locals[a]; push imm
+	fLoadLoad   // push locals[a]; push locals[b]
+	fLoadStore  // locals[b] = locals[a]
+	fStoreLoad  // locals[a] = pop; push locals[b]
+	fConstStore // locals[a] = imm
+	fStoreInc   // locals[a] = pop; locals[b] += imm
+	fIncLoad    // locals[a] += imm; push locals[b]
 	// Const + binop: top op= imm.
 	fAddImm
 	fSubImm

@@ -872,12 +872,12 @@ func (v *VM) TierStats() jit.Stats {
 				continue
 			}
 			s.PerMethod = append(s.PerMethod, jit.MethodStats{
-				Method:       m.FullName(),
-				InlineSites:  sites,
-				InlinedCalls: m.inlinedCalls,
-				OSREntries:   m.osrEntries,
-				SuperPairs:   m.superExec,
-				FusedPairs:   m.fusedPairs,
+				Method:         m.FullName(),
+				InlineSites:    sites,
+				InlinedCalls:   m.inlinedCalls,
+				OSREntries:     m.osrEntries,
+				SuperPairs:     m.superExec,
+				FusedPairs:     m.fusedPairs,
 				StraightInstrs: m.straightInstrs,
 			})
 		}
