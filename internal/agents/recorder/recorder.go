@@ -48,8 +48,11 @@ type threadContext struct {
 	stack   []frame
 	methods map[string]*MethodStat
 	// rootCycles is self time attributed to code below the recorded
-	// stack (the launcher, entries that predate attach).
+	// stack (the launcher, entries that predate attach); rootSince is
+	// the thread clock when the stack last emptied, the start of the
+	// current root span.
 	rootCycles uint64
+	rootSince  uint64
 }
 
 // Agent is the recording agent. A fresh Agent records one VM run.
@@ -172,7 +175,7 @@ func (a *Agent) methodEntry(env *jvmti.Env, t *vm.Thread, m *vm.Method) {
 		top := &tc.stack[n-1]
 		a.stat(tc, top.key, top.native).SelfCycles += now - top.enteredAt
 	} else {
-		tc.rootCycles += now
+		tc.rootCycles += now - tc.rootSince
 	}
 	key := m.FullName()
 	s := a.stat(tc, key, m.IsNative())
@@ -192,9 +195,12 @@ func (a *Agent) methodExit(env *jvmti.Env, t *vm.Thread, m *vm.Method) {
 	top := tc.stack[len(tc.stack)-1]
 	tc.stack = tc.stack[:len(tc.stack)-1]
 	a.stat(tc, top.key, top.native).SelfCycles += now - top.enteredAt
-	// The caller's self-span resumes now.
+	// The caller's self-span resumes now, or the root span when the
+	// stack emptied.
 	if n := len(tc.stack); n > 0 {
 		tc.stack[n-1].enteredAt = now
+	} else {
+		tc.rootSince = now
 	}
 	a.logEvent(t, false, top.key)
 }

@@ -199,12 +199,18 @@ func (r *RunResult) Throughput() float64 {
 // deployment: agent OnLoad first (so its hooks observe class loading),
 // then static instrumentation and class loading, then the run.
 //
-// Every run is fully isolated: the VM, its cycle-counter registry, the
-// JNI and JVMTI layers and (by contract) the single-use agent are all
-// constructed fresh per call and share no mutable state with any other
-// run, so concurrent Runs on different goroutines are independent.
+// Every run is isolated in everything it simulates: the VM, its
+// cycle-counter registry, the JNI and JVMTI layers and (by contract) the
+// single-use agent are all constructed fresh per call, so concurrent Runs
+// on different goroutines are independent. What runs share is host
+// memory only: Run drops its VM, so it releases the VM's heap, whose
+// arena blocks the next heap in the process reuses zeroed (see
+// vm.Heap.Release).
 func Run(prog *Program, agent Agent, opts vm.Options) (*RunResult, error) {
-	res, _, err := RunKeepVM(prog, agent, opts)
+	res, v, err := run(prog, agent, opts)
+	if v != nil {
+		v.Heap.Release()
+	}
 	return res, err
 }
 
@@ -228,7 +234,18 @@ func RunOnVM(prog *Program, agent Agent, opts vm.Options) (*vm.VM, error) {
 }
 
 // RunKeepVM executes prog and returns both the result summary and the VM.
+// The VM's heap is never released: the caller owns it.
 func RunKeepVM(prog *Program, agent Agent, opts vm.Options) (*RunResult, *vm.VM, error) {
+	res, v, err := run(prog, agent, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, v, nil
+}
+
+// run is RunKeepVM, except that it returns the VM it constructed on error
+// too, once nothing runs on it any more.
+func run(prog *Program, agent Agent, opts vm.Options) (*RunResult, *vm.VM, error) {
 	if prog.MainClass == "" || prog.MainName == "" || prog.MainDesc == "" {
 		return nil, nil, fmt.Errorf("core: program %q has no entry point", prog.Name)
 	}
@@ -239,26 +256,26 @@ func RunKeepVM(prog *Program, agent Agent, opts vm.Options) (*RunResult, *vm.VM,
 	classes := prog.Classes
 	if agent != nil {
 		if err := agent.OnLoad(env); err != nil {
-			return nil, nil, fmt.Errorf("core: agent %s OnLoad: %w", agent.Name(), err)
+			return nil, v, fmt.Errorf("core: agent %s OnLoad: %w", agent.Name(), err)
 		}
 		prepared, err := agent.PrepareClasses(classes)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: agent %s PrepareClasses: %w", agent.Name(), err)
+			return nil, v, fmt.Errorf("core: agent %s PrepareClasses: %w", agent.Name(), err)
 		}
 		classes = prepared
 	}
 	if err := v.LoadClasses(classes); err != nil {
-		return nil, nil, fmt.Errorf("core: loading %q: %w", prog.Name, err)
+		return nil, v, fmt.Errorf("core: loading %q: %w", prog.Name, err)
 	}
 	for _, lib := range prog.Libraries {
 		if err := v.LoadLibrary(lib); err != nil {
-			return nil, nil, fmt.Errorf("core: library %q: %w", lib.Name, err)
+			return nil, v, fmt.Errorf("core: library %q: %w", lib.Name, err)
 		}
 	}
 
 	mainResult, err := v.Run(prog.MainClass, prog.MainName, prog.MainDesc, prog.Args...)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: running %q: %w", prog.Name, err)
+		return nil, v, fmt.Errorf("core: running %q: %w", prog.Name, err)
 	}
 
 	res := &RunResult{

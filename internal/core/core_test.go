@@ -158,3 +158,59 @@ func TestRunConflictingLibrary(t *testing.T) {
 		t.Fatal("conflicting library accepted")
 	}
 }
+
+// arrayProgram returns a program whose main fills a 64-word array with
+// fill and returns its handle.
+func arrayProgram(t *testing.T, fill int64) *Program {
+	t.Helper()
+	a := bytecode.NewAssembler()
+	a.Const(64)
+	a.NewArray()
+	a.Store(0)
+	a.Const(0)
+	a.Store(1)
+	top, end := a.NewLabel(), a.NewLabel()
+	a.Bind(top)
+	a.Load(1)
+	a.Const(64)
+	a.IfCmpge(end)
+	a.Load(0)
+	a.Load(1)
+	a.Const(fill)
+	a.AStore()
+	a.Inc(1, 1)
+	a.Goto(top)
+	a.Bind(end)
+	a.Load(0)
+	a.IReturn()
+	mainM, err := a.FinishMethod("main", "()J", classfile.AccStatic, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Program{
+		Name:      "array",
+		Classes:   []*classfile.Class{{Name: "a/Main", Methods: []*classfile.Method{mainM}}},
+		MainClass: "a/Main", MainName: "main", MainDesc: "()J",
+	}
+}
+
+// TestRunKeepVMNeverReleases: Run releases its VM's heap to the arena
+// free list, but a VM RunKeepVM hands back stays the caller's — later
+// Runs, which recycle released blocks, must never write into its arrays.
+func TestRunKeepVMNeverReleases(t *testing.T) {
+	res, kept, err := RunKeepVM(arrayProgram(t, 7), nil, vm.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := Run(arrayProgram(t, -1), nil, vm.DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < 64; i++ {
+		v, err := kept.Heap.Load(res.MainResult, i)
+		if err != nil || v != 7 {
+			t.Fatalf("kept VM word %d = %d (%v), want 7", i, v, err)
+		}
+	}
+}

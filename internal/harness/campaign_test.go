@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/jit"
 	"repro/internal/scenarios"
 	"repro/internal/workloads"
 )
@@ -134,6 +135,38 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 	}
 	if render(1) != render(8) {
 		t.Fatal("campaign output differs between sequential and parallel execution")
+	}
+}
+
+// TestCampaignParallelRecyclesArenaBlocks: core.Run hands every finished
+// cell's heap blocks to a process-wide free list, so concurrent cells
+// carve recycled blocks while others release theirs. A Parallelism 4
+// campaign over every family on the jit engine must still render
+// byte-identically to a sequential one (the CI test job runs this under
+// -race). The sequential pass runs first, so the parallel one starts
+// from a populated free list.
+func TestCampaignParallelRecyclesArenaBlocks(t *testing.T) {
+	scns, err := scenarios.Profile("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(parallelism int) string {
+		cfg := campaignTestConfig()
+		cfg.Parallelism = parallelism
+		cfg.Opts.Tier = jit.EngineJIT
+		camp := Campaign{Scenarios: scns, Agents: []string{"none", "ipa"}, Config: cfg}
+		res, err := camp.Run(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := RenderCampaign(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return text
+	}
+	if seq, par := render(1), render(4); seq != par {
+		t.Fatalf("parallel campaign differs from sequential:\n--- seq\n%s\n--- par\n%s", seq, par)
 	}
 }
 

@@ -81,10 +81,11 @@ func Compile(def *classfile.Method, res Resolver) (*Unit, error) {
 		lb.NInstr = n
 		lb.CanBatch = true
 		for _, ch := range lb.Chunks {
-			if !ch.Pure {
+			if !ch.Pure && ch.Eff.Kind != EffTrap {
 				lb.CanBatch = false
 				break
 			}
+			lb.Traps = lb.Traps || !ch.Pure
 		}
 		if lb.CanBatch {
 			for _, ch := range lb.Chunks {
@@ -115,7 +116,7 @@ func Compile(def *classfile.Method, res Resolver) (*Unit, error) {
 	}
 	if len(u.Blocks) == 1 {
 		b := &u.Blocks[0]
-		u.Leaf = b.CanBatch &&
+		u.Leaf = b.CanBatch && !b.Traps &&
 			(b.Term.Kind == TermReturn || b.Term.Kind == TermIreturn)
 	}
 	u.Static = staticPlan(u)
@@ -126,7 +127,8 @@ func Compile(def *classfile.Method, res Resolver) (*Unit, error) {
 }
 
 // writesSlot reports whether op writes frame slot s (KSwap writes both
-// of its operands).
+// of its operands). It never sees a trapping op: staticPlan refuses
+// blocks that hold them first.
 func writesSlot(op *Op, s int32) bool {
 	if op.Kind == KSwap {
 		return op.A == s || op.B == s
@@ -145,7 +147,7 @@ func staticPlan(u *Unit) *StaticPlan {
 		return nil
 	}
 	b0 := &u.Blocks[0]
-	if !b0.CanBatch {
+	if !b0.CanBatch || b0.Traps {
 		return nil
 	}
 	var hi int32
@@ -167,6 +169,9 @@ func staticPlan(u *Unit) *StaticPlan {
 	}
 	s := h.Term.A // counter slot; the taken side (counter <= 0) exits
 	body := &u.Blocks[h.LoopBody]
+	if body.Traps {
+		return nil
+	}
 
 	// The counter must be a compile-time constant at loop entry...
 	var c int64
@@ -205,7 +210,7 @@ func staticPlan(u *Unit) *StaticPlan {
 		return nil
 	}
 	e := &u.Blocks[ei]
-	if !e.CanBatch || (e.Term.Kind != TermReturn && e.Term.Kind != TermIreturn) {
+	if !e.CanBatch || e.Traps || (e.Term.Kind != TermReturn && e.Term.Kind != TermIreturn) {
 		return nil
 	}
 
@@ -456,6 +461,24 @@ func (lo *lowerer) effect(i int, kind EffKind, ref int32, pops, pushes int) erro
 	return nil
 }
 
+// trap lowers an instruction whose only side exit is a throw: an EffTrap
+// effect chunk carrying the trapping op, which addresses the canonical
+// homes the effect pops (from stack depth SP down) and pushes (from the
+// deepest popped home up).
+func (lo *lowerer) trap(i int, kind Kind, pops, pushes int) error {
+	if err := lo.effect(i, EffTrap, 0, pops, pushes); err != nil {
+		return err
+	}
+	ch := &lo.chunks[len(lo.chunks)-1]
+	base := lo.ml + ch.SP - int32(pops)
+	op := Op{Kind: kind, Dst: base, A: base, B: base + 1, Imm: int64(i)}
+	if kind == KAStore {
+		op.Dst = base + 2 // the stored value, read
+	}
+	ch.Ops = []Op{op}
+	return nil
+}
+
 // blockIndex maps a branch-target code offset to its block index.
 func (lo *lowerer) blockIndex(offset int) (int32, error) {
 	i, ok := lo.startIdx[offset]
@@ -593,12 +616,12 @@ func lowerBlock(def *classfile.Method, ins []bytecode.Instruction, bb bytecode.B
 				lo.st[n-2], lo.st[n-1] = b, a
 			}
 
-		case bytecode.OpDiv, bytecode.OpRem:
-			kind := EffDiv
-			if in.Op == bytecode.OpRem {
-				kind = EffRem
+		case bytecode.OpDiv:
+			if err := lo.trap(i, KDivSS, 2, 1); err != nil {
+				return out, err
 			}
-			if err := lo.effect(i, kind, 0, 2, 1); err != nil {
+		case bytecode.OpRem:
+			if err := lo.trap(i, KRemSS, 2, 1); err != nil {
 				return out, err
 			}
 		case bytecode.OpNewArray:
@@ -606,15 +629,15 @@ func lowerBlock(def *classfile.Method, ins []bytecode.Instruction, bb bytecode.B
 				return out, err
 			}
 		case bytecode.OpALoad:
-			if err := lo.effect(i, EffALoad, 0, 2, 1); err != nil {
+			if err := lo.trap(i, KALoad, 2, 1); err != nil {
 				return out, err
 			}
 		case bytecode.OpAStore:
-			if err := lo.effect(i, EffAStore, 0, 3, 0); err != nil {
+			if err := lo.trap(i, KAStore, 3, 0); err != nil {
 				return out, err
 			}
 		case bytecode.OpArrayLen:
-			if err := lo.effect(i, EffArrayLen, 0, 1, 1); err != nil {
+			if err := lo.trap(i, KArrayLen, 1, 1); err != nil {
 				return out, err
 			}
 		case bytecode.OpGetStatic:

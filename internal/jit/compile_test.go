@@ -232,10 +232,14 @@ func TestCompileExceptionKernel(t *testing.T) {
 	var sawDiv bool
 	for _, b := range u.Blocks {
 		for _, ch := range b.Chunks {
-			if !ch.Pure && ch.Eff.Kind == EffDiv {
+			if !ch.Pure && ch.Eff.Kind == EffTrap && ch.Ops[0].Kind == KDivSS {
 				sawDiv = true
 				if ch.Eff.SP != 2 {
 					t.Fatalf("div effect SP = %d, want 2", ch.Eff.SP)
+				}
+				// The trapping op divides the two canonical homes in place.
+				if op := ch.Ops[0]; op.A != 2 || op.B != 3 || op.Dst != 2 || op.Imm != 2 {
+					t.Fatalf("div op = %+v, want homes 2/3 into 2 at instruction 2", op)
 				}
 			}
 		}

@@ -20,9 +20,12 @@ package jit
 // bytecode — which is sound because the frame is in canonical state at
 // every chunk boundary. Effect ops (calls, heap, statics, div/rem) and
 // terminators are charged singly, mirroring the interpreter's
-// per-instruction path.
+// per-instruction path. Effects that can only throw (array access,
+// div/rem) also carry a trapping op, so a block whose other chunks are
+// pure still batches (see Block.CanBatch).
 
-// Kind is a pure fused op. Naming: S suffix = slot operand, I = immediate.
+// Kind is a fused op: pure, or one of the trapping kinds below. Naming:
+// S suffix = slot operand, I = immediate.
 type Kind uint8
 
 const (
@@ -75,14 +78,34 @@ const (
 	KShrSI
 	// KShrIS: fr[Dst] = Imm >> (uint64(fr[A]) & 63).
 	KShrIS
+
+	// Trapping kinds: the effects whose only way out of straight-line
+	// execution is a throw. A trapping op leaves the frame untouched
+	// when it traps; Imm holds its bytecode instruction index, which the
+	// executor needs to un-charge the rest of a batch and to dispatch
+	// the handler.
+
+	// KDivSS: fr[Dst] = fr[A] / fr[B]; traps when fr[B] == 0.
+	KDivSS
+	// KRemSS: fr[Dst] = fr[A] % fr[B]; traps when fr[B] == 0.
+	KRemSS
+	// KALoad: fr[Dst] = array(fr[A])[fr[B]]; traps on a bad handle or
+	// index.
+	KALoad
+	// KAStore: array(fr[A])[fr[B]] = fr[Dst] — Dst is read, not written;
+	// traps on a bad handle or index.
+	KAStore
+	// KArrayLen: fr[Dst] = len(array(fr[A])); traps on a bad handle.
+	KArrayLen
 )
 
-// Op is one fused pure op.
+// Op is one fused op.
 type Op struct {
 	Kind Kind
 	// Dst, A, B are absolute frame-slot indexes.
 	Dst, A, B int32
-	// Imm, Imm2 are immediate operands (Imm2 only for KMulAddSII).
+	// Imm, Imm2 are immediate operands (Imm2 only for KMulAddSII); a
+	// trapping kind's Imm is its bytecode instruction index.
 	Imm, Imm2 int64
 }
 
@@ -93,18 +116,11 @@ type Op struct {
 type EffKind uint8
 
 const (
-	// EffDiv pops b, a at depths SP-1, SP-2; pushes a/b; throws on b==0.
-	EffDiv EffKind = iota
-	// EffRem pops b, a; pushes a%b; throws on b==0.
-	EffRem
+	// EffTrap runs the chunk's one trapping op (Chunk.Ops[0]): div, rem,
+	// aload, astore or arraylen, whose only side exit is a throw.
+	EffTrap EffKind = iota
 	// EffNewArray pops a length, pushes a heap handle; may throw.
 	EffNewArray
-	// EffALoad pops index, handle; pushes the element; may throw.
-	EffALoad
-	// EffAStore pops value, index, handle; may throw.
-	EffAStore
-	// EffArrayLen pops a handle, pushes its length; may throw.
-	EffArrayLen
 	// EffGetStatic pushes the static slot Refs[Ref].
 	EffGetStatic
 	// EffPutStatic pops into the static slot Refs[Ref].
@@ -148,7 +164,9 @@ type Chunk struct {
 	// Ops is the fused code of a pure chunk. It may be empty while N > 0:
 	// the covered instructions' net effect was folded away entirely
 	// (e.g. nops, or a load whose value a later chunk consumed from its
-	// original slot), leaving only the accounting.
+	// original slot), leaving only the accounting. An effect chunk that
+	// can only throw holds its one trapping op here, addressing the
+	// canonical stack homes its effect pops and pushes.
 	Ops []Op
 	// Eff is the effect of a non-pure chunk.
 	Eff Effect
@@ -211,14 +229,21 @@ type Block struct {
 	SPIn   int32
 	Chunks []Chunk
 	Term   Term
-	// CanBatch marks blocks with only pure chunks: the executor charges
-	// the whole block (terminator included) as one batch when the yield
-	// budget strictly exceeds NInstr and runs Flat — the chunks' ops
-	// concatenated — without per-chunk bookkeeping. The guard keeps
-	// yield boundaries exact: when the budget is short, the general
-	// per-chunk path takes over with its per-instruction fallback.
+	// CanBatch marks blocks whose chunks are all pure or may-trap: the
+	// executor charges the whole block (terminator included) as one
+	// batch when the yield budget strictly exceeds NInstr and runs Flat
+	// — the chunks' ops concatenated — without per-chunk bookkeeping.
+	// The guard keeps yield boundaries exact: when the budget is short,
+	// the general per-chunk path takes over with its per-instruction
+	// fallback. Because no yield can fall inside a batch, a trap needs
+	// only arithmetic to stay exact: the executor un-charges the block's
+	// instructions after the trapping one, then dispatches the handler
+	// as the effect path would.
 	CanBatch bool
-	Flat     []Op
+	// Traps marks a batchable block whose Flat holds trapping ops; the
+	// whole-activation plans (Unit.Leaf, StaticPlan) refuse such blocks.
+	Traps bool
+	Flat  []Op
 	// LoopBody marks the canonical counted-loop shape — this block is a
 	// batchable header whose conditional branch falls through to a
 	// batchable body block that jumps straight back here — and holds the
@@ -297,7 +322,7 @@ type Unit struct {
 	Inlines      []InlineSite
 	ScratchSlots int
 	// Leaf marks a unit that is one batchable block ending in a return:
-	// no branches, no effects, no yields possible mid-body when the
+	// no branches, no effects or traps, no yields possible mid-body when the
 	// budget covers it. The executor's inline-call fast path runs such a
 	// unit as a single fused step.
 	Leaf bool

@@ -1,6 +1,9 @@
 package vm
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Heap manages the simulated object store: a generational heap of 64-bit
 // word arrays. The workloads need only arrays; handles are opaque non-zero
@@ -39,9 +42,11 @@ import "math/bits"
 // accounting, collection (including the cross-thread root scan, which
 // reads frames only of parked threads at canonical points) and the GC
 // statistics all run on the thread holding the baton. Concurrent VMs
-// (the parallel harness) each own a private heap. This keeps the
-// per-element Load/Store path — one of the interpreter's hottest
-// leaves — free of lock traffic.
+// (the parallel harness) each own a private heap; the one host state
+// they share is the mutex-guarded free list of arena blocks (see
+// Release), touched only when a heap opens a block or is released. This
+// keeps the per-element Load/Store path — one of the interpreter's
+// hottest leaves — free of lock traffic.
 type Heap struct {
 	arrays [][]int64
 	meta   []arrayMeta
@@ -80,10 +85,14 @@ type Heap struct {
 	// allocate hundreds of thousands of small arrays and never free one;
 	// carving them from a few big noscan blocks instead of one host
 	// allocation each keeps the host allocator and collector out of the
-	// simulation's hot path. Blocks come from make, so bump-allocated
-	// stores are already zeroed; sub-slices are three-index sliced, so a
-	// store's cap never reaches into its neighbours.
-	arena []int64
+	// simulation's hot path. Sub-slices are three-index sliced, so a
+	// store's cap never reaches into its neighbours. blocks lists every
+	// block the heap opened, for Release; arenaReused marks a current
+	// block taken from the free list, whose carves must be cleared (a
+	// block from make is already zero).
+	arena       []int64
+	blocks      [][]int64
+	arenaReused bool
 
 	// alive lists the indexes of uncollected arrays in allocation order;
 	// collections sweep this list and compact it in place, so a pause
@@ -452,19 +461,68 @@ func (h *Heap) CollectMajor() GCInfo {
 // array can never strand most of a block.
 const arenaBlockWords = 1 << 16
 
+// arenaFree is the process-wide free list of arena blocks. Release hands
+// a finished heap's blocks here and arenaAlloc takes them back before it
+// makes new ones, so a campaign's cells stop paying the host allocator
+// to zero fresh blocks. It needs no cap: it never holds more blocks than
+// were live at once. A sync.Pool would not do: the Go collector empties
+// pools, and the blocks would be made and zeroed again.
+var arenaFree struct {
+	sync.Mutex
+	blocks [][]int64
+}
+
 // arenaAlloc carves a zeroed n-word backing store out of the arena,
-// opening a fresh block when the current one runs dry (the remainder is
-// abandoned — at most one under-quarter-block sliver per block).
+// opening a block when the current one runs dry (the remainder is
+// abandoned — at most one under-quarter-block sliver per block). A block
+// comes from the free list when it has one, else from make.
 func (h *Heap) arenaAlloc(n int) []int64 {
 	if n > arenaBlockWords/4 {
 		return make([]int64, n)
 	}
 	if len(h.arena) < n {
-		h.arena = make([]int64, arenaBlockWords)
+		h.arena, h.arenaReused = takeArenaBlock()
+		h.blocks = append(h.blocks, h.arena)
 	}
 	a := h.arena[:n:n]
 	h.arena = h.arena[n:]
+	if h.arenaReused {
+		clear(a)
+	}
 	return a
+}
+
+// takeArenaBlock pops a block off the free list, or makes a zeroed one;
+// reused reports which.
+func takeArenaBlock() (block []int64, reused bool) {
+	arenaFree.Lock()
+	if n := len(arenaFree.blocks); n > 0 {
+		block = arenaFree.blocks[n-1]
+		arenaFree.blocks[n-1] = nil
+		arenaFree.blocks = arenaFree.blocks[:n-1]
+	}
+	arenaFree.Unlock()
+	if block != nil {
+		return block, true
+	}
+	return make([]int64, arenaBlockWords), false
+}
+
+// Release ends the heap's host life: its arena blocks go to the
+// process-wide free list for later heaps to carve, and every handle
+// turns invalid, so no array can alias a block another heap now owns.
+// Call it only when nothing reads the heap any more — core.Run does,
+// once its VM has finished; callers that keep a VM never do. The
+// statistics stay readable; a second Release is a no-op.
+func (h *Heap) Release() {
+	if len(h.blocks) > 0 {
+		arenaFree.Lock()
+		arenaFree.blocks = append(arenaFree.blocks, h.blocks...)
+		arenaFree.Unlock()
+	}
+	h.arrays, h.meta, h.alive, h.markBuf = nil, nil, nil, nil
+	h.arena, h.blocks = nil, nil
+	h.pool = [len(h.pool)][][]int64{}
 }
 
 // free reclaims one array: occupancy, ledger, backing storage.
@@ -512,32 +570,37 @@ func (h *Heap) NurseryUsed() uint64 { return h.nurseryUsed }
 // TenuredUsed returns the current tenured occupancy in words.
 func (h *Heap) TenuredUsed() uint64 { return h.tenuredUsed }
 
-func (h *Heap) array(handle int64) ([]int64, error) {
-	if handle == 0 {
-		return nil, Throw(0, "NullPointerException")
+// lookup is the one handle rule every array access goes through: the
+// backing store of a live array, nil for a null, invalid or collected
+// handle. A nil slot means the collector freed the array (free() is the
+// only writer of nil; make never returns it, not even for length 0), so
+// the hot leaf stays off the meta table entirely. badHandle names the
+// rejection.
+func (h *Heap) lookup(handle int64) []int64 {
+	if uint64(handle-1) >= uint64(len(h.arrays)) {
+		return nil
 	}
-	idx := handle - 1
-	if idx < 0 || idx >= int64(len(h.arrays)) {
-		return nil, Throw(handle, "InvalidHandle")
+	return h.arrays[handle-1]
+}
+
+// badHandle is the exception for a handle lookup rejected.
+func (h *Heap) badHandle(handle int64) *Thrown {
+	switch {
+	case handle == 0:
+		return Throw(0, "NullPointerException")
+	case uint64(handle-1) >= uint64(len(h.arrays)):
+		return Throw(handle, "InvalidHandle")
 	}
-	// A nil slot means the collector freed the array (free() is the only
-	// writer of nil; make never returns it, not even for length 0).
-	// Checking the slice itself keeps the hot Load/Store leaf off the
-	// meta table entirely.
-	a := h.arrays[idx]
-	if a == nil {
-		return nil, Throw(handle, "CollectedHandle")
-	}
-	return a, nil
+	return Throw(handle, "CollectedHandle")
 }
 
 // Load returns element i of the array behind handle.
 func (h *Heap) Load(handle, i int64) (int64, error) {
-	a, err := h.array(handle)
-	if err != nil {
-		return 0, err
+	a := h.lookup(handle)
+	if a == nil {
+		return 0, h.badHandle(handle)
 	}
-	if i < 0 || i >= int64(len(a)) {
+	if uint64(i) >= uint64(len(a)) {
 		return 0, Throw(i, "ArrayIndexOutOfBoundsException")
 	}
 	return a[i], nil
@@ -545,11 +608,11 @@ func (h *Heap) Load(handle, i int64) (int64, error) {
 
 // Store writes element i of the array behind handle.
 func (h *Heap) Store(handle, i, v int64) error {
-	a, err := h.array(handle)
-	if err != nil {
-		return err
+	a := h.lookup(handle)
+	if a == nil {
+		return h.badHandle(handle)
 	}
-	if i < 0 || i >= int64(len(a)) {
+	if uint64(i) >= uint64(len(a)) {
 		return Throw(i, "ArrayIndexOutOfBoundsException")
 	}
 	a[i] = v
@@ -558,9 +621,9 @@ func (h *Heap) Store(handle, i, v int64) error {
 
 // Length returns the length of the array behind handle.
 func (h *Heap) Length(handle int64) (int64, error) {
-	a, err := h.array(handle)
-	if err != nil {
-		return 0, err
+	a := h.lookup(handle)
+	if a == nil {
+		return 0, h.badHandle(handle)
 	}
 	return int64(len(a)), nil
 }

@@ -265,3 +265,65 @@ func TestHeapStoreLoadProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHeapReleaseRecarvesZero pins the Release contract: a released
+// heap's arena blocks go to the free list, its handles turn invalid, and
+// every word the next heap carves out of a recycled block reads zero,
+// exactly like a block fresh from make.
+func TestHeapReleaseRecarvesZero(t *testing.T) {
+	sizes := []int64{1, 7, 100, 1000, arenaBlockWords / 4, 3}
+	fill := func(h *Heap) []int64 {
+		var handles []int64
+		for r := 0; r < 40; r++ {
+			for _, n := range sizes {
+				hd, err := h.NewArray(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles = append(handles, hd)
+			}
+		}
+		return handles
+	}
+	old := NewHeap()
+	for _, hd := range fill(old) {
+		n, _ := old.Length(hd)
+		for i := int64(0); i < n; i++ {
+			if err := old.Store(hd, i, -1-i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	released := map[*int64]bool{}
+	for _, b := range old.blocks {
+		released[&b[0]] = true
+	}
+	if len(released) < 2 {
+		t.Fatalf("pattern spans %d arena blocks, want several", len(released))
+	}
+	old.Release()
+	if _, err := old.Load(1, 0); err == nil {
+		t.Fatal("released heap still serves its arrays")
+	}
+	old.Release() // a second Release is a no-op
+
+	h := NewHeap()
+	defer h.Release()
+	for _, hd := range fill(h) {
+		n, _ := h.Length(hd)
+		for i := int64(0); i < n; i++ {
+			if v, _ := h.Load(hd, i); v != 0 {
+				t.Fatalf("handle %d word %d = %d after re-carve, want 0", hd, i, v)
+			}
+		}
+	}
+	reused := 0
+	for _, b := range h.blocks {
+		if released[&b[0]] {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Fatal("the next heap made fresh blocks instead of reusing released ones")
+	}
+}

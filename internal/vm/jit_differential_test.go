@@ -18,18 +18,27 @@ import (
 // counter, ground truth, or instruction count, compared per call through
 // the difftest oracle (difftest is stdlib-only precisely so this
 // package's internal tests can use it without an import cycle; the
-// Obs fields the thread API cannot see stay zero on every leg).
-// invocations crosses the compile threshold so later calls run compiled.
-// It returns the jit VM for tier-state assertions.
+// Obs fields the thread API cannot see stay zero on every leg), plus the
+// yield budget left after each call, which fixes where the next yield
+// lands. invocations crosses the compile threshold so later calls run
+// compiled. It returns the jit VM for tier-state assertions.
 func runEngines(t *testing.T, cls *classfile.Class, method string, invocations int, args ...int64) *VM {
 	t.Helper()
-	run := func(opts Options) ([]difftest.Obs, *VM) {
+	return runEnginesQuantum(t, 0, cls, method, invocations, args...)
+}
+
+// runEnginesQuantum is runEngines under the given scheduling quantum
+// (0 keeps the default).
+func runEnginesQuantum(t *testing.T, quantum int, cls *classfile.Class, method string, invocations int, args ...int64) *VM {
+	t.Helper()
+	run := func(opts Options) ([]difftest.Obs, []int, *VM) {
 		v := New(opts)
 		if err := v.LoadClasses([]*classfile.Class{cls.Clone()}); err != nil {
 			t.Fatal(err)
 		}
 		th := v.NewDetachedThread("diff")
 		var outs []difftest.Obs
+		var budgets []int
 		for i := 0; i < invocations; i++ {
 			ret, err := th.InvokeStatic(cls.Name, method, cls.Methods[0].Desc, args...)
 			o := difftest.Obs{
@@ -42,22 +51,26 @@ func runEngines(t *testing.T, cls *classfile.Class, method string, invocations i
 				o.Err = err.Error()
 			}
 			outs = append(outs, o)
+			budgets = append(budgets, th.budget)
 		}
-		return outs, v
+		return outs, budgets, v
 	}
 	base := DefaultOptions()
 	base.JITThreshold = 4
 	base.CompileThreshold = 3
+	if quantum > 0 {
+		base.Quantum = quantum
+	}
 
 	instOpts := base
 	instOpts.ForceInstrumentedLoop = true
-	inst, _ := run(instOpts)
+	inst, instB, _ := run(instOpts)
 
-	fast, _ := run(base)
+	fast, fastB, _ := run(base)
 
 	jitOpts := base
 	jitOpts.Tier = jit.EngineJIT
-	jitted, jv := run(jitOpts)
+	jitted, jitB, jv := run(jitOpts)
 
 	for i := range inst {
 		v := difftest.Judge(fmt.Sprintf("%s.%s call %d", cls.Name, method, i), []difftest.Leg{
@@ -67,6 +80,10 @@ func runEngines(t *testing.T, cls *classfile.Class, method string, invocations i
 		})
 		if v.Diverged() {
 			t.Fatal(v)
+		}
+		if fastB[i] != instB[i] || jitB[i] != instB[i] {
+			t.Fatalf("%s.%s call %d: yield budget instrumented %d fast %d jit %d",
+				cls.Name, method, i, instB[i], fastB[i], jitB[i])
 		}
 	}
 	return jv
@@ -115,8 +132,17 @@ func TestJITDifferentialRandomPrograms(t *testing.T) {
 
 // genLoopProgram assembles a random looping method: a counted loop whose
 // body mixes arithmetic over two locals with optional div (guarded),
-// conditional branches, and a trailing accumulator fold — control-flow
-// coverage the straight-line generator cannot provide.
+// conditional branches, array accesses and a trailing accumulator fold —
+// control-flow coverage the straight-line generator cannot provide.
+//
+// The array ops address local 3, set before the loop: usually a fresh
+// array of 0–8 words, sometimes null or a handle no array has. Their
+// indexes are drawn so some iterations stay in range and others fall out
+// of it, and a rem by a drawn modulus or a div by i-k can hit zero, so
+// the body's array ops and divisions trap mid-loop. Half the programs
+// cover the body with a handler that folds the thrown value into the
+// accumulator and resumes the loop; the rest let the first trap end the
+// call.
 func genLoopProgram(seed int64) (*classfile.Method, error) {
 	return genLoopProgramIters(seed, 3, 60)
 }
@@ -125,30 +151,63 @@ func genLoopProgram(seed int64) (*classfile.Method, error) {
 // cross the backward-branch OSR threshold (default 64) inside a single
 // invocation: the activation starts on the fast loop and must finish on
 // a compiled unit entered at the loop header, mid-iteration, with the
-// locals and the pending deferred accounting carried across.
+// locals and the pending deferred accounting carried across. Its bodies
+// always have the handler, so a trap cannot end the loop before the
+// promotion.
 func genOSRLoopProgram(seed int64) (*classfile.Method, error) {
 	return genLoopProgramIters(seed, 80, 300)
 }
 
 // genLoopProgramIters is the shared generator; iters is drawn from
-// [minIters, minIters+span).
+// [minIters, minIters+span), and spans past the OSR threshold always get
+// the handler.
 func genLoopProgramIters(seed int64, minIters, span int) (*classfile.Method, error) {
 	rng := rand.New(rand.NewSource(seed))
 	a := bytecode.NewAssembler()
-	// locals: 0 = x (arg), 1 = i, 2 = acc
+	// locals: 0 = x (arg), 1 = i, 2 = acc, 3 = array handle
 	iters := int64(minIters + rng.Intn(span))
 	a.Const(iters)
 	a.Store(1)
 	a.Const(int64(rng.Intn(100)))
 	a.Store(2)
+	arrLen := int64(rng.Intn(9))
+	switch rng.Intn(8) {
+	case 0: // null
+		a.Const(0)
+	case 1: // a handle no array has
+		a.Const(1 << 20)
+	default:
+		a.Const(arrLen)
+		a.NewArray()
+	}
+	a.Store(3)
+	catch := minIters >= 64 || rng.Intn(2) == 0
+	// index pushes an array index: i mod a drawn modulus (0 traps), the
+	// low bits of acc, or i itself.
+	index := func() {
+		switch rng.Intn(3) {
+		case 0:
+			a.Load(1)
+			a.Const(int64(rng.Intn(int(arrLen) + 2)))
+			a.Rem()
+		case 1:
+			a.Load(2)
+			a.Const(7)
+			a.And()
+		default:
+			a.Load(1)
+		}
+	}
 	top := a.NewLabel()
 	end := a.NewLabel()
+	cont := a.NewLabel()
 	a.Bind(top)
 	a.Load(1)
 	a.Ifle(end)
+	bodyStart := a.Offset()
 	body := 1 + rng.Intn(4)
 	for k := 0; k < body; k++ {
-		switch rng.Intn(6) {
+		switch rng.Intn(10) {
 		case 0: // acc = acc*m + c
 			a.Load(2)
 			a.Const(int64(rng.Intn(31) + 3))
@@ -190,8 +249,39 @@ func genLoopProgramIters(seed int64, minIters, span int) (*classfile.Method, err
 			a.Load(0)
 			a.Sub()
 			a.Store(2)
+		case 6: // arr[index] = acc
+			a.Load(3)
+			index()
+			a.Load(2)
+			a.AStore()
+		case 7: // acc += arr[index]
+			a.Load(2)
+			a.Load(3)
+			index()
+			a.ALoad()
+			a.Add()
+			a.Store(2)
+		case 8: // acc ^= len(arr)
+			a.Load(2)
+			a.Load(3)
+			a.ArrayLen()
+			a.Xor()
+			a.Store(2)
+		case 9: // acc = acc / (i-k) or acc % (i-k): zero once i == k
+			a.Load(2)
+			a.Load(1)
+			a.Const(int64(1 + rng.Intn(int(iters))))
+			a.Sub()
+			if rng.Intn(2) == 0 {
+				a.Div()
+			} else {
+				a.Rem()
+			}
+			a.Store(2)
 		}
 	}
+	bodyEnd := a.Offset()
+	a.Bind(cont)
 	a.Inc(1, -1)
 	a.Goto(top)
 	a.Bind(end)
@@ -199,11 +289,24 @@ func genLoopProgramIters(seed int64, minIters, span int) (*classfile.Method, err
 	a.Load(0)
 	a.Add()
 	a.IReturn()
-	return a.FinishMethod("loop", "(J)J", classfile.AccPublic|classfile.AccStatic, 3, nil)
+	var handlers []classfile.ExceptionEntry
+	if catch && bodyEnd > bodyStart {
+		// acc ^= thrown; resume at the loop step.
+		handler := a.Offset()
+		a.EnterHandler()
+		a.Load(2)
+		a.Xor()
+		a.Store(2)
+		a.Goto(cont)
+		handlers = []classfile.ExceptionEntry{{StartPC: bodyStart, EndPC: bodyEnd, HandlerPC: handler}}
+	}
+	return a.FinishMethod("loop", "(J)J", classfile.AccPublic|classfile.AccStatic, 4, handlers)
 }
 
 // TestJITDifferentialLoopPrograms extends the property to branchy,
-// multi-block methods with loops, guarded division and negation.
+// multi-block methods with loops, division, negation and array accesses
+// that trap mid-loop, caught or not, under the default quantum and the
+// hostile quantum 7.
 func TestJITDifferentialLoopPrograms(t *testing.T) {
 	f := func(seed int64) bool {
 		m, err := genLoopProgram(seed)
@@ -216,10 +319,12 @@ func TestJITDifferentialLoopPrograms(t *testing.T) {
 			return false
 		}
 		cls := &classfile.Class{Name: "p/Loop", Methods: []*classfile.Method{m}}
-		jv := runEngines(t, cls, "loop", 6, int64(seed%97))
-		if jv.TierStats().CompiledFrames == 0 {
-			t.Logf("seed %d: no compiled frames executed", seed)
-			return false
+		for _, q := range []int{0, 7} {
+			jv := runEnginesQuantum(t, q, cls, "loop", 6, int64(seed%97))
+			if jv.TierStats().CompiledFrames == 0 {
+				t.Logf("seed %d quantum %d: no compiled frames executed", seed, q)
+				return false
+			}
 		}
 		return true
 	}

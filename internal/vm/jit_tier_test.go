@@ -284,9 +284,12 @@ func FuzzJITDifferential(f *testing.F) {
 			cls := &classfile.Class{Name: "p/Gen", Methods: []*classfile.Method{m}}
 			runEngines(t, cls, "gen", 6)
 		}
+		// Loops with trapping array ops and div/rem, under the default
+		// and the hostile quantum.
 		if m, err := genLoopProgram(seed); err == nil && bytecode.Verify(m) == nil {
 			cls := &classfile.Class{Name: "p/Loop", Methods: []*classfile.Method{m}}
 			runEngines(t, cls, "loop", 6, seed%31)
+			runEnginesQuantum(t, 7, cls, "loop", 6, seed%31)
 		}
 		// OSR edge: one invocation of a loop hot enough that the only way
 		// into compiled code is promotion mid-iteration.

@@ -19,7 +19,10 @@ import (
 // re-executes from the original bytecode one instruction at a time, so
 // every yield lands on exactly the instruction boundary the interpreter
 // would use. Effects and terminators charge singly, in the interpreter's
-// order (count, yield check, then execute). Since a quantum boundary
+// order (count, yield check, then execute). A batch may also hold
+// trapping ops (array access, div/rem); when one traps, the executor
+// un-charges the rest of the block and dispatches the handler (see the
+// trap exit after the block loop). Since a quantum boundary
 // therefore falls after exactly the same instruction in every engine,
 // multi-threaded interleavings — and with them every downstream
 // observable — are byte-identical.
@@ -51,9 +54,9 @@ func (t *Thread) runCompiled(m *Method, u *jit.Unit, fr, locals, stack []int64) 
 // op is pure, so nothing can observe the frame mid-run — the charges and
 // final frame state are exactly the block-by-block execution's.
 func (t *Thread) runStatic(p *jit.StaticPlan, fr []int64, cost uint64, budget int) int64 {
-	runOps(fr, p.Entry)
+	runOps(nil, fr, p.Entry)
 	runStaticBody(fr, p.Body, p.Trip)
-	runOps(fr, p.Exit)
+	runOps(nil, fr, p.Exit)
 	var ret int64
 	if p.HasRet {
 		if p.RetImm {
@@ -88,7 +91,7 @@ func runStaticBody(fr []int64, ops []jit.Op, trip int64) {
 		}
 	}
 	for n := int64(0); n < trip; n++ {
-		runOps(fr, ops)
+		runOps(nil, fr, ops)
 	}
 }
 
@@ -108,6 +111,11 @@ func (t *Thread) runCompiledFrom(m *Method, u *jit.Unit, fr, locals, stack []int
 
 	var done uint64 // instructions executed since the last flush
 	budget := t.budget
+	// A batch whose op traps leaves the block loop with the block and
+	// the op's index here; the handler dispatch after the loop re-enters
+	// it.
+	var trapB *jit.Block
+	var trapK int
 
 blocks:
 	for {
@@ -178,7 +186,10 @@ blocks:
 				done += uint64(hn)
 				budget -= hn
 				if len(b.Flat) > 0 {
-					runOps(fr, b.Flat)
+					if k := runOps(heap, fr, b.Flat); k >= 0 {
+						trapB, trapK = b, k
+						break blocks
+					}
 				}
 				var taken bool
 				if tm.Kind == jit.TermBr1 {
@@ -207,7 +218,11 @@ blocks:
 				}
 				done += uint64(bn)
 				budget -= bn
-				runOps(fr, body.Flat) // includes the back-edge goto's charge in bn
+				// bn includes the back-edge goto's charge.
+				if k := runOps(heap, fr, body.Flat); k >= 0 {
+					trapB, trapK = body, k
+					break blocks
+				}
 			}
 			// Budget short at the header: fall through to the general
 			// handling of this block (its batch guard fails the same way).
@@ -221,7 +236,10 @@ blocks:
 			done += uint64(b.NInstr)
 			budget -= int(b.NInstr)
 			if len(b.Flat) > 0 {
-				runOps(fr, b.Flat)
+				if k := runOps(heap, fr, b.Flat); k >= 0 {
+					trapB, trapK = b, k
+					break blocks
+				}
 			}
 			tm := &b.Term
 			switch tm.Kind {
@@ -271,18 +289,9 @@ blocks:
 				if !tm.AImm {
 					val = fr[tm.A]
 				}
-				thrown := Throw(val, "")
-				h := m.handlerIdx[tm.Idx]
-				if h < 0 {
-					t.flushInterp(done, cost, budget)
-					return 0, thrown
-				}
-				stack[0] = thrown.Value
-				nb := u.BlockOf[h]
+				nb, r, err := t.throwAt(m, u, locals, stack, int(tm.Idx), Throw(val, ""), done, budget, cost)
 				if nb < 0 {
-					v.tierDeopts++
-					t.flushInterp(done, cost, budget)
-					return t.interpretInstrumentedFrom(m, locals, stack, int(h), 1, cost)
+					return r, err
 				}
 				bi = nb
 				continue
@@ -320,10 +329,10 @@ blocks:
 						case jit.KMulAddSII:
 							fr[op.Dst] = fr[op.A]*op.Imm + op.Imm2
 						default:
-							runOps(fr, ch.Ops)
+							runOps(nil, fr, ch.Ops)
 						}
 					} else if len(ch.Ops) > 0 {
-						runOps(fr, ch.Ops)
+						runOps(nil, fr, ch.Ops)
 					}
 				} else {
 					// A quantum boundary falls inside the chunk: step the
@@ -359,19 +368,9 @@ blocks:
 			idx := int(eff.Idx)
 			base := ml + int(eff.SP)
 			switch eff.Kind {
-			case jit.EffDiv:
-				bv, av := fr[base-1], fr[base-2]
-				if bv == 0 {
-					thrown = Throw(av, "ArithmeticException: / by zero")
-				} else {
-					fr[base-2] = av / bv
-				}
-			case jit.EffRem:
-				bv, av := fr[base-1], fr[base-2]
-				if bv == 0 {
-					thrown = Throw(av, "ArithmeticException: % by zero")
-				} else {
-					fr[base-2] = av % bv
+			case jit.EffTrap:
+				if runOps(heap, fr, ch.Ops) >= 0 {
+					thrown = trapThrown(heap, fr, &ch.Ops[0])
 				}
 			case jit.EffNewArray:
 				h, err := t.newArray(m, m.instrs[idx].Offset, fr[base-1], int(eff.SP)-1)
@@ -384,39 +383,6 @@ blocks:
 					}
 				} else {
 					fr[base-1] = h
-				}
-			case jit.EffALoad:
-				val, err := heap.Load(fr[base-2], fr[base-1])
-				if err != nil {
-					if th, ok := AsThrown(err); ok {
-						thrown = th
-					} else {
-						t.flushInterp(done, cost, budget)
-						return 0, err
-					}
-				} else {
-					fr[base-2] = val
-				}
-			case jit.EffAStore:
-				if err := heap.Store(fr[base-3], fr[base-2], fr[base-1]); err != nil {
-					if th, ok := AsThrown(err); ok {
-						thrown = th
-					} else {
-						t.flushInterp(done, cost, budget)
-						return 0, err
-					}
-				}
-			case jit.EffArrayLen:
-				n2, err := heap.Length(fr[base-1])
-				if err != nil {
-					if th, ok := AsThrown(err); ok {
-						thrown = th
-					} else {
-						t.flushInterp(done, cost, budget)
-						return 0, err
-					}
-				} else {
-					fr[base-1] = n2
 				}
 			case jit.EffGetStatic:
 				p := m.refStatics[eff.Ref]
@@ -504,19 +470,9 @@ blocks:
 				}
 			}
 			if thrown != nil {
-				h := m.handlerIdx[idx]
-				if h < 0 {
-					t.flushInterp(done, cost, budget)
-					return 0, thrown
-				}
-				stack[0] = thrown.Value
-				nb := u.BlockOf[h]
+				nb, r, err := t.throwAt(m, u, locals, stack, idx, thrown, done, budget, cost)
 				if nb < 0 {
-					// Handlers are always block leaders; deopt defensively
-					// rather than trust a violated invariant.
-					v.tierDeopts++
-					t.flushInterp(done, cost, budget)
-					return t.interpretInstrumentedFrom(m, locals, stack, int(h), 1, cost)
+					return r, err
 				}
 				bi = nb
 				continue blocks
@@ -590,22 +546,30 @@ blocks:
 			if !tm.AImm {
 				val = fr[tm.A]
 			}
-			thrown := Throw(val, "")
-			h := m.handlerIdx[tm.Idx]
-			if h < 0 {
-				t.flushInterp(done, cost, budget)
-				return 0, thrown
-			}
-			stack[0] = thrown.Value
-			nb := u.BlockOf[h]
+			nb, r, err := t.throwAt(m, u, locals, stack, int(tm.Idx), Throw(val, ""), done, budget, cost)
 			if nb < 0 {
-				v.tierDeopts++
-				t.flushInterp(done, cost, budget)
-				return t.interpretInstrumentedFrom(m, locals, stack, int(h), 1, cost)
+				return r, err
 			}
 			bi = nb
 		}
 	}
+
+	// A batch trapped at op trapK of block trapB. The batch charged the
+	// whole block up front; the interpreter would have charged only up
+	// to and including the trapping instruction, so the instructions
+	// after it are un-charged. The strict budget guard that admitted the
+	// batch rules out a yield inside it, so this arithmetic is exact.
+	op := &trapB.Flat[trapK]
+	idx := int(op.Imm)
+	rest := int(trapB.Start+trapB.NInstr) - idx - 1
+	done -= uint64(rest)
+	budget += rest
+	nb, r, err := t.throwAt(m, u, locals, stack, idx, trapThrown(heap, fr, op), done, budget, cost)
+	if nb < 0 {
+		return r, err
+	}
+	bi = nb
+	goto blocks
 }
 
 // invokeInline runs an inline-expanded call: the callee's private unit
@@ -667,7 +631,7 @@ func (t *Thread) invokeInline(callee *Method, site *jit.InlineSite, scr, args []
 		bn := int(b.NInstr)
 		if budget := t.budget; budget > bn {
 			if len(b.Flat) > 0 {
-				runOps(scr, b.Flat)
+				runOps(nil, scr, b.Flat)
 			}
 			var ret int64
 			if b.Term.Kind == jit.TermIreturn {
@@ -709,8 +673,11 @@ func (t *Thread) enterOSR(m *Method, u *jit.Unit, locals, stack []int64, bi int3
 	return t.runCompiledFrom(m, u, fr, fr[:nl:nl], fr[nl:], bi, cost)
 }
 
-// runOps executes a fused pure-op sequence against the flat frame.
-func runOps(fr []int64, ops []jit.Op) {
+// runOps executes a fused op sequence against the flat frame and returns
+// -1, or the index of the trapping op that stopped it. A trapping op that
+// traps has left the frame untouched; trapThrown names its exception.
+// heap may be nil for sequences without trapping ops.
+func runOps(heap *Heap, fr []int64, ops []jit.Op) int {
 	for oi := range ops {
 		op := &ops[oi]
 		switch op.Kind {
@@ -762,8 +729,84 @@ func runOps(fr []int64, ops []jit.Op) {
 			fr[op.Dst] = fr[op.A] >> (uint64(op.Imm) & 63)
 		case jit.KShrIS:
 			fr[op.Dst] = op.Imm >> (uint64(fr[op.A]) & 63)
+		case jit.KDivSS:
+			d := fr[op.B]
+			if d == 0 {
+				return oi
+			}
+			fr[op.Dst] = fr[op.A] / d
+		case jit.KRemSS:
+			d := fr[op.B]
+			if d == 0 {
+				return oi
+			}
+			fr[op.Dst] = fr[op.A] % d
+		case jit.KALoad:
+			a, i := heap.lookup(fr[op.A]), fr[op.B]
+			if uint64(i) >= uint64(len(a)) {
+				return oi
+			}
+			fr[op.Dst] = a[i]
+		case jit.KAStore:
+			a, i := heap.lookup(fr[op.A]), fr[op.B]
+			if uint64(i) >= uint64(len(a)) {
+				return oi
+			}
+			a[i] = fr[op.Dst]
+		case jit.KArrayLen:
+			a := heap.lookup(fr[op.A])
+			if a == nil {
+				return oi
+			}
+			fr[op.Dst] = int64(len(a))
 		}
 	}
+	return -1
+}
+
+// trapThrown is the exception of a trapping op that trapped: the checked
+// Heap path rebuilds it from the operands the op left untouched, so it is
+// exactly the one the interpreter throws.
+func trapThrown(heap *Heap, fr []int64, op *jit.Op) *Thrown {
+	var err error
+	switch op.Kind {
+	case jit.KDivSS:
+		return Throw(fr[op.A], "ArithmeticException: / by zero")
+	case jit.KRemSS:
+		return Throw(fr[op.A], "ArithmeticException: % by zero")
+	case jit.KALoad:
+		_, err = heap.Load(fr[op.A], fr[op.B])
+	case jit.KAStore:
+		err = heap.Store(fr[op.A], fr[op.B], fr[op.Dst])
+	case jit.KArrayLen:
+		_, err = heap.Length(fr[op.A])
+	}
+	return err.(*Thrown)
+}
+
+// throwAt dispatches thrown, raised by instruction idx of a compiled
+// activation: to the covering handler's block (nb >= 0, the caller
+// continues there with its accounting), to the instrumented interpreter
+// when the handler is not a block leader, or out of the activation when
+// no handler covers idx. For nb < 0 the activation is over, accounting
+// flushed, and ret, err are its outcome.
+func (t *Thread) throwAt(m *Method, u *jit.Unit, locals, stack []int64, idx int, thrown *Thrown,
+	done uint64, budget int, cost uint64) (nb int32, ret int64, err error) {
+	h := m.handlerIdx[idx]
+	if h < 0 {
+		t.flushInterp(done, cost, budget)
+		return -1, 0, thrown
+	}
+	stack[0] = thrown.Value
+	if nb = u.BlockOf[h]; nb >= 0 {
+		return nb, 0, nil
+	}
+	// Handlers are always block leaders; deopt defensively rather than
+	// trust a violated invariant.
+	t.vm.tierDeopts++
+	t.flushInterp(done, cost, budget)
+	ret, err = t.interpretInstrumentedFrom(m, locals, stack, int(h), 1, cost)
+	return -1, ret, err
 }
 
 // stepPureRange executes n straight-line bytecode instructions beginning
