@@ -23,8 +23,8 @@ type familyPanel struct {
 	Cells, Failed, Retries, Timeouts, Panics uint64
 
 	// Serving sources: every cell lands in exactly one bucket.
-	Runs, CacheHits, JournalHits, DedupHits, Verified uint64
-	HitRate                                           float64 // (cache+journal+dedup) / cells
+	Runs, CacheHits, DedupHits, Verified uint64
+	HitRate                              float64 // (cache+dedup) / cells
 
 	// Wall-time distribution (host-side, never in payloads).
 	WallP50, WallP95, WallMax float64 // nanoseconds
@@ -45,12 +45,11 @@ type familyPanel struct {
 	HasBench                 bool
 }
 
-// processPanel is the process-wide (family-less) section: cache and
-// journal traffic that cannot be attributed to one scenario family.
+// processPanel is the process-wide (family-less) section: cache
+// traffic that cannot be attributed to one scenario family.
 type processPanel struct {
 	CacheHits, CacheMisses, CachePuts         uint64
 	CacheDeduped, CacheEvicted, CacheVerified uint64
-	JournalReplayed, JournalAppended          uint64
 }
 
 // dashboard is everything the renderers need.
@@ -84,14 +83,12 @@ func buildDashboard(d *telemetry.Dump, entry *Entry) dashboard {
 		fd := d.Families[fam]
 		if fam == telemetry.ProcessFamily {
 			db.Process = &processPanel{
-				CacheHits:       counterOf(fd, telemetry.MetricProcCacheHits),
-				CacheMisses:     counterOf(fd, telemetry.MetricProcCacheMisses),
-				CachePuts:       counterOf(fd, telemetry.MetricProcCachePuts),
-				CacheDeduped:    counterOf(fd, telemetry.MetricProcCacheDeduped),
-				CacheEvicted:    counterOf(fd, telemetry.MetricProcCacheEvicted),
-				CacheVerified:   counterOf(fd, telemetry.MetricProcCacheVerified),
-				JournalReplayed: counterOf(fd, telemetry.MetricProcJournalReplay),
-				JournalAppended: counterOf(fd, telemetry.MetricProcJournalAppend),
+				CacheHits:     counterOf(fd, telemetry.MetricProcCacheHits),
+				CacheMisses:   counterOf(fd, telemetry.MetricProcCacheMisses),
+				CachePuts:     counterOf(fd, telemetry.MetricProcCachePuts),
+				CacheDeduped:  counterOf(fd, telemetry.MetricProcCacheDeduped),
+				CacheEvicted:  counterOf(fd, telemetry.MetricProcCacheEvicted),
+				CacheVerified: counterOf(fd, telemetry.MetricProcCacheVerified),
 			}
 			continue
 		}
@@ -104,7 +101,6 @@ func buildDashboard(d *telemetry.Dump, entry *Entry) dashboard {
 			Panics:         counterOf(fd, telemetry.MetricPanics),
 			Runs:           counterOf(fd, telemetry.MetricRuns),
 			CacheHits:      counterOf(fd, telemetry.MetricCacheHits),
-			JournalHits:    counterOf(fd, telemetry.MetricJournalHits),
 			DedupHits:      counterOf(fd, telemetry.MetricDedupHits),
 			Verified:       counterOf(fd, telemetry.MetricVerified),
 			Compiled:       counterOf(fd, telemetry.MetricTierCompiled),
@@ -118,7 +114,7 @@ func buildDashboard(d *telemetry.Dump, entry *Entry) dashboard {
 			Tenured:        counterOf(fd, telemetry.MetricGCTenured),
 		}
 		if p.Cells > 0 {
-			p.HitRate = float64(p.CacheHits+p.JournalHits+p.DedupHits) / float64(p.Cells)
+			p.HitRate = float64(p.CacheHits+p.DedupHits) / float64(p.Cells)
 		}
 		if frames := p.CompiledFrames + p.FallbackChunks; frames > 0 {
 			p.CompiledShare = float64(p.CompiledFrames) / float64(frames)
@@ -158,8 +154,8 @@ func renderText(w io.Writer, db dashboard) {
 		fmt.Fprintf(w, "\n%s\n%s\n", p.Family, strings.Repeat("-", len(p.Family)))
 		fmt.Fprintf(w, "  cells        %d total, %d failed, %d retries, %d timeouts, %d panics\n",
 			p.Cells, p.Failed, p.Retries, p.Timeouts, p.Panics)
-		fmt.Fprintf(w, "  sources      %d run, %d cache, %d journal, %d dedup, %d verified (%s served without re-running)\n",
-			p.Runs, p.CacheHits, p.JournalHits, p.DedupHits, p.Verified, pct(p.HitRate))
+		fmt.Fprintf(w, "  sources      %d run, %d cache, %d dedup, %d verified (%s served without re-running)\n",
+			p.Runs, p.CacheHits, p.DedupHits, p.Verified, pct(p.HitRate))
 		fmt.Fprintf(w, "  wall time    p50 %s  p95 %s  max %s\n",
 			fmtNs(p.WallP50), fmtNs(p.WallP95), fmtNs(p.WallMax))
 		fmt.Fprintf(w, "  tier mix     %s compiled frames (%d compiled, %d fallback; %d methods, %d OSR, %d deopts, %d inlined calls)\n",
@@ -181,7 +177,6 @@ func renderText(w io.Writer, db dashboard) {
 		fmt.Fprintf(w, "\nprocess\n-------\n")
 		fmt.Fprintf(w, "  cache        %d hits, %d misses, %d puts, %d deduped, %d evicted, %d verified\n",
 			pr.CacheHits, pr.CacheMisses, pr.CachePuts, pr.CacheDeduped, pr.CacheEvicted, pr.CacheVerified)
-		fmt.Fprintf(w, "  journal      %d replayed, %d appended\n", pr.JournalReplayed, pr.JournalAppended)
 	}
 }
 
@@ -208,7 +203,7 @@ td.k { color: #5a6470; white-space: nowrap; }
 <h1>Campaign dashboard — {{.Tool}} metrics{{if .Entry}}, ledger entry “{{.Entry}}”{{end}}</h1>
 {{range .Families}}<div class="card"><h2>{{.Family}}</h2><table>
 <tr><td class="k">cells</td><td>{{.Cells}} total, {{.Failed}} failed, {{.Retries}} retries, {{.Timeouts}} timeouts, {{.Panics}} panics</td></tr>
-<tr><td class="k">sources</td><td>{{.Runs}} run, {{.CacheHits}} cache, {{.JournalHits}} journal, {{.DedupHits}} dedup, {{.Verified}} verified ({{pct .HitRate}} served without re-running)</td></tr>
+<tr><td class="k">sources</td><td>{{.Runs}} run, {{.CacheHits}} cache, {{.DedupHits}} dedup, {{.Verified}} verified ({{pct .HitRate}} served without re-running)</td></tr>
 <tr><td class="k">wall time</td><td>p50 {{ns .WallP50}} · p95 {{ns .WallP95}} · max {{ns .WallMax}}</td></tr>
 <tr><td class="k">tier mix</td><td><span class="bar"><span style="width:{{mix .CompiledShare}}%"></span></span> {{pct .CompiledShare}} compiled frames ({{.CompiledFrames}} compiled, {{.FallbackChunks}} fallback; {{.Compiled}} methods, {{.OSR}} OSR, {{.Deopts}} deopts, {{.Inlined}} inlined calls)</td></tr>
 <tr><td class="k">gc</td><td>{{if .GCPauseSamples}}{{.MinorGC}} minor, {{.MajorGC}} major, {{.Tenured}} tenured; pause cycles p50 {{printf "%.0f" .GCPauseP50}} · p95 {{printf "%.0f" .GCPauseP95}}{{else}}<span class="muted">quiet (no collections)</span>{{end}}</td></tr>
@@ -216,7 +211,6 @@ td.k { color: #5a6470; white-space: nowrap; }
 </table></div>
 {{end}}{{if .Process}}<div class="card"><h2>process</h2><table>
 <tr><td class="k">cache</td><td>{{.Process.CacheHits}} hits, {{.Process.CacheMisses}} misses, {{.Process.CachePuts}} puts, {{.Process.CacheDeduped}} deduped, {{.Process.CacheEvicted}} evicted, {{.Process.CacheVerified}} verified</td></tr>
-<tr><td class="k">journal</td><td>{{.Process.JournalReplayed}} replayed, {{.Process.JournalAppended}} appended</td></tr>
 </table></div>
 {{end}}</body></html>
 `))

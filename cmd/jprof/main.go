@@ -169,12 +169,7 @@ func main() {
 		}
 		fmt.Print(r.Value)
 	}
-	if cache != nil {
-		if cerr := cache.Close(); cerr != nil {
-			sum.Error(cerr)
-		}
-		sum.Stat(cache.Stats())
-	}
+	cache.Finish(sum)
 	telFlags.Finish(tel, sum)
 	if failed > 0 {
 		// Cell failures are already reported in place; the batch error is
@@ -206,8 +201,9 @@ func profileKey(s scenarios.Scenario, agentName string, scale int, opts vm.Optio
 	}{s.Identity(), agentName, opts, scale, asJSON, perMethod, tierStats, "jprof-rendered"})
 }
 
-// profileCell resolves one report through the result cache and the
-// in-process memo before falling back to a real profiling run. The
+// profileCell resolves one report through the result cache
+// (resultcache.Cache.Resolve): a hit or an identical cell of this
+// invocation serves it, anything else runs a real profiling run. The
 // cached payload is the rendered report alone; the -cellstats host-cost
 // line (or trailing {"host":...} object with -json) is appended outside
 // it, so cold and warm report bytes stay identical and the telemetry
@@ -233,88 +229,34 @@ func profileCell(ctx context.Context, s scenarios.Scenario, agentName string, sc
 	if cellStats {
 		doneHost = core.StartHostMeasure()
 	}
-	finish := func(text, source string) (string, error) {
-		if doneHost == nil {
-			return text, nil
-		}
-		h := doneHost(source)
-		if asJSON {
-			var buf bytes.Buffer
-			buf.WriteString(text)
-			if err := core.WriteHostJSON(&buf, h); err != nil {
-				return "", err
-			}
-			return buf.String(), nil
-		}
-		return text + "host: " + h.String() + "\n", nil
-	}
 	key, err := profileKey(s, agentName, scale, opts, asJSON, perMethod, tierStats)
 	if err != nil {
 		return "", err
 	}
-	decode := func(raw json.RawMessage, source string) (string, error) {
-		var text string
-		if err := json.Unmarshal(raw, &text); err != nil {
-			return "", fmt.Errorf("corrupt %s payload for %s: %w", source, s.Name(), err)
-		}
-		return text, nil
-	}
-	execute := func() (json.RawMessage, error) {
-		text, err := profileOne(ctx, s, agentName, scale, opts, asJSON, perMethod, tierStats)
-		if err != nil {
-			return nil, err
-		}
-		return checkpoint.CanonicalPayload(text)
-	}
 	var text string
-	if raw, ok := cache.GetInto(key, &text); ok {
-		source := "cache"
-		if resultcache.VerifySample(key, verifyN) {
-			fresh, err := execute()
-			if err != nil {
-				return "", err
-			}
-			// A passing Verify means fresh == raw, so text is fresh's text.
-			if err := cache.Verify(key, raw, fresh); err != nil {
-				return "", err
-			}
-			source = "verify"
-		}
-		return finish(text, source)
-	}
-	raw, shared, err := memo.Do(key, func() (json.RawMessage, error) {
-		raw, err := execute()
+	source, err := cache.Resolve(memo, key, verifyN, &text, func() (json.RawMessage, error) {
+		out, err := profileOne(ctx, s, agentName, scale, opts, asJSON, perMethod, tierStats)
 		if err != nil {
 			return nil, err
 		}
-		if err := cache.Put(key, raw); err != nil {
-			// An unwritable cache is environmental, so retryable.
-			return nil, runner.Transient(err)
-		}
-		return raw, nil
+		return checkpoint.CanonicalPayload(out)
 	})
-	if err != nil {
-		if !shared {
-			return "", err
-		}
-		// A deduplicated sibling's failure (an injected fault, a timeout)
-		// must stay its own: run this cell's attempt instead of inheriting
-		// the error.
-		if raw, err = execute(); err != nil {
-			return "", err
-		}
-		shared = false
-	}
-	source := "run"
-	if shared {
-		cache.AddDeduped(1)
-		source = "dedup"
-	}
-	text, err = decode(raw, "execution")
 	if err != nil {
 		return "", err
 	}
-	return finish(text, source)
+	if doneHost == nil {
+		return text, nil
+	}
+	h := doneHost(source)
+	if asJSON {
+		var buf bytes.Buffer
+		buf.WriteString(text)
+		if err := core.WriteHostJSON(&buf, h); err != nil {
+			return "", err
+		}
+		return buf.String(), nil
+	}
+	return text + "host: " + h.String() + "\n", nil
 }
 
 // profileOne runs one scenario under a fresh agent on its own VM and

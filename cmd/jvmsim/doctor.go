@@ -31,13 +31,12 @@ type check struct {
 
 // runDoctor is the `jvmsim doctor` subcommand: a fast, side-effect-free
 // audit of everything a campaign run depends on — toolchain, scenario
-// registry, heap specs, checkpoint-directory writability and the
-// benchmark baseline — reporting every failure rather than stopping at
-// the first. Returns the process exit code.
+// registry, heap specs, the result cache (the crash-resume store) and
+// the benchmark baseline — reporting every failure rather than stopping
+// at the first. Returns the process exit code.
 func runDoctor(args []string) int {
 	fs := flag.NewFlagSet("doctor", flag.ExitOnError)
 	format := fs.String("format", "text", "output format: text or json")
-	checkpointDir := fs.String("checkpoint-dir", ".", "directory whose writability to verify (where -checkpoint journals would go)")
 	cacheDir := fs.String("cache-dir", os.Getenv(resultcache.EnvVar), "result cache directory to audit (default $"+resultcache.EnvVar+"; empty skips the check)")
 	ledger := fs.String("ledger", "BENCH_TREND.json", "benchmark ledger to verify")
 	baseline := fs.String("baseline", "pr9", "ledger entry the perf gate compares against")
@@ -55,7 +54,6 @@ func runDoctor(args []string) int {
 		checkToolchain(),
 		checkRegistry(),
 		checkHeapSpecs(),
-		checkCheckpointDir(*checkpointDir),
 		checkCache(*cacheDir),
 		checkBaseline(*ledger, *baseline),
 		checkTelemetry(*tracePath, *metricsPath, *cacheDir),
@@ -168,38 +166,13 @@ func checkHeapSpecs() check {
 	return c
 }
 
-// checkCheckpointDir proves a -checkpoint journal could actually be
-// written where the user (or the default) points it: create, write,
-// sync, remove.
-func checkCheckpointDir(dir string) check {
-	c := check{Name: "checkpoint-dir"}
-	f, err := os.CreateTemp(dir, ".doctor-probe-*")
-	if err != nil {
-		c.Detail = fmt.Sprintf("%s not writable: %v", dir, err)
-		return c
-	}
-	name := f.Name()
-	defer os.Remove(name)
-	if _, err := f.WriteString("probe\n"); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		c.Detail = fmt.Sprintf("%s: %v", dir, err)
-		return c
-	}
-	c.OK = true
-	c.Detail = fmt.Sprintf("%s writable (fsync ok)", dir)
-	return c
-}
-
 // checkCache audits the result cache directory: the layout-version stamp
 // (a stale or unstamped-populated layout fails with the remediation the
-// cache itself would give), writability, and the current entry
-// count/size. An unconfigured cache and an absent directory both pass —
-// caching is opt-in, and rw mode creates its directory on first use.
+// cache itself would give), durable writability — the cache is the
+// crash-resume store, so the probe file is written and fsync'd, as every
+// entry is — and the current entry count/size. An unconfigured cache
+// and an absent directory both pass — caching is opt-in, and rw mode
+// creates its directory on first use.
 func checkCache(dir string) check {
 	c := check{Name: "cache-dir"}
 	if dir == "" {
@@ -222,8 +195,17 @@ func checkCache(dir string) check {
 		return c
 	}
 	name := f.Name()
-	f.Close()
-	os.Remove(name)
+	defer os.Remove(name)
+	if _, err := f.WriteString("probe\n"); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		c.Detail = fmt.Sprintf("%s: %v", dir, err)
+		return c
+	}
 	cache, err := resultcache.Open(dir, resultcache.ModeRO)
 	if err != nil {
 		c.Detail = err.Error()
@@ -235,7 +217,7 @@ func checkCache(dir string) check {
 		return c
 	}
 	c.OK = true
-	c.Detail = fmt.Sprintf("%s writable, layout %s, %d entries (%.1f MB)",
+	c.Detail = fmt.Sprintf("%s writable (fsync ok), layout %s, %d entries (%.1f MB)",
 		dir, resultcache.LayoutVersion, count, float64(size)/(1<<20))
 	return c
 }

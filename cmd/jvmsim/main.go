@@ -8,12 +8,11 @@
 //	       [-heap-nursery W] [-heap-tenured W] [-heap-tenure-age N] [-heap-limit W]
 //	       [-scale K] [-parallel N] [-tierstats]
 //	       [-cell-timeout D] [-max-retries N] [-retry-seed S]
-//	       [-checkpoint FILE] [-resume]
 //	       [-cache-dir DIR] [-cache off|ro|rw] [-cache-verify N] [-cache-max-mb MB]
 //	       [-trace FILE] [-metrics FILE]
 //	       [-cpuprofile F] [-memprofile F] [-dump|-instrmix]
 //	       <scenario|family>... | all
-//	jvmsim doctor [-format text|json] [-checkpoint-dir DIR] [-cache-dir DIR]
+//	jvmsim doctor [-format text|json] [-cache-dir DIR]
 //	              [-trace FILE] [-metrics FILE]
 //	jvmsim search [-budget N] [-seed S] [-oracle NAME] [-stop N]
 //	              [-format text|json] [-out DIR] [-scenario FILE]
@@ -44,19 +43,18 @@
 // Fault tolerance (see docs/robustness.md): a cell that panics, exceeds
 // -cell-timeout or fails does not abort the batch — its error is
 // reported in place and the process exits with code 3 (partial).
-// -checkpoint journals each finished cell's rendered output to FILE;
-// -resume replays finished cells from the journal and runs only the
-// rest, producing byte-identical output.
 //
 // -cache-dir (default $JVMSIM_CACHE) points at the persistent
 // content-addressed result cache (see docs/caching.md): a warm rerun
 // serves finished cells from disk byte-identically and prints a stats
 // trailer on stderr; identical cells appearing more than once in one
-// invocation execute exactly once. -cache-verify N re-executes a
-// deterministic 1-in-N sample of hits and fails loudly on mismatch.
-// The `doctor` subcommand checks the installation (toolchain, registry,
-// checkpoint-dir and cache-dir health, benchmark baseline) and exits
-// non-zero on failure.
+// invocation execute exactly once. The cache is also the crash-resume
+// store: a killed run re-run with the same -cache-dir runs only the
+// cells it had not finished, producing byte-identical output.
+// -cache-verify N re-executes a deterministic 1-in-N sample of hits and
+// fails loudly on mismatch. The `doctor` subcommand checks the
+// installation (toolchain, registry, heap specs, cache-dir health,
+// benchmark baseline) and exits non-zero on failure.
 //
 // The `search` subcommand is the adversarial differential scenario
 // search (see docs/scenario-search.md): it mutates phase workloads under
@@ -123,15 +121,9 @@ func main() {
 	scenarioFile := scenarios.AddFlag(flag.CommandLine)
 	parallel := runner.AddFlag(flag.CommandLine)
 	robust := runner.AddRobustFlags(flag.CommandLine)
-	checkpointPath := flag.String("checkpoint", "", "journal each finished cell's output to `file` (crash-resumable with -resume)")
-	resume := flag.Bool("resume", false, "with -checkpoint: replay finished cells from the journal instead of re-running them")
 	cacheFlags := resultcache.AddFlags(flag.CommandLine)
 	telFlags := telemetry.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if *resume && *checkpointPath == "" {
-		fmt.Fprintln(os.Stderr, "jvmsim: -resume requires -checkpoint")
-		os.Exit(harness.ExitUsage)
-	}
 	if flag.NArg() < 1 {
 		// Before profile setup: os.Exit skips the deferred profile writers.
 		fmt.Fprintln(os.Stderr, "usage: jvmsim [-agent NAME] [-engine NAME] [-scenario FILE] [-scale K] [-parallel N] [-tierstats] [-trace F] [-metrics F] [-cpuprofile F] [-memprofile F] [-dump|-instrmix] <scenario|family>... | all")
@@ -208,14 +200,6 @@ func main() {
 	}
 	tel := telFlags.Open()
 	sum := telemetry.NewSummary("jvmsim", os.Stderr)
-	var journal *checkpoint.Journal
-	if *checkpointPath != "" {
-		journal, err = checkpoint.OpenWithTelemetry(*checkpointPath, *resume, tel)
-		if err != nil {
-			fatal(err)
-		}
-		defer journal.Close()
-	}
 	// Opened after the static-analysis paths so -dump/-instrmix never
 	// create or stamp a cache directory they will not use.
 	cache, err := cacheFlags.Open()
@@ -240,7 +224,7 @@ func main() {
 			Group: s.Family,
 			Do: func(ctx context.Context) (string, error) {
 				return runCell(ctx, s, *agentName, *scale, opts, *tierStats,
-					journal, cache, cacheFlags.VerifyN(), memo, tel)
+					cache, cacheFlags.VerifyN(), memo, tel)
 			},
 		}
 	}
@@ -259,7 +243,7 @@ func main() {
 		}
 		fmt.Print(r.Value)
 	}
-	finishCache(cache, sum)
+	cache.Finish(sum)
 	telFlags.Finish(tel, sum)
 	if failed > 0 {
 		// Cell failures are already reported in place; the batch error is
@@ -272,16 +256,14 @@ func main() {
 	}
 }
 
-// runCell resolves one scenario cell through the result layers, cheapest
-// first: the checkpoint journal (this run's crash log), the persistent
-// result cache, the in-process memo (identical cells execute once), and
-// finally a real execution. Every layer serves the same canonical JSON
-// payload, so the rendered output is byte-identical however the cell was
-// resolved.
+// runCell resolves one scenario cell through the result cache: a hit
+// (or an identical cell of this invocation) serves the canonical
+// rendered text, anything else runs it. Every source serves the same
+// payload, so the rendered output is byte-identical however the cell
+// was resolved.
 func runCell(ctx context.Context, s scenarios.Scenario, agentName string, scale int,
-	opts vm.Options, tierStats bool, journal *checkpoint.Journal,
-	cache *resultcache.Cache, verifyN int, memo *resultcache.Memo,
-	tel *telemetry.Recorder) (string, error) {
+	opts vm.Options, tierStats bool, cache *resultcache.Cache, verifyN int,
+	memo *resultcache.Memo, tel *telemetry.Recorder) (string, error) {
 	if tel != nil {
 		var span *telemetry.Span
 		ctx, span = tel.StartSpan(ctx, telemetry.CatCampaign, "cell")
@@ -299,95 +281,18 @@ func runCell(ctx context.Context, s scenarios.Scenario, agentName string, scale 
 	if err != nil {
 		return "", err
 	}
-	decode := func(raw json.RawMessage, source string) (string, error) {
-		var text string
-		if err := json.Unmarshal(raw, &text); err != nil {
-			return "", fmt.Errorf("corrupt %s payload for %s: %w", source, s.Name(), err)
-		}
-		return text, nil
-	}
-	execute := func() (json.RawMessage, error) {
-		text, err := runOne(ctx, s, agentName, scale, opts, tierStats)
-		if err != nil {
-			return nil, err
-		}
-		return checkpoint.CanonicalPayload(text)
-	}
-	journalPut := func(raw json.RawMessage) error {
-		if journal == nil {
-			return nil
-		}
-		if err := journal.Append(key, raw); err != nil {
-			// An unwritable journal is environmental, so retryable.
-			return runner.Transient(err)
-		}
-		return nil
-	}
-
-	if journal != nil {
-		if raw, ok := journal.Lookup(key); ok {
-			return decode(raw, "checkpoint")
-		}
-	}
 	var text string
-	if raw, ok := cache.GetInto(key, &text); ok {
-		if resultcache.VerifySample(key, verifyN) {
-			fresh, err := execute()
-			if err != nil {
-				return "", err
-			}
-			// A passing Verify means fresh == raw, so text is fresh's text.
-			if err := cache.Verify(key, raw, fresh); err != nil {
-				return "", err
-			}
-		}
-		if err := journalPut(raw); err != nil {
-			return "", err
-		}
-		return text, nil
-	}
-	raw, shared, err := memo.Do(key, func() (json.RawMessage, error) {
-		raw, err := execute()
+	_, err = cache.Resolve(memo, key, verifyN, &text, func() (json.RawMessage, error) {
+		out, err := runOne(ctx, s, agentName, scale, opts, tierStats)
 		if err != nil {
 			return nil, err
 		}
-		if err := cache.Put(key, raw); err != nil {
-			return nil, runner.Transient(err)
-		}
-		return raw, nil
+		return checkpoint.CanonicalPayload(out)
 	})
 	if err != nil {
-		if !shared {
-			return "", err
-		}
-		// A deduplicated sibling's failure (an injected fault, a timeout)
-		// must stay its own: run this cell's attempt instead of inheriting
-		// the error.
-		if raw, err = execute(); err != nil {
-			return "", err
-		}
-		shared = false
-	}
-	if shared {
-		cache.AddDeduped(1)
-	}
-	if err := journalPut(raw); err != nil {
 		return "", err
 	}
-	return decode(raw, "execution")
-}
-
-// finishCache runs the end-of-run cache work: the size-capped eviction
-// pass, then the stats trailer on stderr (stdout stays byte-identical
-// whether the run was cold or warm).
-func finishCache(c *resultcache.Cache, sum *telemetry.Summary) {
-	if c == nil {
-		return
-	}
-	if err := c.Close(); err != nil {
-		sum.Error(err)
-	}
-	sum.Stat(c.Stats())
+	return text, nil
 }
 
 // cellKey derives the content-addressed key for one cell: the scenario's

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/resultcache"
 )
 
 // binPath is the jvmsim binary TestMain builds once for every
@@ -52,32 +53,29 @@ func runBin(t *testing.T, env []string, args ...string) (string, int) {
 	return string(out), code
 }
 
-// journalLines counts complete journal records (newline-terminated
-// lines) in the checkpoint file; 0 if it does not exist yet.
-func journalLines(path string) int {
-	data, err := os.ReadFile(path)
+// cacheEntries counts the complete entries in the result cache at dir
+// (never a writer's in-flight ".put-*" temp file); 0 while the cache
+// does not exist yet or its layout stamp is still being written.
+func cacheEntries(dir string) int {
+	c, err := resultcache.Open(dir, resultcache.ModeRO)
 	if err != nil {
 		return 0
 	}
-	n := 0
-	for _, b := range data {
-		if b == '\n' {
-			n++
-		}
-	}
+	n, _, _ := c.Len()
 	return n
 }
 
 // TestCrashResumeByteIdentical is the end-to-end crash-resume proof on
 // the real binary: a campaign killed mid-flight by the crash injector
 // (faultinject's os.Exit(137), indistinguishable from SIGKILL as far as
-// the journal is concerned) resumes to output byte-identical to an
-// uninterrupted run — per engine, sequential and parallel.
+// the result cache is concerned) resumes from its -cache-dir to output
+// byte-identical to an uninterrupted run — per engine, sequential and
+// parallel.
 func TestCrashResumeByteIdentical(t *testing.T) {
 	for _, engine := range []string{"interp", "jit", "auto"} {
 		for _, par := range []string{"1", "4"} {
 			t.Run(engine+"/par"+par, func(t *testing.T) {
-				ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+				dir := filepath.Join(t.TempDir(), "cache")
 				args := []string{"-scale", "8", "-engine", engine, "-parallel", par, "paper"}
 
 				clean, code := runBin(t, nil, args...)
@@ -85,17 +83,16 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 					t.Fatalf("clean run exited %d", code)
 				}
 
-				crashArgs := append([]string{"-checkpoint", ckpt}, args...)
-				_, code = runBin(t, []string{faultinject.EnvVar + "=crash-after=3"}, crashArgs...)
+				cacheArgs := append([]string{"-cache-dir", dir}, args...)
+				_, code = runBin(t, []string{faultinject.EnvVar + "=crash-after=3"}, cacheArgs...)
 				if code != 137 {
 					t.Fatalf("crashed run exited %d, want 137", code)
 				}
-				if n := journalLines(ckpt); n < 3 || n >= 8 {
-					t.Fatalf("journal holds %d cells after crash, want [3,8)", n)
+				if n := cacheEntries(dir); n < 3 || n >= 8 {
+					t.Fatalf("cache holds %d cells after crash, want [3,8)", n)
 				}
 
-				resumeArgs := append([]string{"-checkpoint", ckpt, "-resume"}, args...)
-				resumed, code := runBin(t, nil, resumeArgs...)
+				resumed, code := runBin(t, nil, cacheArgs...)
 				if code != 0 {
 					t.Fatalf("resumed run exited %d", code)
 				}
@@ -108,45 +105,46 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 }
 
 // TestKillMidCampaignResume kills the binary with a real SIGKILL while
-// the campaign is running, then resumes from whatever the fsync'd
-// journal retained. The kill lands at an arbitrary point (whenever the
-// first record hits the journal), so unlike the injector variant it
-// also exercises recovery from a torn in-progress write.
+// the campaign is running, then resumes from whatever the result cache
+// retained. The kill lands at an arbitrary point (whenever the first
+// entry is published), so unlike the injector variant it can also catch
+// a writer between its temp-file write and the rename, leaving a stray
+// ".put-*" file the resume must ignore.
 func TestKillMidCampaignResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+	dir := filepath.Join(t.TempDir(), "cache")
 	// Full calibrated size, sequential: ~tens of ms per cell, a wide
-	// window between the first journal record and campaign completion.
+	// window between the first stored entry and campaign completion.
 	args := []string{"-scale", "1", "-parallel", "1", "paper"}
+	cacheArgs := append([]string{"-cache-dir", dir}, args...)
 
 	clean, code := runBin(t, nil, args...)
 	if code != 0 {
 		t.Fatalf("clean run exited %d", code)
 	}
 
-	cmd := exec.Command(binPath, append([]string{"-checkpoint", ckpt}, args...)...)
+	cmd := exec.Command(binPath, cacheArgs...)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for journalLines(ckpt) == 0 {
+	for cacheEntries(dir) == 0 {
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
 			cmd.Wait()
-			t.Fatal("journal never gained a record")
+			t.Fatal("cache never gained an entry")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	cmd.Process.Signal(syscall.SIGKILL)
 	err := cmd.Wait()
 	if err == nil {
-		// The campaign outran the kill; the journal is complete and the
-		// run below degenerates to the replay-only case. Rare (the
-		// window is hundreds of ms), but not a failure of the contract
-		// under test.
+		// The campaign outran the kill; the cache is complete and the
+		// run below degenerates to the hit-only case. Rare (the window is
+		// hundreds of ms), but not a failure of the contract under test.
 		t.Log("process finished before SIGKILL landed; resume degenerates to full replay")
 	}
 
-	resumed, code := runBin(t, nil, append([]string{"-checkpoint", ckpt, "-resume"}, args...)...)
+	resumed, code := runBin(t, nil, cacheArgs...)
 	if code != 0 {
 		t.Fatalf("resumed run exited %d", code)
 	}

@@ -10,7 +10,6 @@
 //	       [-heap-nursery W] [-heap-tenured W] [-heap-tenure-age N] [-heap-limit W]
 //	       [-table 1|2|all] [-runs N] [-scale K] [-parallel N]
 //	       [-cell-timeout D] [-max-retries N] [-retry-seed S]
-//	       [-checkpoint FILE] [-resume]
 //	       [-cache-dir DIR] [-cache off|ro|rw] [-cache-verify N]
 //	       [-cache-max-mb MB] [-cellstats] [-trace FILE] [-metrics FILE]
 //
@@ -38,21 +37,21 @@
 // Campaign profiles are fault-tolerant (see docs/robustness.md): a cell
 // that panics, times out (-cell-timeout) or exhausts its retries
 // (-max-retries) renders as a FAILED row and the process exits with
-// code 3 (partial) instead of aborting the matrix. -checkpoint journals
-// every finished cell's measurement to FILE; -resume replays finished
-// cells and measures only the rest, byte-identical to an uninterrupted
-// run. The paper tables keep their all-or-nothing contract — reference
-// tables with holes would be misleading — so -profile paper still fails
-// fast and rejects -checkpoint/-resume; -cell-timeout and -max-retries
-// apply everywhere.
+// code 3 (partial) instead of aborting the matrix. The paper tables keep
+// their all-or-nothing contract — reference tables with holes would be
+// misleading — so -profile paper still fails fast; -cell-timeout and
+// -max-retries apply everywhere.
 //
 // -cache-dir (default $JVMSIM_CACHE) points at the persistent
 // content-addressed result cache (see docs/caching.md): a warm rerun
 // serves every cell from disk, byte-identical to a cold one, and prints
-// a hits/misses stats trailer on stderr. Unlike -checkpoint it applies
-// to every profile, paper included — a hit replays a complete cell,
-// never a partial table. -cache-verify N re-executes a deterministic
-// 1-in-N sample of hits and fails loudly on any byte mismatch.
+// a hits/misses stats trailer on stderr. It applies to every profile,
+// paper included — a hit replays a complete cell, never a partial
+// table — and it is also the crash-resume store: a killed run re-run
+// with the same -cache-dir measures only the cells it had not finished,
+// byte-identical to an uninterrupted run. -cache-verify N re-executes a
+// deterministic 1-in-N sample of hits and fails loudly on any byte
+// mismatch.
 // -cellstats appends host-side wall-time/allocation/source columns to
 // campaign rows; the telemetry is never part of cached payloads.
 //
@@ -73,7 +72,6 @@ import (
 	"os"
 
 	"repro/internal/agents/registry"
-	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/harness"
 	"repro/internal/jit"
@@ -98,8 +96,6 @@ func main() {
 	agentList := registry.AddListFlag(flag.CommandLine, "none,spa,ipa")
 	parallel := runner.AddFlag(flag.CommandLine)
 	robust := runner.AddRobustFlags(flag.CommandLine)
-	checkpointPath := flag.String("checkpoint", "", "journal each finished cell's measurement to `file` (crash-resumable with -resume)")
-	resume := flag.Bool("resume", false, "with -checkpoint: replay finished cells from the journal instead of re-measuring them")
 	cacheFlags := resultcache.AddFlags(flag.CommandLine)
 	cellStats := flag.Bool("cellstats", false, "append host-side wall-time/alloc/source columns to campaign rows (telemetry only, never cached)")
 	telFlags := telemetry.AddFlags(flag.CommandLine)
@@ -137,10 +133,6 @@ func main() {
 	sum := telemetry.NewSummary("tables", os.Stderr)
 	cfg.Telemetry = tel
 	cache.SetTelemetry(tel)
-	if *resume && *checkpointPath == "" {
-		fmt.Fprintln(os.Stderr, "tables: -resume requires -checkpoint")
-		os.Exit(harness.ExitUsage)
-	}
 
 	// Validate -agents up front regardless of mode, and reject it with
 	// the paper profile, whose tables are defined over the fixed
@@ -158,14 +150,6 @@ func main() {
 	})
 	if agentsSet && *profile == "paper" {
 		fatal(fmt.Errorf("-agents applies only to campaign profiles; the paper tables always measure none/spa/ipa"))
-	}
-	// The paper tables are all-or-nothing reference output: resuming a
-	// half-measured table would be indistinguishable from a complete one,
-	// so the journal applies only to campaign profiles. The result cache
-	// is safe there — a hit replays a complete cell, never a partial
-	// table — so -cache is the supported way to speed up paper reruns.
-	if *checkpointPath != "" && *profile == "paper" {
-		fatal(fmt.Errorf("-checkpoint/-resume apply only to campaign profiles; the paper tables are regenerated whole (use -cache-dir/-cache to reuse finished cell results instead)"))
 	}
 	// -cellstats columns attach to streamed campaign rows; the paper
 	// tables have the paper's fixed layout.
@@ -191,7 +175,7 @@ func main() {
 		if *table != "all" {
 			fatal(fmt.Errorf("-table applies only to -profile paper (got -profile %s)", *profile))
 		}
-		runCampaign(*profile, agents, cfg, *checkpointPath, *resume, telFlags, sum)
+		runCampaign(*profile, agents, cfg, telFlags, sum)
 		return
 	}
 
@@ -201,7 +185,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(rep.String())
-		finishCache(cache, sum)
+		cache.Finish(sum)
 		telFlags.Finish(tel, sum)
 		if !rep.OK() {
 			os.Exit(1)
@@ -225,7 +209,7 @@ func main() {
 		if err := harness.WriteMarkdown(os.Stdout, rows1, geo, rows2); err != nil {
 			fatal(err)
 		}
-		finishCache(cache, sum)
+		cache.Finish(sum)
 		telFlags.Finish(tel, sum)
 		return
 	}
@@ -260,21 +244,8 @@ func main() {
 	if *table != "1" && *table != "2" && *table != "all" {
 		fatal(fmt.Errorf("unknown -table %q (want 1, 2 or all)", *table))
 	}
-	finishCache(cache, sum)
+	cache.Finish(sum)
 	telFlags.Finish(tel, sum)
-}
-
-// finishCache runs the end-of-run cache work on every successful exit
-// path: the size-capped eviction pass, then the stats trailer on stderr
-// (stdout stays byte-identical whether the run was cold or warm).
-func finishCache(c *resultcache.Cache, sum *telemetry.Summary) {
-	if c == nil {
-		return
-	}
-	if err := c.Close(); err != nil {
-		sum.Error(err)
-	}
-	sum.Stat(c.Stats())
 }
 
 // runCampaign measures a non-paper profile: every profile scenario under
@@ -282,20 +253,12 @@ func finishCache(c *resultcache.Cache, sum *telemetry.Summary) {
 // finished cell, then the expected-value check verdict. Failed cells
 // render as FAILED rows and degrade the exit code to partial (3); check
 // failures exit fatal (1).
-func runCampaign(profile string, agents []string, cfg harness.Config, checkpointPath string, resume bool, telFlags *telemetry.Flags, sum *telemetry.Summary) {
+func runCampaign(profile string, agents []string, cfg harness.Config, telFlags *telemetry.Flags, sum *telemetry.Summary) {
 	scns, err := scenarios.Profile(profile)
 	if err != nil {
 		fatal(err)
 	}
 	camp := harness.Campaign{Scenarios: scns, Agents: agents, Config: cfg}
-	if checkpointPath != "" {
-		journal, err := checkpoint.OpenWithTelemetry(checkpointPath, resume, cfg.Telemetry)
-		if err != nil {
-			fatal(err)
-		}
-		defer journal.Close()
-		camp.Journal = journal
-	}
 	header := harness.CampaignHeader()
 	emit := func(r harness.CampaignRow) error {
 		_, err := fmt.Println(r)
@@ -314,7 +277,7 @@ func runCampaign(profile string, agents []string, cfg harness.Config, checkpoint
 	if err != nil {
 		fatal(err)
 	}
-	finishCache(cfg.Cache, sum)
+	cfg.Cache.Finish(sum)
 	telFlags.Finish(cfg.Telemetry, sum)
 	fmt.Println()
 	fmt.Print(harness.RenderChecks(res.CheckFailures))

@@ -1,32 +1,16 @@
-// Package checkpoint makes campaigns crash-resumable: completed cell
-// results append to a fsync'd JSONL journal keyed by a content-addressed
-// hash of the cell's full identity (scenario × agent × engine × heap
-// spec × scale), so a killed campaign restarts where it died, skips
-// already-journaled cells, and produces output byte-identical to an
-// uninterrupted run.
-//
-// The journal is one JSON object per line — {"key": <hex sha256>,
-// "payload": <cell result>} — appended and fsync'd after every completed
-// cell. A crash can therefore tear at most the final line; Open in
-// resume mode tolerates exactly that (the torn tail is truncated away
-// and its cell re-runs) while a malformed line anywhere earlier is
-// reported as corruption rather than silently dropped. The same
-// content-addressed key is the identity the roadmap's result cache will
-// use: any two cells with equal keys are interchangeable pure-function
-// evaluations.
+// Package checkpoint is the content-addressed identity of a measurement
+// cell: CellKey hashes the cell's full identity (scenario × agent ×
+// engine × heap spec × scale) and CanonicalPayload fixes the byte form of
+// its result. Any two cells with equal keys are interchangeable
+// pure-function evaluations, which is what lets the result cache
+// (internal/resultcache) serve, deduplicate and crash-resume them.
 package checkpoint
 
 import (
-	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
-
-	"repro/internal/telemetry"
 )
 
 // CellKey content-addresses a cell: the hex sha256 of the canonical JSON
@@ -44,174 +28,15 @@ func CellKey(identity any) (string, error) {
 }
 
 // CanonicalPayload is the canonical JSON encoding of a cell payload —
-// the byte form journaled here and stored by the result cache. Both
-// stores share this one codec so a payload round-trips bit-exactly
-// between them and an uncached run: encoding/json is deterministic for
-// struct-typed values (field order follows declaration, float formatting
-// is shortest-round-trip), which is what makes byte-level cache
-// verification possible at all.
+// the byte form the result cache stores. A payload round-trips
+// bit-exactly between the cache and an uncached run: encoding/json is
+// deterministic for struct-typed values (field order follows
+// declaration, float formatting is shortest-round-trip), which is what
+// makes byte-level cache verification possible at all.
 func CanonicalPayload(payload any) (json.RawMessage, error) {
 	raw, err := json.Marshal(payload)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding payload: %w", err)
 	}
 	return raw, nil
-}
-
-// record is one journal line.
-type record struct {
-	Key     string          `json:"key"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// Journal is an append-only, fsync'd JSONL store of completed cell
-// results. Append and Lookup are safe for concurrent use by the worker
-// pool.
-type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	entries map[string]json.RawMessage
-
-	// tel mirrors replay/append counts into a telemetry registry's
-	// process family; nil costs one comparison.
-	tel *telemetry.Recorder
-}
-
-// Open opens (creating if needed) the journal at path. With resume set,
-// existing entries are loaded and served by Lookup; a torn final line —
-// the one write a crash can interrupt — is truncated away so the
-// journal is again well-formed, while malformed earlier lines are
-// corruption errors. Without resume an existing journal is truncated to
-// empty: the run starts fresh.
-func Open(path string, resume bool) (*Journal, error) {
-	return OpenWithTelemetry(path, resume, nil)
-}
-
-// OpenWithTelemetry is Open with a telemetry recorder attached from the
-// start, so the resume replay itself is traced (a "journal_replay" span
-// under the journal category) and counted (journal_replayed entries in
-// the process family). A nil recorder makes it exactly Open.
-func OpenWithTelemetry(path string, resume bool, r *telemetry.Recorder) (*Journal, error) {
-	flags := os.O_RDWR | os.O_CREATE
-	if !resume {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	j := &Journal{f: f, entries: make(map[string]json.RawMessage), tel: r}
-	if resume {
-		_, span := r.StartSpan(context.Background(), telemetry.CatJournal, "journal_replay")
-		err := j.load()
-		if span != nil {
-			span.Arg("path", path).Arg("entries", len(j.entries))
-		}
-		span.End()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		r.Count(telemetry.ProcessFamily, telemetry.MetricProcJournalReplay, uint64(len(j.entries)))
-	}
-	return j, nil
-}
-
-// load reads existing entries and truncates a torn trailing line.
-func (j *Journal) load() error {
-	data, err := os.ReadFile(j.f.Name())
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	valid := 0 // byte offset of the end of the last well-formed line
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// Unterminated final line: the fsync'd write was interrupted
-			// mid-line. Treat as torn regardless of content — even if the
-			// bytes parse, the missing newline proves the append did not
-			// complete.
-			break
-		}
-		line := data[off : off+nl]
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
-			if off+nl+1 == len(data) {
-				break // torn final line (crashed mid-write, newline from a later page)
-			}
-			return fmt.Errorf("checkpoint: corrupt journal %s: malformed line at byte %d", j.f.Name(), off)
-		}
-		j.entries[rec.Key] = rec.Payload
-		off += nl + 1
-		valid = off
-	}
-	if valid < len(data) {
-		if err := j.f.Truncate(int64(valid)); err != nil {
-			return fmt.Errorf("checkpoint: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := j.f.Seek(int64(valid), 0); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
-}
-
-// Append journals one completed cell: payload is JSON-encoded, written
-// as one line, and fsync'd before Append returns, so a crash after
-// Append never loses the cell.
-func (j *Journal) Append(key string, payload any) error {
-	raw, err := CanonicalPayload(payload)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %s: %w", key, err)
-	}
-	line, err := json.Marshal(record{Key: key, Payload: raw})
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("checkpoint: appending %s: %w", key, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: fsync: %w", err)
-	}
-	j.entries[key] = raw
-	j.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcJournalAppend, 1)
-	return nil
-}
-
-// Lookup returns the journaled payload for key, if present.
-func (j *Journal) Lookup(key string) (json.RawMessage, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	raw, ok := j.entries[key]
-	return raw, ok
-}
-
-// Len reports the number of journaled cells.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.entries)
-}
-
-// Close closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
-
-// Keys returns the journaled keys in unspecified order — diagnostic use
-// (doctor, tests).
-func (j *Journal) Keys() []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	keys := make([]string, 0, len(j.entries))
-	for k := range j.entries {
-		keys = append(keys, k)
-	}
-	return keys
 }

@@ -10,12 +10,12 @@ import (
 
 // HostStats is the host-side cost of producing one result: wall-clock
 // time and bytes allocated on the Go heap around the measurement, plus
-// where the result came from (a real execution, a cache hit, a journal
-// replay, a deduplicated sibling). It is advisory telemetry about the
-// simulator itself — never a simulated value — so it is excluded from
-// every byte-identity contract: canonical cell payloads carry no host
-// stats, cached hits report their own (near-zero) cost, and the metrics
-// render only behind the opt-in -cellstats flag.
+// where the result came from (a real execution, a cache hit, a
+// deduplicated sibling). It is advisory telemetry about the simulator
+// itself — never a simulated value — so it is excluded from every
+// byte-identity contract: canonical cell payloads carry no host stats,
+// cached hits report their own (near-zero) cost, and the metrics render
+// only behind the opt-in -cellstats flag.
 //
 // AllocBytes reads the process-wide Go allocation counter, so cells
 // measured concurrently (-parallel > 1) attribute each other's
@@ -28,8 +28,8 @@ type HostStats struct {
 	AllocBytes uint64 `json:"allocBytes"`
 	// Source says how the result was produced: "run" (executed), "cache"
 	// (persistent result-cache hit), "verify" (cache hit re-executed by
-	// -cache-verify), "journal" (checkpoint replay) or "dedup" (served
-	// by an identical in-process cell).
+	// -cache-verify) or "dedup" (served by an identical in-process
+	// cell).
 	Source string `json:"source,omitempty"`
 }
 

@@ -13,7 +13,7 @@
 // variable (parsed by FromEnv) carries fault specs across an exec
 // boundary into the built binaries:
 //
-//	JVMSIM_FAULTS="crash-after=3" jvmsim -checkpoint j.jsonl all
+//	JVMSIM_FAULTS="crash-after=3" jvmsim -cache-dir c all
 //	JVMSIM_FAULTS="panic=compress;transient=jess:2" tables -profile paper
 package faultinject
 
@@ -156,7 +156,8 @@ func (in *Injector) BeforeAttempt(ctx context.Context, key string, attempt int) 
 // AfterCell applies Crash faults: once the configured number of cells
 // has completed, the process terminates via CrashFunc. The count
 // includes the cell whose completion triggers the crash, so
-// `crash-after=3` journals exactly 3 cells before dying.
+// `crash-after=3` stores at least 3 cells in the result cache before
+// dying (more if other cells finish in parallel).
 func (in *Injector) AfterCell(key string, err error) {
 	in.mu.Lock()
 	in.completed++

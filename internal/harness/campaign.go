@@ -27,16 +27,12 @@ type Campaign struct {
 	// Agents are the columns: profiling-agent registry names ("none",
 	// "spa", "ipa", "sampler", ...). Empty means none/spa/ipa.
 	Agents []string
-	// Config is the shared measurement configuration.
+	// Config is the shared measurement configuration. Its Cache is also
+	// what makes the campaign crash-resumable: every finished cell is
+	// stored under its content-addressed key, so re-running a killed
+	// campaign over the same cache serves those cells from disk and
+	// renders output byte-identical to an uninterrupted run.
 	Config Config
-	// Journal, when non-nil, makes the campaign crash-resumable: each
-	// cell's Measurement is journaled under its content-addressed key as
-	// soon as the cell completes, and cells already present in the
-	// journal are served from it instead of re-running. Because the
-	// journaled payload is the exact Measurement (JSON round-trips it
-	// bit-for-bit), a resumed campaign's output is byte-identical to an
-	// uninterrupted run.
-	Journal *checkpoint.Journal
 }
 
 // DefaultAgents is the agent set a campaign uses when none is given: the
@@ -71,8 +67,8 @@ type CampaignResult struct {
 // Measurement: the scenario content, the agent, the effective VM options
 // (cost model, engine, heap after the scenario/flag precedence) and the
 // repetition parameters. Its checkpoint.CellKey is the content address
-// under which the cell journals, resumes, deduplicates and memoizes in
-// the persistent result cache: equal keys imply interchangeable
+// under which the cell is stored, resumed and deduplicated in the
+// persistent result cache: equal keys imply interchangeable
 // pure-function evaluations, so a hit skips simulation entirely.
 type CellIdentity struct {
 	scenarios.Identity
@@ -109,8 +105,8 @@ func cellKey(sc scenarios.Scenario, agent string, cfg Config) (string, error) {
 // Failure semantics follow Config.FailFast. In the graceful default, a
 // cell that still fails after isolation and retries becomes an error row
 // (CampaignRow.Err) and the campaign keeps going; Run returns an error
-// only for fatal conditions — context cancellation, a rejected emission,
-// or journal setup. With FailFast set, the first cell error aborts the
+// only for fatal conditions — context cancellation or a rejected
+// emission. With FailFast set, the first cell error aborts the
 // campaign and is returned, the pre-PR-7 contract the paper presets use.
 func (c Campaign) Run(ctx context.Context, emit func(CampaignRow) error) (*CampaignResult, error) {
 	cfg := c.Config.normalized()
@@ -203,17 +199,16 @@ func (c Campaign) Run(ctx context.Context, emit func(CampaignRow) error) (*Campa
 
 // runCell produces one cell's Measurement, cheapest source first:
 //
-//  1. the checkpoint journal (an explicit -resume replays it verbatim),
-//  2. the persistent result cache — a hit skips simulation entirely,
+//  1. the persistent result cache — a hit skips simulation entirely,
 //     except for the deterministic -cache-verify sample, which
 //     re-executes and fails loudly on any byte mismatch,
-//  3. memoized execution: identical in-campaign cells run once and
+//  2. memoized execution: identical in-campaign cells run once and
 //     share the canonical payload.
 //
-// Every consumer — leader, dedup follower, cache hit, journal replay —
-// decodes its Measurement from the same canonical JSON payload (the
-// checkpoint codec round-trips it bit-exactly), so the rendered output
-// is byte-identical no matter which source served the cell. Only
+// Every consumer — leader, dedup follower, cache hit — decodes its
+// Measurement from the same canonical JSON payload (the checkpoint codec
+// round-trips it bit-exactly), so the rendered output is byte-identical
+// no matter which source served the cell. Only
 // successful, complete payloads ever reach the cache: a failed attempt
 // (panic, timeout, injected fault, exhausted retries) returns before
 // Put, and retries re-enter this whole path so a transient failure can
@@ -246,14 +241,11 @@ func (c Campaign) runCell(ctx context.Context, sc scenarios.Scenario, agent, key
 	}
 	// Attribute the serving source per family (the cache itself only
 	// counts process-wide), and read the tier/GC seams off the decoded
-	// payload — cached and journaled cells carry them too, so the
-	// dashboard sees the same tier mix whether the cell ran or was
-	// served from disk.
+	// payload — cached cells carry them too, so the dashboard sees the
+	// same tier mix whether the cell ran or was served from disk.
 	switch source {
 	case "cache":
 		tel.Count(fam, telemetry.MetricCacheHits, 1)
-	case "journal":
-		tel.Count(fam, telemetry.MetricJournalHits, 1)
 	case "dedup":
 		tel.Count(fam, telemetry.MetricDedupHits, 1)
 	case "verify":
@@ -276,117 +268,31 @@ func (c Campaign) runCell(ctx context.Context, sc scenarios.Scenario, agent, key
 	return m, nil
 }
 
-// runCellFrom is runCell's source-tracking core; the returned source
-// names which layer served the cell ("journal", "cache", "verify",
-// "dedup" or "run") and is meaningful only on success.
+// runCellFrom is runCell's source-tracking core: it resolves the cell
+// through the result cache (resultcache.Cache.Resolve) and returns the
+// source that served it ("cache", "verify", "dedup" or "run"),
+// meaningful only on success.
 func (c Campaign) runCellFrom(ctx context.Context, sc scenarios.Scenario, agent, key string,
 	cfg Config, memo *resultcache.Memo) (*Measurement, string, error) {
 	var doneHost func(string) core.HostStats
 	if cfg.CellStats {
 		doneHost = core.StartHostMeasure()
 	}
-	stamp := func(m *Measurement, source string) *Measurement {
-		if doneHost != nil {
-			m.Host = doneHost(source)
-		}
-		return m
-	}
-	decode := func(raw json.RawMessage, source string) (*Measurement, error) {
-		m := new(Measurement)
-		if err := json.Unmarshal(raw, m); err != nil {
-			return nil, fmt.Errorf("harness: corrupt %s payload for %s/%s: %w", source, sc.Name(), agent, err)
-		}
-		return stamp(m, source), nil
-	}
-	execute := func() (json.RawMessage, error) {
+	m := new(Measurement)
+	source, err := cfg.Cache.Resolve(memo, key, cfg.CacheVerify, m, func() (json.RawMessage, error) {
 		m, err := MeasureScenario(ctx, sc, agent, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return checkpoint.CanonicalPayload(m)
-	}
-	journal := func(raw json.RawMessage) error {
-		if c.Journal == nil {
-			return nil
-		}
-		// Journal I/O is environmental, not a property of the cell — mark
-		// it transient so retries can ride out a briefly unwritable
-		// checkpoint file.
-		if err := c.Journal.Append(key, raw); err != nil {
-			return runner.Transient(err)
-		}
-		return nil
-	}
-
-	if c.Journal != nil {
-		if raw, ok := c.Journal.Lookup(key); ok {
-			m, err := decode(raw, "journal")
-			return m, "journal", err
-		}
-	}
-
-	cache := cfg.Cache
-	if cache != nil {
-		// The hit decodes straight into m; an entry whose payload does not
-		// decode is a counted miss and falls through to execution.
-		m := new(Measurement)
-		if raw, ok := cache.GetInto(key, m); ok {
-			source := "cache"
-			if resultcache.VerifySample(key, cfg.CacheVerify) {
-				fresh, err := execute()
-				if err != nil {
-					return nil, "", err
-				}
-				// A passing Verify means fresh == raw byte for byte, so m
-				// is already fresh's decoding.
-				if err := cache.Verify(key, raw, fresh); err != nil {
-					return nil, "", err
-				}
-				source = "verify"
-			}
-			if err := journal(raw); err != nil {
-				return nil, "", err
-			}
-			return stamp(m, source), source, nil
-		}
-	}
-
-	raw, shared, err := memo.Do(key, func() (json.RawMessage, error) {
-		raw, err := execute()
-		if err != nil {
-			return nil, err
-		}
-		// Cache I/O is environmental, like journal I/O: transient, so a
-		// briefly unwritable cache directory spends retries instead of
-		// failing the measurement outright.
-		if err := cache.Put(key, raw); err != nil {
-			return nil, runner.Transient(err)
-		}
-		return raw, nil
 	})
-	if shared && err != nil {
-		// The identical in-flight cell failed; its error belongs to it,
-		// not to us — run our own attempt so per-cell fault injection and
-		// retry accounting stay cell-local.
-		raw, err = execute()
-		if err == nil {
-			err = cache.Put(key, raw)
-		}
-		shared = false
-	}
 	if err != nil {
 		return nil, "", err
 	}
-	source := "run"
-	if shared {
-		cache.AddDeduped(1)
-		source = "dedup"
+	if doneHost != nil {
+		m.Host = doneHost(source)
 	}
-	if err := journal(raw); err != nil {
-		return nil, "", err
-	}
-	m, err := decode(raw, source)
-	return m, source, err
+	return m, source, nil
 }
 
 // EvaluateChecks applies a scenario's expected-value checks to the
@@ -517,7 +423,7 @@ func (r CampaignRow) String() string {
 
 // CampaignCellStatsHeader is CampaignHeader extended with the opt-in
 // -cellstats columns: host-side wall time, Go-heap allocation and the
-// source that served the cell (run, cache, verify, journal, dedup).
+// source that served the cell (run, cache, verify, dedup).
 // These are simulator telemetry, not simulated values, and vary run to
 // run — which is why they live behind the flag instead of in the
 // byte-identical default layout.

@@ -225,11 +225,11 @@ type Measurement struct {
 	Tier jit.Stats
 	// Host is the host-side cost of producing this measurement (wall
 	// time, Go-heap allocation, and whether it came from execution, the
-	// cache, the journal or an in-process dedup). Excluded from the
-	// canonical JSON payload — and therefore from every byte-identity
-	// golden — because it varies run to run; campaigns stamp it fresh on
-	// every cell, including cached hits (which report their own
-	// near-zero cost). Rendered only behind -cellstats.
+	// cache or an in-process dedup). Excluded from the canonical JSON
+	// payload — and therefore from every byte-identity golden — because
+	// it varies run to run; campaigns stamp it fresh on every cell,
+	// including cached hits (which report their own near-zero cost).
+	// Rendered only behind -cellstats.
 	Host core.HostStats `json:"-"`
 }
 

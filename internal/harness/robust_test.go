@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/jit"
+	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/scenarios"
 	"repro/internal/vm"
@@ -164,35 +164,32 @@ func TestCampaignFailFastPreserved(t *testing.T) {
 	}
 }
 
-// runJournaled runs the campaign against the journal at path and returns
-// the rendered output.
-func runJournaled(t *testing.T, camp Campaign, path string, resume bool) (string, *checkpoint.Journal, error) {
+// runResumable runs the campaign against a fresh rw cache over dir and
+// returns the rendered output with the cache.
+func runResumable(t *testing.T, camp Campaign, dir string) (string, *resultcache.Cache, error) {
 	t.Helper()
-	j, err := checkpoint.Open(path, resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	camp.Journal = j
+	cache := openTestCache(t, dir)
+	camp.Config.Cache = cache
 	res, err := camp.Run(context.Background(), nil)
 	if err != nil {
-		return "", j, err
+		return "", cache, err
 	}
 	out, err := RenderCampaign(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, j, nil
+	return out, cache, nil
 }
 
 // TestCampaignCrashResumeByteIdentical is the in-process kill-and-resume
 // proof at scale 8: a campaign killed between cells by the crash
-// injector resumes from its journal and renders byte-identical output to
-// an uninterrupted run — for sequential and parallel execution, under
-// every engine (interp, jit, auto).
+// injector resumes from its result cache and renders byte-identical
+// output to an uninterrupted run — for sequential and parallel
+// execution, under every engine (interp, jit, auto).
 func TestCampaignCrashResumeByteIdentical(t *testing.T) {
 	// More cells than the widest worker pool below: when the crash fires,
-	// in-flight cells may still complete and journal, so only a matrix
-	// larger than parallelism + crash point guarantees unjournaled cells
+	// in-flight cells may still complete and be stored, so only a matrix
+	// larger than parallelism + crash point guarantees unstored cells
 	// remain for the resume to prove itself on.
 	full, err := scenarios.Profile("paper")
 	if err != nil {
@@ -215,7 +212,7 @@ func TestCampaignCrashResumeByteIdentical(t *testing.T) {
 				}
 				camp := Campaign{Scenarios: suite, Agents: []string{"none", "ipa"}, Config: cfg}
 
-				// Uninterrupted baseline, no journal.
+				// Uninterrupted baseline, no cache.
 				base, err := camp.Run(context.Background(), nil)
 				if err != nil {
 					t.Fatal(err)
@@ -227,88 +224,97 @@ func TestCampaignCrashResumeByteIdentical(t *testing.T) {
 
 				// Crash run: the injector "kills the process" after 2 cells by
 				// cancelling the campaign context — the in-process stand-in for
-				// os.Exit, leaving the journal exactly as a dead process would.
-				path := filepath.Join(t.TempDir(), "journal.jsonl")
+				// os.Exit, leaving the cache exactly as a dead process would.
+				dir := t.TempDir()
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				old := faultinject.CrashFunc
 				faultinject.CrashFunc = cancel
-				crashCfg := cfg
-				crashCfg.Hook = faultinject.New(1, faultinject.Fault{Kind: faultinject.Crash, After: 2}).Hook()
-				j, err := checkpoint.Open(path, false)
-				if err != nil {
-					t.Fatal(err)
-				}
 				crashCamp := camp
-				crashCamp.Config = crashCfg
-				crashCamp.Journal = j
+				crashCamp.Config.Hook = faultinject.New(1, faultinject.Fault{Kind: faultinject.Crash, After: 2}).Hook()
+				crashCamp.Config.Cache = openTestCache(t, dir)
 				if _, err := crashCamp.Run(ctx, nil); err == nil {
 					t.Fatal("crashed campaign reported success")
 				}
-				j.Close()
 				faultinject.CrashFunc = old
 
-				interrupted, err := checkpoint.Open(path, true)
+				stored, _, err := openTestCache(t, dir).Len()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if interrupted.Len() < 2 {
-					t.Fatalf("journal holds %d cells after crash, want ≥2", interrupted.Len())
+				if stored < 2 {
+					t.Fatalf("cache holds %d cells after crash, want ≥2", stored)
 				}
-				if interrupted.Len() >= len(suite)*2 {
-					t.Fatalf("journal holds all %d cells — crash fired too late to prove resume", interrupted.Len())
+				if stored >= len(suite)*2 {
+					t.Fatalf("cache holds all %d cells — crash fired too late to prove resume", stored)
 				}
-				interrupted.Close()
 
-				// Resume: same campaign, same journal, no faults.
-				got, j2, err := runJournaled(t, camp, path, true)
+				// Resume: same campaign, same cache directory, no faults.
+				got, cache, err := runResumable(t, camp, dir)
 				if err != nil {
 					t.Fatalf("resume failed: %v", err)
 				}
-				defer j2.Close()
 				if got != want {
 					t.Errorf("resumed output differs from uninterrupted run\n--- want ---\n%s--- got ---\n%s", want, got)
+				}
+				if s := cache.Stats(); s.Hits != uint64(stored) {
+					t.Errorf("resume served %d cells from the cache, want the %d stored before the crash", s.Hits, stored)
 				}
 			})
 		}
 	}
 }
 
-// TestCampaignResumeServesFromJournal proves a second run over a complete
-// journal re-runs nothing: the journal file does not grow (every cell hit
-// Lookup, none re-measured and re-appended) and output is byte-identical.
-func TestCampaignResumeServesFromJournal(t *testing.T) {
+// TestCampaignResumeServesFromCache proves a second run over a complete
+// cache re-runs nothing: every cell hits, none is re-measured and
+// re-stored, and the output is byte-identical. A stray ".put-*" temp
+// file — what a writer killed between write and rename leaves in the
+// cache root — is ignored by Open, Len, Evict and the resume alike.
+func TestCampaignResumeServesFromCache(t *testing.T) {
 	suite := robustScenarios(t)
 	cfg := DefaultConfig()
 	cfg.Scale = 8
 	cfg.Runs = 1
 	camp := Campaign{Scenarios: suite, Agents: []string{"none"}, Config: cfg}
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	for _, stray := range []bool{false, true} {
+		dir := t.TempDir()
+		first, _, err := runResumable(t, camp, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, size, err := openTestCache(t, dir).Len()
+		if err != nil {
+			t.Fatal(err)
+		}
+		strayPath := filepath.Join(dir, ".put-1234567")
+		if stray {
+			if err := os.WriteFile(strayPath, []byte(`{"key":"`+strings.Repeat("ab", 32)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-	first, j1, err := runJournaled(t, camp, path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1.Close()
-	before, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	second, j2, err := runJournaled(t, camp, path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second != first {
-		t.Error("journal-served output differs from measured output")
-	}
-	if after.Size() != before.Size() {
-		t.Errorf("journal grew %d → %d bytes on resume — cells were re-run", before.Size(), after.Size())
+		second, cache, err := runResumable(t, camp, dir)
+		if err != nil {
+			t.Fatalf("stray=%v: %v", stray, err)
+		}
+		if second != first {
+			t.Errorf("stray=%v: cache-served output differs from measured output", stray)
+		}
+		if s := cache.Stats(); s.Puts != 0 || s.Misses != 0 || s.Hits != uint64(cells) {
+			t.Errorf("stray=%v: resume stats %+v, want %d hits and no misses or puts — cells were re-run", stray, s, cells)
+		}
+		if n, b, err := cache.Len(); err != nil || n != cells || b != size {
+			t.Errorf("stray=%v: Len = %d entries / %d bytes (%v), want %d / %d", stray, n, b, err, cells, size)
+		}
+		cache.MaxBytes = size
+		if n, err := cache.Evict(); err != nil || n != 0 {
+			t.Errorf("stray=%v: Evict at the entries' own size evicted %d (%v), want 0", stray, n, err)
+		}
+		if stray {
+			if _, err := os.Stat(strayPath); err != nil {
+				t.Errorf("stray temp file touched: %v", err)
+			}
+		}
 	}
 }
 

@@ -6,7 +6,11 @@
 // equal keys are interchangeable: the cache stores each cell's canonical
 // JSON payload once on disk and serves every later invocation — a second
 // Table I run, an overlapping sweep, a CI re-run — at near-pure-render
-// cost.
+// cost. Resolve is the one path every tool serves a cell through.
+//
+// The cache is also the crash-resume store: a killed run resumes by
+// being re-run with the same directory, and the cells it finished are
+// served from disk byte-identically.
 //
 // Layout (see docs/caching.md):
 //
@@ -14,18 +18,20 @@
 //	<dir>/ab/<64 hex>    one entry per cell key, sharded by the key's
 //	                     first two hex digits
 //
-// Each entry holds one JSON object {"key": <hex>, "payload": <raw>} —
-// the same record codec the checkpoint journal appends — written to a
-// temp file and renamed into place, so concurrent writers (two processes
-// sharing a cache directory) can never expose a torn entry. Reads check
-// the exact bytes Put writes and make one JSON pass over the payload
-// (decoding it straight into the caller's value, or validating it):
-// an unreadable, truncated, key-mismatched or non-canonical entry, or a
-// payload that does not decode into the caller's value, is a miss, never
-// a crash — a corrupted cache costs re-execution, not correctness.
+// Each entry holds one JSON object {"key": <hex>, "payload": <raw>},
+// written to a fsync'd temp file in the cache root and renamed into
+// place, so neither a concurrent writer (two processes sharing a cache
+// directory) nor a killed one can expose a torn entry: a writer killed
+// before the rename leaves only a ".put-*" temp file, which every reader
+// ignores. Reads check the exact bytes Put writes and make one JSON pass
+// over the payload (decoding it straight into the caller's value, or
+// validating it): an unreadable, truncated, key-mismatched or
+// non-canonical entry, or a payload that does not decode into the
+// caller's value, is a miss, never a crash — a corrupted cache costs
+// re-execution, not correctness.
 //
 // Eviction is a size-capped LRU pass over entry mtimes (an rw-mode hit
-// touches its entry), run by Close when a cap is configured. Failed
+// touches its entry), run by Finish when a cap is configured. Failed
 // cells are never stored — Put is only reached with a complete,
 // successful payload.
 package resultcache
@@ -37,12 +43,14 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
 
@@ -126,7 +134,7 @@ func (s Stats) String() string {
 type Cache struct {
 	dir  string
 	mode Mode
-	// MaxBytes caps the total entry size; Close (or an explicit Evict)
+	// MaxBytes caps the total entry size; Finish (or an explicit Evict)
 	// deletes least-recently-used entries until the cap holds. Zero means
 	// unbounded.
 	MaxBytes int64
@@ -143,8 +151,7 @@ type Cache struct {
 	tel *telemetry.Recorder
 }
 
-// record is one entry file's content — the checkpoint journal's record
-// shape, reused so the two stores speak one codec.
+// record is one entry file's content.
 type record struct {
 	Key     string          `json:"key"`
 	Payload json.RawMessage `json:"payload"`
@@ -387,24 +394,6 @@ func (c *Cache) Put(key string, payload json.RawMessage) error {
 	return nil
 }
 
-// AddDeduped counts singleflight/memo dedups into the cache's stats
-// trailer; the dedup machinery itself lives in Group. Nil-safe so dedup
-// still works (uncounted) with the cache off.
-func (c *Cache) AddDeduped(n uint64) {
-	if c != nil {
-		c.deduped.Add(n)
-		c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheDeduped, n)
-	}
-}
-
-// AddVerified counts -cache-verify re-executions that matched.
-func (c *Cache) AddVerified(n uint64) {
-	if c != nil {
-		c.verified.Add(n)
-		c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheVerified, n)
-	}
-}
-
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {
@@ -428,7 +417,8 @@ type entryInfo struct {
 }
 
 // walkEntries lists every entry file (shard depth only, never the
-// version stamp or in-flight temp files).
+// version stamp or the in-flight and abandoned ".put-*" temp files in
+// the root).
 func (c *Cache) walkEntries() ([]entryInfo, error) {
 	var out []entryInfo
 	shards, err := os.ReadDir(c.dir)
@@ -518,12 +508,19 @@ func (c *Cache) Len() (count int, bytes int64, err error) {
 	return len(entries), bytes, nil
 }
 
-// Close runs the eviction pass (when a cap is set). The cache holds no
-// file handles between calls, so Close is about shrinking to cap, not
-// releasing resources.
-func (c *Cache) Close() error {
-	_, err := c.Evict()
-	return err
+// Finish is the end-of-run cache step of every CLI: the size-capped
+// eviction pass, then the stats trailer on sum (stderr — stdout stays
+// byte-identical whether the run was cold or warm). The cache holds no
+// file handles between calls, so there is nothing else to release. A
+// nil cache writes nothing.
+func (c *Cache) Finish(sum *telemetry.Summary) {
+	if c == nil {
+		return
+	}
+	if _, err := c.Evict(); err != nil {
+		sum.Error(err)
+	}
+	sum.Stat(c.Stats())
 }
 
 // VerifyError is the loud failure of a -cache-verify re-execution: the
@@ -543,12 +540,12 @@ func (e *VerifyError) Error() string {
 		e.Key, len(e.Cached), len(e.Fresh))
 }
 
-// VerifySample reports whether a hit on key falls in the deterministic
+// verifySample reports whether a hit on key falls in the deterministic
 // 1-in-n verification sample: the FNV-64a hash of the key modulo n.
 // Sampling by key (not by arrival order) makes the sample identical
 // across runs, parallelism levels and engines. n <= 0 disables, n == 1
 // verifies every hit.
-func VerifySample(key string, n int) bool {
+func verifySample(key string, n int) bool {
 	if n <= 0 {
 		return false
 	}
@@ -560,13 +557,14 @@ func VerifySample(key string, n int) bool {
 	return h.Sum64()%uint64(n) == 0
 }
 
-// Verify compares a cached payload against a fresh canonical encoding,
+// verify compares a cached payload against a fresh canonical encoding,
 // counting a match and returning a *VerifyError on mismatch.
-func (c *Cache) Verify(key string, cached, fresh json.RawMessage) error {
+func (c *Cache) verify(key string, cached, fresh json.RawMessage) error {
 	if !bytes.Equal(cached, fresh) {
 		return &VerifyError{Key: key, Cached: cached, Fresh: fresh}
 	}
-	c.AddVerified(1)
+	c.verified.Add(1)
+	c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheVerified, 1)
 	return nil
 }
 
@@ -581,7 +579,7 @@ func (c *Cache) Verify(key string, cached, fresh json.RawMessage) error {
 // Failures are never memoized: a leader's error is returned to every
 // waiter of that flight, the key is forgotten, and the next Do runs fn
 // again — one attempt's transient failure (an injected fault, a briefly
-// unwritable journal) must not poison an identical later cell.
+// unwritable cache directory) must not poison an identical later cell.
 type Memo struct {
 	mu sync.Mutex
 	m  map[string]*flight
@@ -634,4 +632,75 @@ func (g *Memo) Do(key string, fn func() (json.RawMessage, error)) (payload json.
 	f.payload, f.err = fn()
 	completed = true
 	return f.payload, false, f.err
+}
+
+// Resolve serves one cell, cheapest source first, decodes its canonical
+// payload into v (a non-nil pointer) and reports the source that served
+// it:
+//
+//   - "cache": a hit decodes the stored payload straight into v.
+//   - "verify": a hit in the deterministic 1-in-verifyN sample
+//     re-executes the cell and byte-compares the result, failing with a
+//     *VerifyError on any difference.
+//   - "dedup": an identical cell of this process ran (or is running)
+//     through memo and shares its payload.
+//   - "run": execute ran for this cell.
+//
+// Only a complete, successful payload is ever Put, so a failed attempt
+// (panic, timeout, injected fault) publishes nothing and a retry
+// re-enters the whole path. A failed memo leader's error belongs to the
+// leader: each follower re-executes its own attempt and Puts it, so
+// per-cell fault injection and retry accounting stay cell-local. A Put
+// failure is environmental, not a property of the cell, and is wrapped
+// in runner.Transient so retries can ride out a briefly unwritable
+// cache directory. A nil cache skips the lookup and the Put but still
+// deduplicates through memo.
+func (c *Cache) Resolve(memo *Memo, key string, verifyN int, v any,
+	execute func() (json.RawMessage, error)) (string, error) {
+	if raw, ok := c.GetInto(key, v); ok {
+		if !verifySample(key, verifyN) {
+			return "cache", nil
+		}
+		fresh, err := execute()
+		if err != nil {
+			return "", err
+		}
+		// A passing Verify means fresh == raw byte for byte, so v already
+		// holds fresh's decoding.
+		if err := c.verify(key, raw, fresh); err != nil {
+			return "", err
+		}
+		return "verify", nil
+	}
+	run := func() (json.RawMessage, error) {
+		raw, err := execute()
+		if err != nil {
+			return nil, err
+		}
+		if err := c.Put(key, raw); err != nil {
+			return nil, runner.Transient(err)
+		}
+		return raw, nil
+	}
+	source := "run"
+	raw, shared, err := memo.Do(key, run)
+	switch {
+	case shared && err != nil:
+		raw, err = run()
+	case shared:
+		source = "dedup"
+		if c != nil {
+			c.deduped.Add(1)
+			c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheDeduped, 1)
+		}
+	}
+	if err != nil {
+		return "", err
+	}
+	// A missed lookup may have partly decoded a damaged entry into v.
+	reflect.ValueOf(v).Elem().SetZero()
+	if err := json.Unmarshal(raw, v); err != nil {
+		return "", fmt.Errorf("resultcache: decoding %s payload for %s: %w", source, key, err)
+	}
+	return source, nil
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/runner"
 )
 
 // testKey derives a real cell key so tests exercise the same 64-hex
@@ -410,14 +411,10 @@ func TestNilCacheIsOff(t *testing.T) {
 	if err := c.Put("k", json.RawMessage(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	c.AddDeduped(1)
-	c.AddVerified(1)
 	if _, err := c.Evict(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
+	c.Finish(nil)
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("nil cache stats %+v", s)
 	}
@@ -428,16 +425,16 @@ func TestNilCacheIsOff(t *testing.T) {
 
 func TestVerifySampleDeterministic(t *testing.T) {
 	key := testKey(t, "sample")
-	if VerifySample(key, 0) {
+	if verifySample(key, 0) {
 		t.Fatal("n=0 sampled")
 	}
-	if !VerifySample(key, 1) {
+	if !verifySample(key, 1) {
 		t.Fatal("n=1 skipped")
 	}
 	for _, n := range []int{2, 7, 100} {
-		first := VerifySample(key, n)
+		first := verifySample(key, n)
 		for i := 0; i < 5; i++ {
-			if VerifySample(key, n) != first {
+			if verifySample(key, n) != first {
 				t.Fatalf("n=%d sample decision changed between calls", n)
 			}
 		}
@@ -445,7 +442,7 @@ func TestVerifySampleDeterministic(t *testing.T) {
 	// Over many keys, a 1-in-2 sample must select some and skip some.
 	selected := 0
 	for i := 0; i < 64; i++ {
-		if VerifySample(testKey(t, i), 2) {
+		if verifySample(testKey(t, i), 2) {
 			selected++
 		}
 	}
@@ -460,10 +457,10 @@ func TestVerifyMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey(t, "verify")
-	if err := c.Verify(key, json.RawMessage(`1`), json.RawMessage(`1`)); err != nil {
+	if err := c.verify(key, json.RawMessage(`1`), json.RawMessage(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	err = c.Verify(key, json.RawMessage(`1`), json.RawMessage(`2`))
+	err = c.verify(key, json.RawMessage(`1`), json.RawMessage(`2`))
 	var ve *VerifyError
 	if !errors.As(err, &ve) {
 		t.Fatalf("mismatch returned %v, want *VerifyError", err)
@@ -645,5 +642,145 @@ func TestFlagsPrecedence(t *testing.T) {
 	c, err = newFlags("-cache-dir", flagDir, "-cache-max-mb", "3").Open()
 	if err != nil || c.MaxBytes != 3<<20 {
 		t.Fatalf("-cache-max-mb 3: MaxBytes %d err %v", c.MaxBytes, err)
+	}
+}
+
+// resolveExec returns an execute func for Resolve that counts its calls
+// and produces payload.
+func resolveExec(calls *atomic.Int64, payload string) func() (json.RawMessage, error) {
+	return func() (json.RawMessage, error) {
+		calls.Add(1)
+		return json.RawMessage(payload), nil
+	}
+}
+
+// TestResolveSources pins the source Resolve reports for each way a cell
+// is served — run, cache hit, verified hit, in-process dedup — and that
+// each decodes the payload into the caller's value.
+func TestResolveSources(t *testing.T) {
+	c, err := Open(t.TempDir(), ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, "sources")
+	memo := new(Memo)
+	var calls atomic.Int64
+	exec := resolveExec(&calls, `"text"`)
+	steps := []struct {
+		cache   *Cache
+		memo    *Memo
+		verifyN int
+		source  string
+		calls   int64
+	}{
+		{c, memo, 0, "run", 1},
+		{c, new(Memo), 0, "cache", 1},
+		{c, new(Memo), 1, "verify", 2},
+		// An empty cache in front of the first memo: the lookup misses and
+		// the memoized execution serves the cell.
+		{nil, memo, 0, "dedup", 2},
+	}
+	for _, st := range steps {
+		var v string
+		source, err := st.cache.Resolve(st.memo, key, st.verifyN, &v, exec)
+		if err != nil {
+			t.Fatalf("%s: %v", st.source, err)
+		}
+		if source != st.source || v != "text" || calls.Load() != st.calls {
+			t.Fatalf("got source %q, value %q after %d executions; want %q, \"text\", %d",
+				source, v, calls.Load(), st.source, st.calls)
+		}
+	}
+	if s := c.Stats(); s.Puts != 1 || s.Hits != 2 || s.Misses != 1 || s.Verified != 1 {
+		t.Fatalf("stats %+v, want 1 put, 2 hits, 1 miss, 1 verified", s)
+	}
+
+	// A verified hit whose re-execution differs fails loudly.
+	var v string
+	_, err = c.Resolve(new(Memo), key, 1, &v, resolveExec(&calls, `"other"`))
+	var ve *VerifyError
+	if !errors.As(err, &ve) {
+		t.Fatalf("verify mismatch returned %v, want *VerifyError", err)
+	}
+}
+
+// TestResolveFollowerReexecutesAndPuts pins the dedup-follower path: when
+// the memo leader fails, a follower waiting on its flight runs its own
+// attempt, reports "run" and stores its payload, so the next warm run
+// hits the cell. The follower is made deterministic by handing it the
+// flight exactly as a waiter sees it once the leader has failed: done,
+// with the leader's error.
+func TestResolveFollowerReexecutesAndPuts(t *testing.T) {
+	c, err := Open(t.TempDir(), ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, "follower")
+	boom := errors.New("injected leader failure")
+	failed := &flight{done: make(chan struct{}), err: boom}
+	close(failed.done)
+	memo := &Memo{m: map[string]*flight{key: failed}}
+
+	var calls atomic.Int64
+	var v string
+	source, err := c.Resolve(memo, key, 0, &v, resolveExec(&calls, `"mine"`))
+	if err != nil || source != "run" || v != "mine" || calls.Load() != 1 {
+		t.Fatalf("follower: source %q, value %q, %d executions, err %v; want run, mine, 1, nil",
+			source, v, calls.Load(), err)
+	}
+	if raw, ok := c.Get(key); !ok || string(raw) != `"mine"` {
+		t.Fatalf("follower's payload not on disk: %s, %v", raw, ok)
+	}
+	if s := c.Stats(); s.Puts != 1 || s.Deduped != 0 {
+		t.Fatalf("stats %+v, want 1 put and no dedup", s)
+	}
+}
+
+// TestResolvePutErrorIsTransient proves a failed Put — here into a shard
+// a regular file occupies — fails the cell with a retryable error.
+func TestResolvePutErrorIsTransient(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, "unwritable")
+	if err := os.WriteFile(filepath.Join(dir, key[:2]), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	var v string
+	_, err = c.Resolve(new(Memo), key, 0, &v, resolveExec(&calls, `"x"`))
+	if err == nil || !runner.IsTransient(err) {
+		t.Fatalf("Put failure returned %v, want a transient error", err)
+	}
+}
+
+// TestResolveMissDiscardsPartialDecode proves a damaged entry that
+// partly decoded into the caller's value before missing leaves nothing
+// behind: the executed payload is decoded into a zeroed value.
+func TestResolveMissDiscardsPartialDecode(t *testing.T) {
+	c, err := Open(t.TempDir(), ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, "partial")
+	// Valid JSON framed exactly as Put frames it, but B has the wrong type:
+	// decoding sets A, then fails.
+	if err := c.Put(key, json.RawMessage(`{"a":5,"b":7}`)); err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		A int    `json:"a,omitempty"`
+		B string `json:"b"`
+	}
+	var calls atomic.Int64
+	var v cell
+	source, err := c.Resolve(new(Memo), key, 0, &v, resolveExec(&calls, `{"b":"fresh"}`))
+	if err != nil || source != "run" {
+		t.Fatalf("source %q, err %v; want run", source, err)
+	}
+	if v != (cell{B: "fresh"}) {
+		t.Fatalf("decoded %+v, want only the fresh payload", v)
 	}
 }

@@ -53,7 +53,7 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 // transientError marks an error as transient: worth retrying under
 // Options.MaxRetries. The simulation itself is deterministic, so a cell
 // that failed will fail again — transience only arises from the
-// environment (checkpoint I/O, injected faults), and those are the only
+// environment (cache I/O, injected faults), and those are the only
 // errors the retry loop spends attempts on.
 type transientError struct{ err error }
 
@@ -175,7 +175,7 @@ func runAttempt[T any](ctx context.Context, opts Options, cell Cell[T], attempt 
 // transient failures up to Options.MaxRetries with deterministic
 // backoff, and wrap any final failure as a *CellError. Deadline overruns
 // and panics are not retried — the simulation is deterministic, so they
-// would recur; only errors marked Transient (injected faults, checkpoint
+// would recur; only errors marked Transient (injected faults, cache
 // I/O) spend retry attempts.
 func runCell[T any](ctx context.Context, opts Options, cell Cell[T]) (T, error) {
 	var val T

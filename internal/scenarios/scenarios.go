@@ -149,9 +149,9 @@ func (s Scenario) Name() string { return s.Workload.Name }
 // the name plus the full workload description and warehouse sequence, so
 // two scenarios that share a name but differ in content (a re-edited
 // -scenario file, a registry change between releases) can never collide
-// in the checkpoint journal or the result cache. Cell keys embed it next
-// to the agent/options/scale fragment; the JSON field names are part of
-// the key derivation and must stay stable.
+// in the result cache. Cell keys embed it next to the agent/options/scale
+// fragment; the JSON field names are part of the key derivation and must
+// stay stable.
 type Identity struct {
 	Scenario string             `json:"scenario"`
 	Workload workloads.Workload `json:"workload"`

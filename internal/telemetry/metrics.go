@@ -8,7 +8,6 @@ const (
 	MetricCells        = "cells"         // cells completed (any source)
 	MetricCellsFailed  = "cells_failed"  // cells that ended in error
 	MetricCacheHits    = "cache_hits"    // cells served from the result cache
-	MetricJournalHits  = "journal_hits"  // cells served from the checkpoint journal
 	MetricDedupHits    = "dedup_hits"    // cells served from in-process memoization
 	MetricRuns         = "runs"          // cells actually executed
 	MetricVerified     = "verified"      // cache hits re-executed and byte-compared
@@ -44,15 +43,13 @@ const (
 	MetricGCPauseCycles = "gc_pause_cycles" // simulated GC cycles per cell
 
 	// Process-family counters (under ProcessFamily) recorded by the
-	// result cache and checkpoint journal, which do not know families.
+	// result cache, which does not know families.
 	MetricProcCacheHits     = "cache_hits"
 	MetricProcCacheMisses   = "cache_misses"
 	MetricProcCachePuts     = "cache_puts"
 	MetricProcCacheDeduped  = "cache_deduped"
 	MetricProcCacheEvicted  = "cache_evicted"
 	MetricProcCacheVerified = "cache_verified"
-	MetricProcJournalReplay = "journal_replayed"
-	MetricProcJournalAppend = "journal_appended"
 )
 
 // Trace span categories, one per layer, so Perfetto can filter by
@@ -61,6 +58,5 @@ const (
 	CatCampaign = "campaign" // harness: whole campaign + per-cell work
 	CatRunner   = "runner"   // runner: attempts, retries, timeouts
 	CatCache    = "cache"    // result cache events
-	CatJournal  = "journal"  // checkpoint journal replay/append
 	CatMeasure  = "measure"  // harness: per-repetition measurement spans
 )

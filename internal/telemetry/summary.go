@@ -51,8 +51,8 @@ func (s *Summary) Metrics(r *Recorder) {
 	for _, fam := range d.FamilyNames() {
 		fd := d.Families[fam]
 		if fam == ProcessFamily {
-			// Process-wide counters (cache, journal) already have
-			// their own trailers; skip the pseudo-family here.
+			// Process-wide cache counters already have their own
+			// trailer; skip the pseudo-family here.
 			continue
 		}
 		cells := fd.Counters[MetricCells]

@@ -1,6 +1,6 @@
 // Package telemetry is the observability spine of the measurement
 // pipeline: one Recorder threaded from the CLIs through the harness, the
-// runner, the result cache and the checkpoint journal collects trace
+// runner and the result cache collects trace
 // spans (exported as Chrome trace_event JSON, loadable in Perfetto) and
 // a metrics registry (counters and fixed-bucket histograms aggregated
 // per scenario family, dumped as JSON and summarized on stderr).
@@ -38,7 +38,7 @@ import (
 )
 
 // ProcessFamily is the pseudo-family process-wide events aggregate
-// under: cache evictions, journal replay — anything not attributable to
+// under: cache hits, misses and evictions — anything not attributable to
 // one scenario family.
 const ProcessFamily = "_process"
 
