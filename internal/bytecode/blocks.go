@@ -6,51 +6,6 @@ import (
 	"repro/internal/classfile"
 )
 
-// Straight-line run metadata for the interpreter fast path.
-//
-// A "straight-line" instruction can neither branch, call, return, throw,
-// nor touch anything outside the current frame (no heap, no statics, no
-// method refs). A maximal sequence of such instructions executes as pure
-// register/stack arithmetic: once the interpreter commits to the first
-// instruction of a run it is guaranteed to execute every instruction of
-// the run, so per-instruction accounting (cycle charge, instruction
-// count, yield budget) can be applied for the whole run at once without
-// changing any observable value.
-
-// IsStraightLine reports whether op is a straight-line instruction:
-// no control transfer, no possibility of throwing, no method call, and
-// no access beyond the current frame's locals and operand stack.
-func (op Op) IsStraightLine() bool {
-	switch op {
-	case OpNop, OpConst, OpIconst0, OpIconst1, OpLoad, OpStore, OpInc,
-		OpAdd, OpSub, OpMul, OpNeg, OpShl, OpShr, OpAnd, OpOr, OpXor,
-		OpDup, OpPop, OpSwap:
-		return true
-	}
-	// OpDiv and OpRem are excluded: they throw on a zero divisor.
-	// Heap, static, branch, invoke, return and throw opcodes transfer
-	// control or observe state outside the frame.
-	return false
-}
-
-// StraightRuns computes, for every instruction index i, the length of the
-// maximal straight-line run starting at i (0 when instrs[i] itself is not
-// straight-line). Jumps into the middle of a run are harmless: the run
-// starting at the jump target has its own (shorter) length.
-func StraightRuns(instrs []Instruction) []int32 {
-	runs := make([]int32, len(instrs))
-	for i := len(instrs) - 1; i >= 0; i-- {
-		if !instrs[i].Op.IsStraightLine() {
-			continue
-		}
-		runs[i] = 1
-		if i+1 < len(instrs) {
-			runs[i] += runs[i+1]
-		}
-	}
-	return runs
-}
-
 // BasicBlock is one basic block of a method body, in instruction-index
 // coordinates: instrs[Start:End] is the block, Start is a leader (offset
 // 0, a branch target, a handler start/target, or the instruction after a
@@ -70,49 +25,39 @@ type BasicBlock struct {
 	DepthIn int
 }
 
-// BasicBlocks partitions a method body into its reachable basic blocks in
-// code order, combining Leaders with the verifier's depth analysis.
-// Unreachable leaders (dead code the verifier tolerates) are omitted —
-// the interpreter can never enter them, so a compiler need not lower
-// them. Decoding or depth inconsistencies are errors, mirroring Verify.
-func BasicBlocks(m *classfile.Method) ([]BasicBlock, error) {
-	ins, err := Decode(m.Code)
-	if err != nil {
-		return nil, fmt.Errorf("bytecode: %s: %w", m.Key(), err)
-	}
-	depths, err := ComputeDepths(m)
+// BasicBlocks partitions a method body, decoded into ins, into its
+// reachable basic blocks in code order, combining the leaders with the
+// verifier's depth analysis over that one decode. Unreachable leaders
+// (dead code the verifier tolerates) are omitted — the interpreter can
+// never enter them, so a compiler need not lower them. Depth
+// inconsistencies and misaligned leaders are errors, mirroring Verify.
+func BasicBlocks(m *classfile.Method, ins []Instruction) ([]BasicBlock, error) {
+	depth, err := depthsOf(m, ins)
 	if err != nil {
 		return nil, err
 	}
-	leaders, err := Leaders(m)
-	if err != nil {
-		return nil, err
-	}
-	starts := make(map[int]int, len(ins))
-	for i, in := range ins {
-		starts[in.Offset] = i
-	}
-	isLeader := make(map[int]bool, len(leaders))
-	idxs := make([]int, 0, len(leaders))
-	for _, off := range leaders {
-		i, ok := starts[off]
-		if !ok {
-			return nil, fmt.Errorf("bytecode: %s: leader offset %d misaligned", m.Key(), off)
+	isLeader := make([]bool, len(ins))
+	var bad error
+	eachLeader(m, ins, func(off int) {
+		i, ok := IndexAt(ins, off)
+		if !ok && bad == nil {
+			bad = fmt.Errorf("bytecode: %s: leader offset %d misaligned", m.Key(), off)
 		}
 		isLeader[i] = true
-		idxs = append(idxs, i)
+	})
+	if bad != nil {
+		return nil, bad
 	}
 	var out []BasicBlock
-	for k, start := range idxs {
-		end := len(ins)
-		if k+1 < len(idxs) {
-			end = idxs[k+1]
+	for start := 0; start < len(ins); {
+		end := start + 1
+		for end < len(ins) && !isLeader[end] {
+			end++
 		}
-		d, reachable := depths[ins[start].Offset]
-		if !reachable {
-			continue
+		if d := depth[start]; d >= 0 {
+			out = append(out, BasicBlock{Start: start, End: end, Offset: ins[start].Offset, DepthIn: d})
 		}
-		out = append(out, BasicBlock{Start: start, End: end, Offset: ins[start].Offset, DepthIn: d})
+		start = end
 	}
 	return out, nil
 }

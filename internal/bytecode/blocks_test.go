@@ -6,59 +6,6 @@ import (
 	"repro/internal/classfile"
 )
 
-func TestIsStraightLine(t *testing.T) {
-	straight := []Op{OpNop, OpConst, OpIconst0, OpIconst1, OpLoad, OpStore,
-		OpInc, OpAdd, OpSub, OpMul, OpNeg, OpShl, OpShr, OpAnd, OpOr,
-		OpXor, OpDup, OpPop, OpSwap}
-	for _, op := range straight {
-		if !op.IsStraightLine() {
-			t.Errorf("%s should be straight-line", op)
-		}
-	}
-	notStraight := []Op{OpDiv, OpRem, OpGoto, OpIfeq, OpIfcmpge,
-		OpInvokeStatic, OpInvokeVirtual, OpReturn, OpIreturn,
-		OpGetStatic, OpPutStatic, OpNewArray, OpALoad, OpAStore,
-		OpArrayLen, OpThrow}
-	for _, op := range notStraight {
-		if op.IsStraightLine() {
-			t.Errorf("%s must not be straight-line", op)
-		}
-	}
-}
-
-func TestStraightRuns(t *testing.T) {
-	// load, add, store | div | iconst_0, neg | ireturn
-	instrs := []Instruction{
-		{Op: OpLoad}, {Op: OpAdd}, {Op: OpStore},
-		{Op: OpDiv},
-		{Op: OpIconst0}, {Op: OpNeg},
-		{Op: OpIreturn},
-	}
-	got := StraightRuns(instrs)
-	want := []int32{3, 2, 1, 0, 2, 1, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("runs = %v, want %v", got, want)
-		}
-	}
-	if runs := StraightRuns(nil); len(runs) != 0 {
-		t.Fatalf("StraightRuns(nil) = %v", runs)
-	}
-}
-
-// TestStraightRunsTrailing: a run reaching the end of the code keeps its
-// length; the interpreter's fall-off-end check still fires after it.
-func TestStraightRunsTrailing(t *testing.T) {
-	instrs := []Instruction{{Op: OpIconst1}, {Op: OpDup}, {Op: OpAdd}}
-	got := StraightRuns(instrs)
-	want := []int32{3, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("runs = %v, want %v", got, want)
-		}
-	}
-}
-
 // TestBasicBlocks pins the control-flow metadata the template compiler
 // consumes: block spans delimited by leaders, entry depths from the
 // verifier, and handler blocks entering at depth 1.
@@ -88,7 +35,11 @@ func TestBasicBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bbs, err := BasicBlocks(m)
+	ins, err := Decode(m.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bbs, err := BasicBlocks(m, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +48,6 @@ func TestBasicBlocks(t *testing.T) {
 	}
 	if bbs[0].Start != 0 || bbs[0].Offset != 0 || bbs[0].DepthIn != 0 {
 		t.Fatalf("entry block = %+v", bbs[0])
-	}
-	ins, err := Decode(m.Code)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for i, bb := range bbs {
 		if bb.End <= bb.Start {

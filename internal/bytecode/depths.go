@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/classfile"
 )
@@ -17,12 +18,24 @@ func ComputeDepths(m *classfile.Method) (map[int]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bytecode: %s: %w", m.Key(), err)
 	}
+	depth, err := depthsOf(m, ins)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int]int, len(ins))
+	for i, d := range depth {
+		if d >= 0 {
+			out[ins[i].Offset] = d
+		}
+	}
+	return out, nil
+}
+
+// depthsOf is ComputeDepths over an already decoded body: the depth at
+// every instruction index, -1 where unreachable.
+func depthsOf(m *classfile.Method, ins []Instruction) ([]int, error) {
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("bytecode: %s: empty code", m.Key())
-	}
-	starts := make(map[int]int, len(ins))
-	for i, in := range ins {
-		starts[in.Offset] = i
 	}
 	depth := make([]int, len(ins))
 	for i := range depth {
@@ -31,7 +44,7 @@ func ComputeDepths(m *classfile.Method) (map[int]int, error) {
 	type workItem struct{ idx, d int }
 	work := []workItem{{0, 0}}
 	for _, h := range m.Handlers {
-		hi, ok := starts[int(h.HandlerPC)]
+		hi, ok := IndexAt(ins, int(h.HandlerPC))
 		if !ok {
 			return nil, fmt.Errorf("bytecode: %s: handler target %d misaligned", m.Key(), h.HandlerPC)
 		}
@@ -75,7 +88,7 @@ func ComputeDepths(m *classfile.Method) (map[int]int, error) {
 		}
 		nd += pushes
 		if info.Branch {
-			bi, ok := starts[in.Operand]
+			bi, ok := IndexAt(ins, in.Operand)
 			if !ok {
 				return nil, fmt.Errorf("bytecode: %s: branch target %d misaligned", m.Key(), in.Operand)
 			}
@@ -88,13 +101,18 @@ func ComputeDepths(m *classfile.Method) (map[int]int, error) {
 			work = append(work, workItem{it.idx + 1, nd})
 		}
 	}
-	out := make(map[int]int, len(ins))
-	for i, d := range depth {
-		if d >= 0 {
-			out[ins[i].Offset] = d
-		}
+	return depth, nil
+}
+
+// IndexAt maps a code offset to the index of the instruction starting
+// there; ok is false for an offset no instruction starts at. ins must be
+// a decoded body (ascending offsets).
+func IndexAt(ins []Instruction, off int) (int, bool) {
+	i := sort.Search(len(ins), func(i int) bool { return ins[i].Offset >= off })
+	if i < len(ins) && ins[i].Offset == off {
+		return i, true
 	}
-	return out, nil
+	return 0, false
 }
 
 // Leaders returns the basic-block leader offsets of a method body, in
@@ -109,37 +127,36 @@ func Leaders(m *classfile.Method) ([]int, error) {
 	if len(ins) == 0 {
 		return nil, nil
 	}
-	leaders := map[int]bool{0: true}
-	for i, in := range ins {
-		info, _ := Lookup(in.Op)
-		if info.Branch {
-			leaders[in.Operand] = true
-			if i+1 < len(ins) {
-				leaders[ins[i+1].Offset] = true
-			}
-		} else if info.Terminal && i+1 < len(ins) {
-			leaders[ins[i+1].Offset] = true
-		}
-	}
-	for _, h := range m.Handlers {
-		leaders[int(h.StartPC)] = true
-		leaders[int(h.HandlerPC)] = true
-		if int(h.EndPC) < len(m.Code) {
-			leaders[int(h.EndPC)] = true
-		}
-	}
+	leaders := map[int]bool{}
+	eachLeader(m, ins, func(off int) { leaders[off] = true })
 	out := make([]int, 0, len(leaders))
 	for off := range leaders {
 		out = append(out, off)
 	}
-	sortInts(out)
+	sort.Ints(out)
 	return out, nil
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
-			xs[j-1], xs[j] = xs[j], xs[j-1]
+// eachLeader calls mark with every leader offset of a non-empty decoded
+// body, possibly more than once per offset.
+func eachLeader(m *classfile.Method, ins []Instruction, mark func(off int)) {
+	mark(0)
+	for i, in := range ins {
+		info, _ := Lookup(in.Op)
+		if info.Branch {
+			mark(in.Operand)
+			if i+1 < len(ins) {
+				mark(ins[i+1].Offset)
+			}
+		} else if info.Terminal && i+1 < len(ins) {
+			mark(ins[i+1].Offset)
+		}
+	}
+	for _, h := range m.Handlers {
+		mark(int(h.StartPC))
+		mark(int(h.HandlerPC))
+		if int(h.EndPC) < len(m.Code) {
+			mark(int(h.EndPC))
 		}
 	}
 }

@@ -104,8 +104,9 @@ type Stats struct {
 	// across every unit built over the VM's lifetime; InlinedCalls the
 	// calls actually executed through an inline site; OSREntries the
 	// on-stack replacements taken (hot loops promoted mid-iteration);
-	// SuperinstrPairs the fused superinstruction pairs the interpreter's
-	// batch dispatch executed.
+	// SuperinstrPairs the instructions the interpreter's fast-loop
+	// batches executed without an op of their own (folded into another
+	// instruction's op by the lowering).
 	InlinedSites    uint64
 	InlinedCalls    uint64
 	OSREntries      uint64
@@ -118,7 +119,7 @@ type Stats struct {
 
 // MethodStats is one method's tier-2 bookkeeping for the -tierstats
 // surfaces: where inlining happened, which loops OSR promoted, and how
-// well superinstruction fusion covered the method's straight-line code.
+// much of the method's straight-line code the lowering folded away.
 type MethodStats struct {
 	// Method is the full "Class.name(Desc)" name.
 	Method string
@@ -127,21 +128,22 @@ type MethodStats struct {
 	InlineSites int
 	// InlinedCalls counts calls this method made through inline sites;
 	// OSREntries the on-stack replacements taken in its frames;
-	// SuperPairs the fused pairs its batch dispatch executed.
+	// SuperPairs the instructions its fast-loop batches executed without
+	// an op of their own.
 	InlinedCalls uint64
 	OSREntries   uint64
 	SuperPairs   uint64
-	// FusedPairs and StraightInstrs describe static fusion coverage: of
-	// StraightInstrs instructions in straight-line runs, 2*FusedPairs are
-	// covered by two-instruction superinstructions — the hit rate the
-	// jprof tier-stats view reports.
+	// FusedPairs and StraightInstrs describe static coverage: of the
+	// StraightInstrs instructions in the lowering's pure chunks,
+	// FusedPairs lowered to no op of their own — the share the jprof
+	// tier-stats view reports.
 	FusedPairs     int
 	StraightInstrs int
 }
 
 // MergeMethodStats combines two per-method stat sets (each sorted by
 // Method, as TierStats emits them) into one sorted set: dynamic counters
-// sum, static per-unit facts (inline sites, fusion coverage) keep the
+// sum, static per-unit facts (inline sites, op-free coverage) keep the
 // larger observation — across repeated runs of the same program they are
 // identical, and a run where the method never compiled reports zeros
 // that must not erase a run where it did.

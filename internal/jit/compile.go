@@ -7,8 +7,8 @@ import (
 	"repro/internal/classfile"
 )
 
-// Compile lowers a verified bytecode method into a compiled Unit: one
-// chunked three-address sequence per reachable basic block.
+// Lower lowers a verified bytecode method, decoded into ins, into a
+// Unit: one chunked three-address sequence per reachable basic block.
 //
 // The lowering walks each block with a symbolic operand stack. Every
 // stack cell is a descriptor — an immediate, a local slot, or the cell's
@@ -19,35 +19,27 @@ import (
 // local spills every descriptor that reads it first, and values are
 // materialized into their canonical homes at every effect boundary,
 // branch, and block end, which keeps the frame bit-identical to the
-// interpreter's at every chunk boundary (the executor's fallback and
+// interpreter's at every chunk boundary (the executors' fallback and
 // deoptimization contract).
 //
-// Methods the lowering cannot express are a compileError; the VM leaves
-// such methods on the interpreter, so Compile failing is a performance
-// event, never a correctness one.
+// The lowering reads nothing but the method itself, so it is
+// link-independent: the VM lowers each method once at load time, runs its
+// pure chunks in the interpreter's fast loop, and builds compiled units
+// from it by attaching call-site plans (Promote).
 //
-// res, when non-nil, resolves invoke sites against the VM's link-time
-// resolved-callee cache so small effect-free callees can be inline-
-// expanded (see inline.go). A nil resolver compiles every call site
-// out-of-line.
-func Compile(def *classfile.Method, res Resolver) (*Unit, error) {
-	ins, err := bytecode.Decode(def.Code)
-	if err != nil {
-		return nil, fmt.Errorf("jit: %s: %w", def.Key(), err)
-	}
+// Methods the lowering cannot express are an error; the VM leaves such
+// methods on per-instruction interpretation, so Lower failing is a
+// performance event, never a correctness one.
+func Lower(def *classfile.Method, ins []bytecode.Instruction) (*Unit, error) {
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("jit: %s: empty code", def.Key())
 	}
-	bbs, err := bytecode.BasicBlocks(def)
+	bbs, err := bytecode.BasicBlocks(def, ins)
 	if err != nil {
 		return nil, fmt.Errorf("jit: %s: %w", def.Key(), err)
 	}
 	if len(bbs) == 0 {
 		return nil, fmt.Errorf("jit: %s: no reachable blocks", def.Key())
-	}
-	startIdx := make(map[int]int, len(ins))
-	for i, in := range ins {
-		startIdx[in.Offset] = i
 	}
 	blockOf := make([]int32, len(ins))
 	for i := range blockOf {
@@ -63,7 +55,7 @@ func Compile(def *classfile.Method, res Resolver) (*Unit, error) {
 		Blocks:    make([]Block, len(bbs)),
 	}
 	for bi, bb := range bbs {
-		lb, err := lowerBlock(def, ins, bb, blockOf, startIdx, int32(def.MaxLocals))
+		lb, err := lowerBlock(def, ins, bb, blockOf, int32(def.MaxLocals))
 		if err != nil {
 			return nil, fmt.Errorf("jit: %s: block @%d: %w", def.Key(), bb.Offset, err)
 		}
@@ -71,6 +63,13 @@ func Compile(def *classfile.Method, res Resolver) (*Unit, error) {
 		// every instruction of the span exactly once.
 		var n int32
 		for _, ch := range lb.Chunks {
+			// The interpreter's fast loop batches pure chunks by their
+			// start instruction, so ops must never sit outside every
+			// instruction's range.
+			if ch.N == 0 {
+				return nil, fmt.Errorf("jit: %s: block @%d has ops covering no instruction",
+					def.Key(), bb.Offset)
+			}
 			n += ch.N
 		}
 		n += lb.Term.N
@@ -120,9 +119,6 @@ func Compile(def *classfile.Method, res Resolver) (*Unit, error) {
 			(b.Term.Kind == TermReturn || b.Term.Kind == TermIreturn)
 	}
 	u.Static = staticPlan(u)
-	if res != nil {
-		attachInlines(u, res)
-	}
 	return u, nil
 }
 
@@ -254,23 +250,24 @@ type desc struct {
 
 // lowerer is the per-block lowering state.
 type lowerer struct {
-	def      *classfile.Method
-	ml       int32 // MaxLocals: home(p) = ml + p
-	st       []desc
-	ops      []Op
-	chunks   []Chunk
-	chunkLo  int32 // bytecode index the open pure chunk starts at
-	chunkSP  int32 // operand-stack depth at the open chunk's start
-	blockOf  []int32
-	startIdx map[int]int
+	def     *classfile.Method
+	ml      int32 // MaxLocals: home(p) = ml + p
+	st      []desc
+	ops     []Op
+	chunks  []Chunk
+	chunkLo int32 // bytecode index the open pure chunk starts at
+	chunkSP int32 // operand-stack depth at the open chunk's start
+	blockOf []int32
+	ins     []bytecode.Instruction
 }
 
 func (lo *lowerer) home(p int) int32 { return lo.ml + int32(p) }
 
 // flushPure closes the open pure chunk at bytecode index end (exclusive).
 // A chunk is also emitted when it covers no instructions but holds ops
-// (pure materialization moves with no bytecode counterpart): its N of 0
-// charges nothing, which is exactly right.
+// (pure materialization moves with no bytecode counterpart), so that Lower
+// can reject it: nothing emits such moves today, since every lazy
+// descriptor stems from an instruction of the open chunk.
 func (lo *lowerer) flushPure(end int32) {
 	if end > lo.chunkLo || len(lo.ops) > 0 {
 		lo.chunks = append(lo.chunks, Chunk{
@@ -374,8 +371,8 @@ func (lo *lowerer) binOp(op bytecode.Op) error {
 				last.Imm2 = bImm
 				if defectMulAdd() {
 					// Armed test defect (see defect.go): every executor of
-					// the fused op inherits the wrong immediate, so jit/auto
-					// runs diverge observably from the interpreter.
+					// the fused op inherits the wrong immediate, so runs
+					// diverge observably from the instrumented loop.
 					last.Imm2 = bImm + 1
 				}
 				lo.st = append(lo.st, desc{kind: dHome})
@@ -481,7 +478,7 @@ func (lo *lowerer) trap(i int, kind Kind, pops, pushes int) error {
 
 // blockIndex maps a branch-target code offset to its block index.
 func (lo *lowerer) blockIndex(offset int) (int32, error) {
-	i, ok := lo.startIdx[offset]
+	i, ok := bytecode.IndexAt(lo.ins, offset)
 	if !ok {
 		return 0, fmt.Errorf("branch target %d misaligned", offset)
 	}
@@ -499,10 +496,10 @@ func (lo *lowerer) termOperand(d desc, p int) (slot int32, imm int64, isImm bool
 
 // lowerBlock lowers instructions [bb.Start, bb.End).
 func lowerBlock(def *classfile.Method, ins []bytecode.Instruction, bb bytecode.BasicBlock,
-	blockOf []int32, startIdx map[int]int, ml int32) (Block, error) {
+	blockOf []int32, ml int32) (Block, error) {
 
 	lo := &lowerer{
-		def: def, ml: ml, blockOf: blockOf, startIdx: startIdx,
+		def: def, ml: ml, blockOf: blockOf, ins: ins,
 		chunkLo: int32(bb.Start),
 		chunkSP: int32(bb.DepthIn),
 		st:      make([]desc, bb.DepthIn),

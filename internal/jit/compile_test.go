@@ -45,11 +45,11 @@ func loopKernel(t *testing.T, work int) *classfile.Method {
 // span, and the loop blocks are batchable.
 func TestCompileLoopKernelShape(t *testing.T) {
 	m := loopKernel(t, 10)
-	u, err := Compile(m, nil)
+	ins, err := bytecode.Decode(m.Code)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, err := bytecode.Decode(m.Code)
+	u, err := Lower(m, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,15 @@ func TestCompileLoopKernelShape(t *testing.T) {
 // the whole suite interpreted.
 func TestCompileCoversBlocksMetadata(t *testing.T) {
 	m := loopKernel(t, 4)
-	bbs, err := bytecode.BasicBlocks(m)
+	ins, err := bytecode.Decode(m.Code)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := Compile(m, nil)
+	bbs, err := bytecode.BasicBlocks(m, ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := Lower(m, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +217,11 @@ func TestCompileExceptionKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := Compile(m, nil)
+	ins, err := bytecode.Decode(m.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := Lower(m, ins)
 	if err != nil {
 		t.Fatal(err)
 	}

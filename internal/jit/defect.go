@@ -16,11 +16,12 @@ import (
 // named test defect (see SetTestDefect).
 const DefectEnvVar = "JVMSIM_DEFECT"
 
-// TestDefectMulAdd names the off-by-one in the fused multiply-add
-// superinstruction: the compile-time peephole emits Imm2+1, so jit and
-// auto runs of any workload whose kernel hits the (x*a)+b recurrence
-// diverge from the interpreter while interp-only differentials stay
-// clean.
+// TestDefectMulAdd names the off-by-one in the fused multiply-add op:
+// the lowering's peephole emits Imm2+1. Every executor of the lowering
+// inherits it — the compiled tier and the interpreter's fast loop alike
+// — so any workload whose kernel hits the (x*a)+b recurrence diverges
+// from the step-by-step instrumented loop, the one leg independent of
+// the lowering.
 const TestDefectMulAdd = "jit-muladd-off-by-one"
 
 // activeDefect holds the armed defect: 0 none, 1 TestDefectMulAdd.

@@ -1,12 +1,15 @@
 // Package jit is the template compilation tier of the simulated JVM's
 // execution engine. It lowers verified bytecode methods into pre-resolved
-// trace units — one fused three-address sequence per basic block — that
-// internal/vm executes in place of the interpreter's dispatch loop once a
-// method's hotness counter crosses the promotion threshold.
+// trace units — one fused three-address sequence per basic block. The
+// lowering is the VM's one straight-line code form: internal/vm's fast
+// interpreter loop runs its pure chunks as batches from load time on, and
+// once a method's hotness counter crosses the promotion threshold the
+// compiled executor runs the whole unit in place of the dispatch loop.
 //
 // The package owns three things:
 //
-//   - the lowering pass (compile.go): bytecode → per-block IR with
+//   - the lowering pass (compile.go) and promotion with call-site
+//     inlining (inline.go): bytecode → per-block IR with
 //     producer/consumer fusion over the verifier's static stack depths;
 //   - the compiled-method cache (cache.go): units stamped with the VM's
 //     relink epoch, so any class load invalidates every unit;

@@ -1,7 +1,5 @@
 package jit
 
-import "repro/internal/classfile"
-
 // Call-site inlining.
 //
 // The lowering cannot splice callee code into the caller: every call
@@ -13,15 +11,16 @@ import "repro/internal/classfile"
 // unit directly in the caller's scratch frame area instead of re-entering
 // the VM's generic invoke path. attachInlines builds that plan.
 
-// Resolver is the link-time view the VM hands to Compile so call sites
+// Resolver is the link-time view the VM hands to Promote so call sites
 // can be inline-expanded against the resolved-callee cache. ResolveInvoke
-// maps a Refs-table index to the resolved callee: its bytecode definition
-// plus an opaque identity key the executor re-checks at run time (the
+// maps a Refs-table index to the resolved callee: its lowered unit plus
+// an opaque identity key the executor re-checks at run time (the
 // transitive half of relink-epoch invalidation: a site whose resolution
 // changed is never taken inline). ok is false when the ref is unresolved,
-// names a field, or the callee is native or abstract.
+// names a field, the callee is native or abstract, or its lowering
+// failed.
 type Resolver interface {
-	ResolveInvoke(ref int) (def *classfile.Method, key any, ok bool)
+	ResolveInvoke(ref int) (u *Unit, key any, ok bool)
 }
 
 // inlineMaxInstrs bounds the callee size inline expansion accepts. The
@@ -29,68 +28,54 @@ type Resolver interface {
 // little from skipping the invoke path.
 const inlineMaxInstrs = 64
 
-// inlinable reports whether a compiled callee qualifies for inline
-// expansion: small. Nothing else disqualifies it — the inline plan runs
-// the callee's unit as a real frame (own root-scan record, own deopt
-// path) inside the caller's scratch area, so effects, throws, nested
-// out-of-line calls and even recursion behave exactly as they would
-// through the generic invoke path. The size bound is purely economic:
-// the expansion saves per-call frame setup, which large bodies amortize
-// anyway.
-func inlinable(u *Unit) bool {
-	return u.NumInstrs <= inlineMaxInstrs
-}
-
-// attachInlines annotates the unit's EffInvoke effects with inline sites
-// for every call whose resolved callee compiles to an inlinable unit.
-// Callee units are compiled once per distinct definition and sites are
-// deduplicated per callee identity. Failures simply leave sites
-// out-of-line — inlining is a performance event, never a correctness one.
-func attachInlines(u *Unit, res Resolver) {
-	type calleeUnit struct {
-		cu *Unit
-		ok bool
-	}
-	var compiled map[*classfile.Method]calleeUnit
-	var siteOf map[any]int32
+// Promote builds a compiled unit from a method's lowering: u itself,
+// with every EffInvoke effect whose resolved callee lowers to a small
+// unit (at most inlineMaxInstrs instructions) annotated as an inline
+// site. The callee's own lowering is the site's unit, so inline expansion
+// never nests. Nothing else disqualifies a callee — the inline plan runs
+// its unit as a real frame (own root-scan record, own deopt path) inside
+// the caller's scratch area, so effects, throws, nested out-of-line calls
+// and even recursion behave exactly as they would through the generic
+// invoke path; the size bound is purely economic.
+//
+// u is shared and never modified: a block whose chunks gain a site is
+// copied along with its chunks, and a unit with no site is returned as
+// is. Unresolved callees simply stay out-of-line — inlining is a
+// performance event, never a correctness one.
+func Promote(u *Unit, res Resolver) *Unit {
+	pu := u
+	siteOf := map[any]int32{}
 	for bi := range u.Blocks {
-		b := &u.Blocks[bi]
-		for ci := range b.Chunks {
-			ch := &b.Chunks[ci]
-			if ch.Pure || ch.Eff.Kind != EffInvoke {
+		var chunks []Chunk // this block's private copy, once a site lands in it
+		for ci := range u.Blocks[bi].Chunks {
+			eff := &u.Blocks[bi].Chunks[ci].Eff
+			if u.Blocks[bi].Chunks[ci].Pure || eff.Kind != EffInvoke {
 				continue
 			}
-			def, key, ok := res.ResolveInvoke(int(ch.Eff.Ref))
-			if !ok || len(def.Code) == 0 {
+			cu, key, ok := res.ResolveInvoke(int(eff.Ref))
+			if !ok || cu.NumInstrs > inlineMaxInstrs {
 				continue
 			}
-			if si, seen := siteOf[key]; seen {
-				ch.Eff.Inline = si
-				continue
+			si, seen := siteOf[key]
+			if pu == u {
+				cp := *u
+				cp.Blocks = append([]Block(nil), u.Blocks...)
+				pu = &cp
 			}
-			if compiled == nil {
-				compiled = map[*classfile.Method]calleeUnit{}
-				siteOf = map[any]int32{}
-			}
-			c, seen := compiled[def]
 			if !seen {
-				cu, err := Compile(def, nil) // nil resolver: expansion never nests
-				c = calleeUnit{cu: cu, ok: err == nil && inlinable(cu)}
-				compiled[def] = c
+				si = int32(len(pu.Inlines))
+				pu.Inlines = append(pu.Inlines, InlineSite{
+					Key: key, U: cu, NL: int32(cu.MaxLocals), Slots: int32(cu.NumSlots),
+				})
+				siteOf[key] = si
+				pu.ScratchSlots = max(pu.ScratchSlots, cu.NumSlots)
 			}
-			if !c.ok {
-				continue
+			if chunks == nil {
+				chunks = append([]Chunk(nil), u.Blocks[bi].Chunks...)
+				pu.Blocks[bi].Chunks = chunks
 			}
-			si := int32(len(u.Inlines))
-			u.Inlines = append(u.Inlines, InlineSite{
-				Key: key, U: c.cu,
-				NL: int32(c.cu.MaxLocals), Slots: int32(c.cu.NumSlots),
-			})
-			siteOf[key] = si
-			ch.Eff.Inline = si
-			if c.cu.NumSlots > u.ScratchSlots {
-				u.ScratchSlots = c.cu.NumSlots
-			}
+			chunks[ci].Eff.Inline = si
 		}
 	}
+	return pu
 }

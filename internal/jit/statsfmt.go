@@ -6,7 +6,7 @@ import (
 )
 
 // RenderTier2 formats the tier-2 portion of a stats snapshot — the
-// aggregate inlining/OSR/superinstruction counters and the per-method
+// aggregate inlining/OSR/op-free-instruction counters and the per-method
 // rows — for the CLIs' -tierstats views. Every line is prefixed with
 // indent. Methods with no tier-2 activity are absent from PerMethod, so
 // the table shows exactly where the tier-2 wins (or their absence) come
@@ -14,25 +14,26 @@ import (
 func (s *Stats) RenderTier2(indent string) string {
 	var out strings.Builder
 	if s.InlinedSites+s.InlinedCalls+s.OSREntries+s.SuperinstrPairs > 0 {
-		fmt.Fprintf(&out, "%stier-2: %d inline sites, %d inlined calls, %d OSR entries, %d superinstruction pairs\n",
+		fmt.Fprintf(&out, "%stier-2: %d inline sites, %d inlined calls, %d OSR entries, %d op-free batched instructions\n",
 			indent, s.InlinedSites, s.InlinedCalls, s.OSREntries, s.SuperinstrPairs)
 	}
 	if len(s.PerMethod) > 0 {
-		fmt.Fprintf(&out, "%stier-2 per method (sites / inlined calls / OSR entries / superinstr pairs / fusion coverage):\n", indent)
+		fmt.Fprintf(&out, "%stier-2 per method (sites / inlined calls / OSR entries / op-free batched instrs / static op-free share):\n", indent)
 		for _, m := range s.PerMethod {
-			fmt.Fprintf(&out, "%s  %-44s %3d sites %10d inlined %6d osr %12d pairs  fusion %s\n",
+			fmt.Fprintf(&out, "%s  %-44s %3d sites %10d inlined %6d osr %12d op-free  share %s\n",
 				indent, m.Method, m.InlineSites, m.InlinedCalls, m.OSREntries, m.SuperPairs, m.FusionCoverage())
 		}
 	}
 	return out.String()
 }
 
-// FusionCoverage renders the static superinstruction hit rate: the share
-// of the method's straight-line instructions covered by fused pairs, or
-// "-" for methods with no straight-line runs to fuse.
+// FusionCoverage renders the static op-free share: the fraction of the
+// instructions in the method's batchable pure chunks that the lowering
+// folded into other instructions' ops, or "-" for methods with no such
+// chunks.
 func (m *MethodStats) FusionCoverage() string {
 	if m.StraightInstrs <= 0 {
 		return "-"
 	}
-	return fmt.Sprintf("%.0f%%", float64(2*m.FusedPairs)/float64(m.StraightInstrs)*100)
+	return fmt.Sprintf("%.0f%%", float64(m.FusedPairs)/float64(m.StraightInstrs)*100)
 }

@@ -74,7 +74,9 @@ type Call struct {
 	Args []int64
 }
 
-// Func is one entry of the JNI function table.
+// Func is one entry of the JNI function table. The *Call is valid only
+// until the function returns: Env recycles the record for its next
+// upcall, so a Func must copy whatever it wants to keep.
 type Func func(env *Env, call *Call) (int64, error)
 
 // Table is the JNI function table. JVMTI's JNI-function-interception
@@ -244,6 +246,10 @@ func containsArrayReturn(desc string) bool {
 type Env struct {
 	jni    *JNI
 	thread *vm.Thread
+	// free holds the Call records of finished upcalls for reuse. A nested
+	// upcall (Java called from native code calling native code that calls
+	// Java again) takes a fresh record while the outer one is live.
+	free []*Call
 }
 
 var _ vm.Env = (*Env)(nil)
@@ -264,24 +270,33 @@ func (e *Env) Work(n uint64) { e.thread.NativeWork(n) }
 // CallStatic invokes a static Java method using the array-style function
 // of the appropriate return type (e.g. CallStaticIntMethodA for "...)I").
 func (e *Env) CallStatic(class, method, desc string, args ...int64) (int64, error) {
-	name, err := functionFor("Static", desc, "A")
-	if err != nil {
-		return 0, err
-	}
-	return e.CallByName(name, &Call{
-		Function: name, Class: class, Method: method, Desc: desc, Args: args,
-	})
+	return e.upcall("Static", class, method, desc, 0, args)
 }
 
 // CallVirtual invokes an instance Java method via the array-style function.
 func (e *Env) CallVirtual(class, method, desc string, recv int64, args ...int64) (int64, error) {
-	name, err := functionFor("", desc, "A")
+	return e.upcall("", class, method, desc, recv, args)
+}
+
+// upcall dispatches one array-style invocation of the given family
+// through a recycled Call record.
+func (e *Env) upcall(family, class, method, desc string, recv int64, args []int64) (int64, error) {
+	name, err := functionFor(family, desc, "A")
 	if err != nil {
 		return 0, err
 	}
-	return e.CallByName(name, &Call{
-		Function: name, Class: class, Method: method, Desc: desc, Recv: recv, Args: args,
-	})
+	var c *Call
+	if n := len(e.free); n > 0 {
+		c = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		c = new(Call)
+	}
+	*c = Call{Class: class, Method: method, Desc: desc, Recv: recv, Args: args}
+	r, err := e.CallByName(name, c)
+	*c = Call{} // drop the argument references while the record idles
+	e.free = append(e.free, c)
+	return r, err
 }
 
 // CallByName dispatches an invocation through the named function-table
@@ -315,64 +330,63 @@ func (e *Env) ArrayStore(handle, index, value int64) error {
 }
 
 // functionFor picks the JNI function name for a family, descriptor return
-// type and style.
+// type and style, indexing builtNames by switch: the upcall path neither
+// builds a name nor hashes one.
 func functionFor(family, desc, style string) (string, error) {
 	if desc == "" {
 		return "", fmt.Errorf("jni: empty descriptor")
 	}
-	ret := desc[len(desc)-1]
-	var ty string
-	switch {
+	var ti int // index into types
+	switch ret := desc[len(desc)-1]; {
 	case ret == ';' || containsArrayReturn(desc):
-		ty = "Object"
+		ti = 0 // Object
 	case ret == 'Z':
-		ty = "Boolean"
+		ti = 1
 	case ret == 'B':
-		ty = "Byte"
+		ti = 2
 	case ret == 'C':
-		ty = "Char"
+		ti = 3
 	case ret == 'S':
-		ty = "Short"
+		ti = 4
 	case ret == 'I':
-		ty = "Int"
+		ti = 5
 	case ret == 'J':
-		ty = "Long"
+		ti = 6
 	case ret == 'F':
-		ty = "Float"
+		ti = 7
 	case ret == 'D':
-		ty = "Double"
+		ti = 8
 	case ret == 'V':
-		ty = "Void"
+		ti = 9
 	default:
 		return "", fmt.Errorf("jni: cannot infer function for descriptor %q", desc)
 	}
-	return builtNames[familyIndex[family]][typeIndex[ty]][styleIndex[style]], nil
+	fi, si := 0, 0 // indexes into families and styles
+	switch family {
+	case "Static":
+		fi = 1
+	case "Nonvirtual":
+		fi = 2
+	}
+	switch style {
+	case "V":
+		si = 1
+	case "A":
+		si = 2
+	}
+	return builtNames[fi][ti][si], nil
 }
 
 // builtNames holds every "Call<family><type>Method<style>" string, indexed
 // [family][type][style] in the order of the families/types/styles tables,
-// so the per-call dispatch path never concatenates strings. The index maps
-// are derived from the same tables, keeping a single source of truth.
-var (
-	builtNames = func() (out [3][10][3]string) {
-		for fi, f := range families {
-			for ti, ty := range types {
-				for si, s := range styles {
-					out[fi][ti][si] = "Call" + f + ty + "Method" + s
-				}
+// so the per-call dispatch path never concatenates strings.
+var builtNames = func() (out [3][10][3]string) {
+	for fi, f := range families {
+		for ti, ty := range types {
+			for si, s := range styles {
+				out[fi][ti][si] = "Call" + f + ty + "Method" + s
 			}
 		}
-		return out
-	}()
-	familyIndex = indexOf(families)
-	typeIndex   = indexOf(types)
-	styleIndex  = indexOf(styles)
-)
-
-func indexOf(ss []string) map[string]int {
-	m := make(map[string]int, len(ss))
-	for i, s := range ss {
-		m[s] = i
 	}
-	return m
-}
+	return out
+}()

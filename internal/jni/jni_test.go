@@ -266,6 +266,20 @@ func TestFunctionForSelection(t *testing.T) {
 		{"Static", "()[I", "A", "CallStaticObjectMethodA"},
 		{"", "()D", "A", "CallDoubleMethodA"},
 	}
+	// Every family, return type and style, against the name tables: the
+	// switch-based indexes must agree with families/types/styles.
+	for _, f := range families {
+		for _, ty := range types {
+			for _, st := range styles {
+				desc := "()" + typeToDesc[ty][:1]
+				if ty == "Object" {
+					desc = "()Lx;"
+				}
+				cases = append(cases, struct{ family, desc, style, want string }{
+					f, desc, st, "Call" + f + ty + "Method" + st})
+			}
+		}
+	}
 	for _, c := range cases {
 		got, err := functionFor(c.family, c.desc, c.style)
 		if err != nil {

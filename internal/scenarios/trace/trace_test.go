@@ -103,10 +103,10 @@ func replayLegs() []struct {
 		label string
 		tune  func(*vm.Options)
 	}{
-		{"interp-fast", func(o *vm.Options) {}},
+		{"interp-fast", func(o *vm.Options) { o.ForceInstrumentedLoop = false }},
 		{"interp-instr", func(o *vm.Options) { o.ForceInstrumentedLoop = true }},
-		{"jit", func(o *vm.Options) { o.Tier = jit.EngineJIT }},
-		{"auto", func(o *vm.Options) { o.Tier = jit.EngineAuto }},
+		{"jit", func(o *vm.Options) { o.Tier = jit.EngineJIT; o.ForceInstrumentedLoop = false }},
+		{"auto", func(o *vm.Options) { o.Tier = jit.EngineAuto; o.ForceInstrumentedLoop = false }},
 	}
 }
 

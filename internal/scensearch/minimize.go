@@ -136,8 +136,8 @@ func (s *searcher) minimize(w workloads.Workload, oracleName string) (*Finding, 
 		}
 	}
 	// Wrap as a registrable regression scenario. The canonical
-	// (interpreter) leg defines the pins: it is the baseline even while
-	// a jit-side defect is live, so the pins record the *correct*
+	// (instrumented-loop) run defines the pins: it is the baseline even
+	// while a lowering defect is live, so the pins record the *correct*
 	// observables and the scenario doubles as an engine regression test.
 	sc := scenarios.Scenario{Family: "found", Workload: cur}
 	sc.Workload.Name = fmt.Sprintf("found-%s-seed%d", oracleName, s.cfg.Seed)

@@ -75,7 +75,7 @@ func TestDefectFoundAndMinimized(t *testing.T) {
 	if !f.Verdict.Diverged() {
 		t.Fatal("finding's verdict does not diverge")
 	}
-	// The pins are recorded from the interpreter leg, so they hold even
+	// The pins are recorded from the instrumented loop, so they hold even
 	// while the jit defect is live…
 	if err := f.Scenario.VerifyPins(); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
+	"repro/internal/jit"
 )
 
 // The fast and instrumented dispatch loops must be observably identical.
@@ -15,8 +16,18 @@ import (
 
 // runBoth executes method m (class cls) with the given args on two fresh
 // VMs, one per dispatch loop, and compares result, error, cycle counter,
-// ground truth and instruction count.
+// ground truth, instruction count and the remaining yield budget (which
+// pins every yield to the same instruction boundary).
 func runBoth(t *testing.T, opts Options, cls *classfile.Class, method, desc string, args ...int64) (int64, error) {
+	t.Helper()
+	ret, err, _ := runLoops(t, opts, cls, nil, method, desc, args...)
+	return ret, err
+}
+
+// runLoops is runBoth with a hook that adjusts each VM after loading
+// (nil for none); it also returns the fast-loop VM for its tier stats.
+func runLoops(t *testing.T, opts Options, cls *classfile.Class, prep func(*VM),
+	method, desc string, args ...int64) (int64, error, *VM) {
 	t.Helper()
 	type outcome struct {
 		ret        int64
@@ -24,32 +35,37 @@ func runBoth(t *testing.T, opts Options, cls *classfile.Class, method, desc stri
 		cycles     uint64
 		instrs     uint64
 		bc, nat, o uint64
+		budget     int
 	}
-	run := func(force bool) outcome {
+	run := func(force bool) (outcome, *VM) {
 		o := opts
 		o.ForceInstrumentedLoop = force
 		v := New(o)
 		if err := v.LoadClasses([]*classfile.Class{cls}); err != nil {
 			t.Fatal(err)
 		}
+		if prep != nil {
+			prep(v)
+		}
 		th := v.NewDetachedThread("diff")
 		ret, err := th.InvokeStatic(cls.Name, method, desc, args...)
 		bc, nat, ovh := th.GroundTruth()
-		return outcome{ret, err, th.Cycles(), th.InstructionsExecuted(), bc, nat, ovh}
+		return outcome{ret, err, th.Cycles(), th.InstructionsExecuted(), bc, nat, ovh, th.budget}, v
 	}
-	fast := run(false)
-	slow := run(true)
+	fast, fv := run(false)
+	slow, _ := run(true)
 	if fast.ret != slow.ret ||
 		(fast.err == nil) != (slow.err == nil) ||
 		fast.cycles != slow.cycles ||
 		fast.instrs != slow.instrs ||
-		fast.bc != slow.bc || fast.nat != slow.nat || fast.o != slow.o {
+		fast.bc != slow.bc || fast.nat != slow.nat || fast.o != slow.o ||
+		fast.budget != slow.budget {
 		t.Fatalf("fast loop diverged from instrumented loop:\nfast: %+v\nslow: %+v", fast, slow)
 	}
 	if fast.err != nil && slow.err != nil && fast.err.Error() != slow.err.Error() {
 		t.Fatalf("error text diverged: fast %q, slow %q", fast.err, slow.err)
 	}
-	return fast.ret, fast.err
+	return fast.ret, fast.err, fv
 }
 
 // TestFastLoopMatchesInstrumentedRandom: random arithmetic programs
@@ -255,5 +271,282 @@ func TestRefCachesResolveAcrossLoadOrder(t *testing.T) {
 	}
 	if got != 42 {
 		t.Fatalf("call = %d, want 42", got)
+	}
+}
+
+// finish assembles a one-class test program around a into method name.
+func finish(t *testing.T, a *bytecode.Assembler, name, desc string, maxLocals int,
+	handlers ...classfile.ExceptionEntry) *classfile.Class {
+	t.Helper()
+	m, err := a.FinishMethod(name, desc, classfile.AccStatic, maxLocals, handlers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &classfile.Class{Name: "fp/" + name, Methods: []*classfile.Method{m}}
+}
+
+// TestFastLoopMatchesInstrumentedFoldedReturn: the lowering folds an
+// ireturn's operand into the terminator (a local or an immediate, never
+// written to the operand stack), so the chunk and its ireturn run as one
+// batch — or, under a short budget, both step singly.
+func TestFastLoopMatchesInstrumentedFoldedReturn(t *testing.T) {
+	local := bytecode.NewAssembler()
+	local.Load(0)
+	local.IReturn()
+	imm := bytecode.NewAssembler()
+	imm.Const(-42)
+	imm.IReturn()
+	sum := bytecode.NewAssembler()
+	sum.Load(0)
+	sum.Const(3)
+	sum.Mul()
+	sum.Load(0)
+	sum.Add()
+	sum.IReturn()
+	for _, c := range []struct {
+		cls  *classfile.Class
+		want int64
+	}{
+		{finish(t, local, "local", "(J)J", 1), 9},
+		{finish(t, imm, "imm", "(J)J", 1), -42},
+		{finish(t, sum, "sum", "(J)J", 1), 36},
+	} {
+		name := c.cls.Methods[0].Name
+		for q := 1; q <= 4; q++ {
+			opts := DefaultOptions()
+			opts.Quantum = q
+			got, err, _ := runLoops(t, opts, c.cls, nil, name, "(J)J", 9)
+			if err != nil || got != c.want {
+				t.Fatalf("%s quantum %d = %d, %v; want %d", name, q, got, err, c.want)
+			}
+		}
+	}
+}
+
+// TestFastLoopMatchesInstrumentedThrowAfterChunk: a throw ends the pure
+// chunk before it, whose ops may hold the thrown value away from the
+// operand stack, so the chunk steps singly into the per-instruction
+// throw — caught by a handler, and uncaught.
+func TestFastLoopMatchesInstrumentedThrowAfterChunk(t *testing.T) {
+	// Each body leaves x+5 as the value to throw: from a local (folded),
+	// from an immediate (folded), or computed into the operand stack.
+	bodies := map[string]func(a *bytecode.Assembler){
+		"local": func(a *bytecode.Assembler) {
+			a.Load(0)
+			a.Const(5)
+			a.Add()
+			a.Store(1)
+			a.Load(1)
+		},
+		"imm":      func(a *bytecode.Assembler) { a.Const(15) },
+		"computed": func(a *bytecode.Assembler) { a.Load(0); a.Const(5); a.Add() },
+	}
+	for name, body := range bodies {
+		for _, caught := range []bool{true, false} {
+			a := bytecode.NewAssembler()
+			body(a)
+			a.Throw()
+			end := a.Offset()
+			var hs []classfile.ExceptionEntry
+			if caught {
+				a.EnterHandler()
+				a.Const(1)
+				a.Add()
+				a.IReturn()
+				hs = append(hs, classfile.ExceptionEntry{StartPC: 0, EndPC: end, HandlerPC: end})
+			}
+			cls := finish(t, a, name, "(J)J", 2, hs...)
+			got, err := runBoth(t, DefaultOptions(), cls, name, "(J)J", 10)
+			if caught && (err != nil || got != 16) {
+				t.Fatalf("%s caught = %d, %v; want 16", name, got, err)
+			}
+			if !caught && err == nil {
+				t.Fatalf("%s: uncaught throw returned normally", name)
+			}
+		}
+	}
+}
+
+// TestFastLoopMatchesInstrumentedHandlerChunk: a handler block enters its
+// first chunk at stack depth 1, with the thrown value in the canonical
+// home of depth 0, and loops through batched chunks from there.
+func TestFastLoopMatchesInstrumentedHandlerChunk(t *testing.T) {
+	// h(x): try { return 1000 / x } catch (v) { r = v*3 + x; x = 6; while x > 0 { r += x; x-- }; return r }
+	a := bytecode.NewAssembler()
+	a.Const(1000)
+	a.Load(0)
+	a.Div()
+	a.IReturn()
+	end := a.Offset()
+	a.EnterHandler()
+	a.Const(3)
+	a.Mul()
+	a.Load(0)
+	a.Add()
+	a.Store(1)
+	a.Const(6)
+	a.Store(0)
+	top := a.NewLabel()
+	done := a.NewLabel()
+	a.Bind(top)
+	a.Load(0)
+	a.Ifle(done)
+	a.Load(1)
+	a.Load(0)
+	a.Add()
+	a.Store(1)
+	a.Inc(0, -1)
+	a.Goto(top)
+	a.Bind(done)
+	a.Load(1)
+	a.IReturn()
+	cls := finish(t, a, "h", "(J)J", 2, classfile.ExceptionEntry{StartPC: 0, EndPC: end, HandlerPC: end})
+	for _, q := range []int{1, 2, 3, 7, 4096} {
+		opts := DefaultOptions()
+		opts.Quantum = q
+		for _, x := range []int64{0, 8} {
+			want := int64(1000 / max(x, 1))
+			if x == 0 {
+				want = 1000*3 + 21 // the thrown value is the dividend
+			}
+			got, err := runBoth(t, opts, cls, "h", "(J)J", x)
+			if err != nil || got != want {
+				t.Fatalf("quantum %d: h(%d) = %d, %v; want %d", q, x, got, err, want)
+			}
+		}
+	}
+}
+
+// fastLoopKernels are the generated workloads' two hot loop shapes: the
+// x = x*31+7 recurrence, and an array fill-then-sum whose trapping
+// accesses split the loop bodies into pure chunks around effects.
+func fastLoopKernels(t *testing.T) []*classfile.Class {
+	k := bytecode.NewAssembler()
+	k.Const(40)
+	k.Store(1)
+	top := k.NewLabel()
+	end := k.NewLabel()
+	k.Bind(top)
+	k.Load(1)
+	k.Ifle(end)
+	k.Load(0)
+	k.Const(31)
+	k.Mul()
+	k.Const(7)
+	k.Add()
+	k.Store(0)
+	k.Inc(1, -1)
+	k.Goto(top)
+	k.Bind(end)
+	k.Load(0)
+	k.IReturn()
+
+	a := bytecode.NewAssembler()
+	a.Load(0)
+	a.NewArray()
+	a.Store(1)
+	a.Const(0)
+	a.Store(2)
+	fill, filled := a.NewLabel(), a.NewLabel()
+	a.Bind(fill)
+	a.Load(2)
+	a.Load(0)
+	a.IfCmpge(filled)
+	a.Load(1)
+	a.Load(2)
+	a.Load(2)
+	a.Const(3)
+	a.Mul()
+	a.Const(1)
+	a.Add()
+	a.AStore()
+	a.Inc(2, 1)
+	a.Goto(fill)
+	a.Bind(filled)
+	a.Const(0)
+	a.Store(3)
+	a.Const(0)
+	a.Store(2)
+	sum, summed := a.NewLabel(), a.NewLabel()
+	a.Bind(sum)
+	a.Load(2)
+	a.Load(0)
+	a.IfCmpge(summed)
+	a.Load(3)
+	a.Load(1)
+	a.Load(2)
+	a.ALoad()
+	a.Add()
+	a.Store(3)
+	a.Inc(2, 1)
+	a.Goto(sum)
+	a.Bind(summed)
+	a.Load(3)
+	a.IReturn()
+	return []*classfile.Class{finish(t, k, "kernel", "(J)J", 2), finish(t, a, "array", "(J)J", 4)}
+}
+
+// TestFastLoopMatchesInstrumentedQuanta: every quantum from 1 to 12 over
+// both kernels, so yields land on every offset inside the batched chunks
+// and the loop re-enters chunks mid-way; the default quantum must run
+// the kernels' straight-line code as batches.
+func TestFastLoopMatchesInstrumentedQuanta(t *testing.T) {
+	for _, cls := range fastLoopKernels(t) {
+		name := cls.Methods[0].Name
+		var want int64
+		for q := 1; q <= 12; q++ {
+			opts := DefaultOptions()
+			opts.Quantum = q
+			got, err := runBoth(t, opts, cls, name, "(J)J", 25)
+			if err != nil {
+				t.Fatalf("%s quantum %d: %v", name, q, err)
+			}
+			if q > 1 && got != want {
+				t.Fatalf("%s quantum %d = %d, quantum 1 gave %d", name, q, got, want)
+			}
+			want = got
+		}
+		_, _, fv := runLoops(t, DefaultOptions(), cls, nil, name, "(J)J", 25)
+		if fv.TierStats().SuperinstrPairs == 0 {
+			t.Fatalf("%s: the fast loop batched no straight-line code", name)
+		}
+	}
+}
+
+// TestFastLoopMatchesInstrumentedWithoutLowering: a method whose lowering
+// failed has no batches; the fast loop steps it per instruction, and the
+// template tier pins it to the interpreter.
+func TestFastLoopMatchesInstrumentedWithoutLowering(t *testing.T) {
+	unlower := func(v *VM) {
+		for _, c := range v.classes {
+			for _, m := range c.methods {
+				m.lowered, m.runs = nil, nil
+				clear(m.runAt)
+			}
+		}
+	}
+	for _, cls := range fastLoopKernels(t) {
+		name := cls.Methods[0].Name
+		want, err := runBoth(t, DefaultOptions(), cls, name, "(J)J", 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tier := range []jit.Engine{jit.EngineInterp, jit.EngineJIT} {
+			opts := DefaultOptions()
+			opts.Tier = tier
+			opts.Quantum = 5
+			opts.OSRThreshold = 1 // the jit leg tries to promote at once
+			got, err, fv := runLoops(t, opts, cls, unlower, name, "(J)J", 25)
+			if err != nil || got != want {
+				t.Fatalf("%s %s: %d, %v; want %d", name, tier, got, err, want)
+			}
+			st := fv.TierStats()
+			if st.SuperinstrPairs != 0 || st.CompiledFrames != 0 {
+				t.Fatalf("%s %s: ran lowered code without a lowering: %+v", name, tier, st)
+			}
+			if tier == jit.EngineJIT && st.CompileFailures == 0 {
+				t.Fatalf("%s: promotion of an unlowered method did not fail", name)
+			}
+		}
 	}
 }

@@ -266,7 +266,7 @@ func TestJITCompileFailurePinsInterpreter(t *testing.T) {
 	}
 	// Directly exercise the failure path at the jit layer: methods with
 	// no reachable code cannot be lowered.
-	if _, err := jit.Compile(&classfile.Method{Name: "x", Desc: "()V"}, nil); err == nil {
+	if _, err := jit.Lower(&classfile.Method{Name: "x", Desc: "()V"}, nil); err == nil {
 		t.Fatal("empty method compiled")
 	}
 }

@@ -143,7 +143,11 @@ func TestJITArrayTrapMidBatch(t *testing.T) {
 	for _, c := range cases {
 		for _, catch := range []bool{false, true} {
 			cls := trapLoop(t, c.arr, c.op, catch, c.lenInHeader)
-			u, err := jit.Compile(cls.Methods[0], nil)
+			ins, err := bytecode.Decode(cls.Methods[0].Code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := jit.Lower(cls.Methods[0], ins)
 			if err != nil {
 				t.Fatal(err)
 			}

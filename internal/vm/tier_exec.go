@@ -308,7 +308,7 @@ blocks:
 			ch := &b.Chunks[ci]
 			if ch.Pure {
 				n := int(ch.N)
-				if n == 0 || budget > n {
+				if budget > n {
 					done += uint64(n)
 					budget -= n
 					// Single-op chunks — the bulk of the pure code between
@@ -815,14 +815,13 @@ func (t *Thread) throwAt(m *Method, u *jit.Unit, locals, stack []int64, idx int,
 // at entry. It returns the updated deferred-accounting state.
 //
 // The opcode switch is deliberately another copy of the straight-line
-// subset realized in interpretFast's per-instruction path and in the
-// fused dispatch of interp_fused.go (including the OpInc slot|delta<<16
-// operand packing from linkDispatch): sharing one helper would add a
-// call into the interpreter's hottest loop and perturb its code
-// generation. Any change to the straight-line opcode set or encoding
-// must touch every copy; TestJITYieldBoundariesMatchInterp
+// subset realized in interpretFast's per-instruction path (including the
+// OpInc slot|delta<<16 operand packing from linkDispatch): sharing one
+// helper would add a call into the interpreter's hottest loop and
+// perturb its code generation. Any change to the straight-line opcode
+// set or encoding must touch both copies; TestJITYieldBoundariesMatchInterp
 // runs with a hostile 7-instruction quantum precisely so this fallback
-// executes constantly and any divergence among the copies fails loudly.
+// executes constantly and any divergence between the copies fails loudly.
 func (t *Thread) stepPureRange(m *Method, fr []int64, start, n, sp int,
 	done uint64, budget int, cost uint64, quantum int) (uint64, int, error) {
 

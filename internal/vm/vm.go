@@ -212,7 +212,6 @@ type Method struct {
 	argWords int
 	returns  bool
 	instrs   []bytecode.Instruction
-	startIdx map[int]int // code offset -> instruction index
 
 	// Link-time dispatch metadata, computed once in LoadClass so the
 	// interpreter's hot loop never consults a map or scans a table, and
@@ -224,26 +223,23 @@ type Method struct {
 	// slot|delta<<16 (delta sign-extends); everything else keeps its
 	// decoded operand. handlerIdx is the instruction index of the
 	// innermost exception handler covering each instruction (-1 when
-	// uncovered), and runLen the straight-line run length starting at
-	// each instruction (bytecode.StraightRuns).
+	// uncovered).
 	ops        []bytecode.Op
 	operands   []int32
 	handlerIdx []int32
-	runLen     []int32
-	// runTail marks runs whose terminating instruction is a plain branch
-	// (goto/if/if_cmp): branches cannot throw or observe thread state, so
-	// the fast loop batches their accounting with the run and executes
-	// them inline, covering a hot loop's entire body with one update.
-	runTail []bool
-	// fused is the direct-threaded form of the straight-line code: a
-	// pre-decoded entry per instruction index, pairing adjacent
-	// instructions into superinstructions where a fused form exists (see
-	// interp_fused.go). pairsFrom[i] counts the pairs the batch dispatch
-	// executes when entering the run suffix at i, for the tier-2 stats.
-	fused     []fusedIn
-	pairsFrom []int32
-	// straightInstrs/fusedPairs summarize static fusion coverage over the
-	// method's maximal straight-line runs, for the -tierstats hit rate.
+	// lowered is the method's one lowering (jit.Lower), nil when the
+	// lowering rejected the method. It is link-independent, so no class
+	// load ever invalidates it: the fast loop runs its pure chunks, and
+	// promotion builds every compiled unit from it. runs are the fast
+	// loop's batches over it (see fastRun); runAt maps an instruction
+	// index to 1 + the index of the batch starting there, 0 where none
+	// does.
+	lowered *jit.Unit
+	runs    []fastRun
+	runAt   []int32
+	// straightInstrs counts the instructions the batches cover (their
+	// terminators excluded) and fusedPairs those of them without an op
+	// of their own, the static figures of the -tierstats view.
 	straightInstrs int
 	fusedPairs     int
 
@@ -253,7 +249,8 @@ type Method struct {
 	// osrEdges counts taken backward branches in fast-loop frames (the
 	// OSR trigger); osrEntries the on-stack replacements taken;
 	// inlinedCalls the calls this method made through inline sites;
-	// superExec the fused pairs its batch dispatch executed.
+	// superExec the instructions its fast-loop batches executed without
+	// an op of their own.
 	osrEdges     uint64
 	osrEntries   uint64
 	inlinedCalls uint64
@@ -535,10 +532,6 @@ func (v *VM) LoadClass(def *classfile.Class) (*Class, error) {
 				return nil, err
 			}
 			m.instrs = ins
-			m.startIdx = make(map[int]int, len(ins))
-			for i, in := range ins {
-				m.startIdx[in.Offset] = i
-			}
 			m.linkDispatch()
 		}
 		c.methods[md.Key()] = m
@@ -563,29 +556,22 @@ func (v *VM) LoadClass(def *classfile.Class) (*Class, error) {
 }
 
 // linkDispatch precomputes the interpreter's per-instruction dispatch
-// metadata: branch-target and exception-handler instruction indexes and
-// straight-line run lengths. Missing branch or handler offsets map to
-// instruction 0, matching the historical map-lookup behaviour; the
-// verifier rejects such code before it reaches the interpreter.
+// metadata — branch-target and exception-handler instruction indexes —
+// and lowers the method for the fast loop's batches. Missing branch or
+// handler offsets map to instruction 0, matching the historical
+// map-lookup behaviour; the verifier rejects such code before it reaches
+// the interpreter.
 func (m *Method) linkDispatch() {
 	ins := m.instrs
-	m.runLen = bytecode.StraightRuns(ins)
 	m.ops = make([]bytecode.Op, len(ins))
 	m.operands = make([]int32, len(ins))
 	m.handlerIdx = make([]int32, len(ins))
-	m.runTail = make([]bool, len(ins))
-	for i, n := range m.runLen {
-		if n > 0 && i+int(n) < len(ins) {
-			if info, ok := bytecode.Lookup(ins[i+int(n)].Op); ok && info.Branch {
-				m.runTail[i] = true
-			}
-		}
-	}
 	for i, in := range ins {
 		m.ops[i] = in.Op
 		switch info, _ := bytecode.Lookup(in.Op); {
 		case info.Branch:
-			m.operands[i] = int32(m.startIdx[in.Operand])
+			tgt, _ := bytecode.IndexAt(ins, in.Operand)
+			m.operands[i] = int32(tgt)
 		case in.Op == bytecode.OpInc:
 			m.operands[i] = int32(in.Operand) | int32(in.Extra)<<16
 		case in.Operand >= 0:
@@ -594,7 +580,8 @@ func (m *Method) linkDispatch() {
 		m.handlerIdx[i] = -1
 		for _, h := range m.Def.Handlers {
 			if in.Offset >= int(h.StartPC) && in.Offset < int(h.EndPC) {
-				m.handlerIdx[i] = int32(m.startIdx[int(h.HandlerPC)])
+				hi, _ := bytecode.IndexAt(ins, int(h.HandlerPC))
+				m.handlerIdx[i] = int32(hi)
 				break
 			}
 		}
@@ -603,7 +590,11 @@ func (m *Method) linkDispatch() {
 		m.refMethods = make([]*Method, n)
 		m.refStatics = make([]*int64, n)
 	}
-	m.linkFused()
+	m.runAt = make([]int32, len(ins))
+	if u, err := jit.Lower(m.Def, ins); err == nil {
+		m.lowered = u
+		m.linkRuns()
+	}
 }
 
 // relinkLocked fills call-site and static-slot caches after a class is
@@ -787,18 +778,18 @@ func (v *VM) maybePromote(m *Method) {
 	v.compileUnit(m)
 }
 
-// compileUnit lowers m to a compiled trace unit against the current
-// link state, recording the result (or the pinning failure) in both the
-// method and the tier cache. Call sites resolve through the method's own
-// refMethods cache, so inline expansion sees exactly the resolution the
-// executor will.
+// compileUnit builds m's compiled trace unit from its lowering against
+// the current link state, recording the result (or the pinning failure)
+// in both the method and the tier cache. Call sites resolve through the
+// method's own refMethods cache, so inline expansion sees exactly the
+// resolution the executor will.
 func (v *VM) compileUnit(m *Method) *jit.Unit {
-	u, err := jit.Compile(m.Def, &vmResolver{m: m})
-	if err != nil {
+	if m.lowered == nil {
 		m.unitFailed = true
 		v.tier.NoteFailure()
 		return nil
 	}
+	u := jit.Promote(m.lowered, &vmResolver{m: m})
 	m.unit = u
 	v.tier.Put(m, u)
 	return u
@@ -837,21 +828,21 @@ func (v *VM) promoteForOSR(m *Method) *jit.Unit {
 // invalidation the inline Key re-check backstops).
 type vmResolver struct{ m *Method }
 
-func (r *vmResolver) ResolveInvoke(ref int) (*classfile.Method, any, bool) {
+func (r *vmResolver) ResolveInvoke(ref int) (*jit.Unit, any, bool) {
 	if ref < 0 || ref >= len(r.m.refMethods) {
 		return nil, nil, false
 	}
 	callee := r.m.refMethods[ref]
-	if callee == nil || callee.Def.IsNative() || callee.Def.IsAbstract() {
+	if callee == nil || callee.lowered == nil {
 		return nil, nil, false
 	}
-	return callee.Def, callee, true
+	return callee.lowered, callee, true
 }
 
 // TierStats returns the template tier's bookkeeping: compile and cache
 // counts from the jit cache, the VM's frame-level execution counters,
-// and the per-method tier-2 detail (inline sites, OSR entries, fused
-// superinstruction pairs) summed across every loaded method.
+// and the per-method tier-2 detail (inline sites, OSR entries, fast-loop
+// instructions without an op) summed across every loaded method.
 func (v *VM) TierStats() jit.Stats {
 	s := v.tier.Snapshot()
 	s.Engine = v.opts.Tier
