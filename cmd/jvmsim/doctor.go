@@ -39,7 +39,7 @@ func runDoctor(args []string) int {
 	format := fs.String("format", "text", "output format: text or json")
 	cacheDir := fs.String("cache-dir", os.Getenv(resultcache.EnvVar), "result cache directory to audit (default $"+resultcache.EnvVar+"; empty skips the check)")
 	ledger := fs.String("ledger", "BENCH_TREND.json", "benchmark ledger to verify")
-	baseline := fs.String("baseline", "pr9", "ledger entry the perf gate compares against")
+	baseline := fs.String("baseline", "pr17", "ledger entry the perf gate compares against")
 	tracePath := fs.String("trace", "", "intended -trace output path to audit (empty checks the clock only)")
 	metricsPath := fs.String("metrics", "", "intended -metrics output path to audit")
 	if err := fs.Parse(args); err != nil {

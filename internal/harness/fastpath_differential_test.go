@@ -16,11 +16,11 @@ import (
 // TestFastLoopDifferentialAllWorkloads is the whole-system differential
 // guarantee behind the dual dispatch loops: every suite workload, run
 // uninstrumented and under SPA and IPA, produces identical ground-truth
-// cycles, instruction counts, results and agent reports whether the
-// interpreter uses the fast loop (default) or the fully instrumented
-// loop (Options.ForceInstrumentedLoop). The instrumented loop keeps the
-// historical per-instruction sequence, so this pins the fast path to the
-// seed semantics bit-for-bit.
+// cycles, instruction counts, results and agent reports whether
+// interpreted frames run on the block executor (default) or on the fully
+// instrumented loop (Options.ForceInstrumentedLoop). The instrumented
+// loop keeps the historical per-instruction sequence, so this pins the
+// block executor to the seed semantics bit-for-bit.
 func TestFastLoopDifferentialAllWorkloads(t *testing.T) {
 	agents := map[string]func() core.Agent{
 		"none": func() core.Agent { return nil },

@@ -93,10 +93,13 @@ type Stats struct {
 	UnitsInvalidated uint64
 	// UnitsLive is the cache population at snapshot time.
 	UnitsLive int
-	// CompiledFrames counts method activations executed by compiled
-	// units; DeoptFrames the activations that left compiled code mid-
-	// frame for the instrumented interpreter; FallbackChunks the chunk
-	// executions that stepped original bytecode at a yield boundary.
+	// CompiledFrames counts method activations executed by promoted
+	// units (inline-expanded calls included); DeoptFrames the promoted
+	// activations that left compiled code mid-frame for the instrumented
+	// interpreter; FallbackChunks the promoted chunk executions that
+	// stepped original bytecode at a yield boundary. Interpreted frames,
+	// which run the method's lowering on the same executor, count in
+	// none of them.
 	CompiledFrames uint64
 	DeoptFrames    uint64
 	FallbackChunks uint64
@@ -104,9 +107,9 @@ type Stats struct {
 	// across every unit built over the VM's lifetime; InlinedCalls the
 	// calls actually executed through an inline site; OSREntries the
 	// on-stack replacements taken (hot loops promoted mid-iteration);
-	// SuperinstrPairs the instructions the interpreter's fast-loop
-	// batches executed without an op of their own (folded into another
-	// instruction's op by the lowering).
+	// SuperinstrPairs the instructions interpreted frames executed in
+	// batches without an op of their own (folded into another
+	// instruction's op by the lowering). Promoted frames do not count.
 	InlinedSites    uint64
 	InlinedCalls    uint64
 	OSREntries      uint64
@@ -128,8 +131,8 @@ type MethodStats struct {
 	InlineSites int
 	// InlinedCalls counts calls this method made through inline sites;
 	// OSREntries the on-stack replacements taken in its frames;
-	// SuperPairs the instructions its fast-loop batches executed without
-	// an op of their own.
+	// SuperPairs the instructions its interpreted frames executed in
+	// batches without an op of their own.
 	InlinedCalls uint64
 	OSREntries   uint64
 	SuperPairs   uint64

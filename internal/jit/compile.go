@@ -23,9 +23,9 @@ import (
 // deoptimization contract).
 //
 // The lowering reads nothing but the method itself, so it is
-// link-independent: the VM lowers each method once at load time, runs its
-// pure chunks in the interpreter's fast loop, and builds compiled units
-// from it by attaching call-site plans (Promote).
+// link-independent: the VM lowers each method once at load time, runs it
+// in every interpreted frame that needs no per-instruction observer, and
+// builds compiled units from it by attaching call-site plans (Promote).
 //
 // Methods the lowering cannot express are an error; the VM leaves such
 // methods on per-instruction interpretation, so Lower failing is a
@@ -63,8 +63,8 @@ func Lower(def *classfile.Method, ins []bytecode.Instruction) (*Unit, error) {
 		// every instruction of the span exactly once.
 		var n int32
 		for _, ch := range lb.Chunks {
-			// The interpreter's fast loop batches pure chunks by their
-			// start instruction, so ops must never sit outside every
+			// A chunk the budget cannot cover is re-executed from its
+			// bytecode, so ops must never sit outside every
 			// instruction's range.
 			if ch.N == 0 {
 				return nil, fmt.Errorf("jit: %s: block @%d has ops covering no instruction",
@@ -80,12 +80,14 @@ func Lower(def *classfile.Method, ins []bytecode.Instruction) (*Unit, error) {
 		lb.NInstr = n
 		lb.CanBatch = true
 		for _, ch := range lb.Chunks {
-			if !ch.Pure && ch.Eff.Kind != EffTrap {
-				lb.CanBatch = false
-				break
+			if ch.Pure {
+				lb.OpFree += ch.N - int32(len(ch.Ops))
+			} else {
+				lb.CanBatch = lb.CanBatch && ch.Eff.Kind == EffTrap
+				lb.Traps = true
 			}
-			lb.Traps = lb.Traps || !ch.Pure
 		}
+		lb.Traps = lb.Traps && lb.CanBatch
 		if lb.CanBatch {
 			for _, ch := range lb.Chunks {
 				lb.Flat = append(lb.Flat, ch.Ops...)
@@ -93,6 +95,13 @@ func Lower(def *classfile.Method, ins []bytecode.Instruction) (*Unit, error) {
 		}
 		u.Blocks[bi] = lb
 		u.NumInstrs += int(n)
+	}
+	// Handler dispatch enters a handler through BlockOf, so every handler
+	// must lead a lowered block.
+	for _, h := range def.Handlers {
+		if hi, ok := bytecode.IndexAt(ins, int(h.HandlerPC)); !ok || blockOf[hi] < 0 {
+			return nil, fmt.Errorf("jit: %s: handler %d is not a block leader", def.Key(), h.HandlerPC)
+		}
 	}
 	// Loop fusion: mark headers of the canonical while-shape (batchable
 	// conditional header, fallthrough to a batchable body that jumps
@@ -222,6 +231,8 @@ func staticPlan(u *Unit) *StaticPlan {
 	p := &StaticPlan{
 		Entry: b0.Flat, Body: body.Flat, Exit: e.Flat,
 		Trip: trip, Total: total,
+		OpFree: int64(b0.OpFree) + (trip+1)*int64(h.OpFree) +
+			trip*int64(body.OpFree) + int64(e.OpFree),
 	}
 	if e.Term.Kind == TermIreturn {
 		p.HasRet = true

@@ -18,8 +18,8 @@ const DefectEnvVar = "JVMSIM_DEFECT"
 
 // TestDefectMulAdd names the off-by-one in the fused multiply-add op:
 // the lowering's peephole emits Imm2+1. Every executor of the lowering
-// inherits it — the compiled tier and the interpreter's fast loop alike
-// — so any workload whose kernel hits the (x*a)+b recurrence diverges
+// inherits it — compiled and interpreted frames alike — so any
+// workload whose kernel hits the (x*a)+b recurrence diverges
 // from the step-by-step instrumented loop, the one leg independent of
 // the lowering.
 const TestDefectMulAdd = "jit-muladd-off-by-one"

@@ -1,10 +1,11 @@
 // Package jit is the template compilation tier of the simulated JVM's
 // execution engine. It lowers verified bytecode methods into pre-resolved
 // trace units — one fused three-address sequence per basic block. The
-// lowering is the VM's one straight-line code form: internal/vm's fast
-// interpreter loop runs its pure chunks as batches from load time on, and
-// once a method's hotness counter crosses the promotion threshold the
-// compiled executor runs the whole unit in place of the dispatch loop.
+// lowering is the VM's one code form for uninstrumented frames:
+// internal/vm's block executor runs it in every interpreted frame from
+// load time on, and once a method's hotness counter crosses the promotion
+// threshold the same executor runs the promoted unit (the lowering plus
+// inline sites, entered through OSR mid-loop as well).
 //
 // The package owns three things:
 //
@@ -35,8 +36,8 @@ import (
 type Engine uint8
 
 const (
-	// EngineInterp runs everything through the interpreter's dispatch
-	// loops — the pre-tier behaviour, and the default.
+	// EngineInterp never promotes: every frame runs its method's
+	// lowering, or the instrumented loop — the default.
 	EngineInterp Engine = iota
 	// EngineJIT promotes hot bytecode methods to compiled trace units at
 	// the configured threshold. Frames still deoptimize to the

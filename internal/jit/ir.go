@@ -244,6 +244,11 @@ type Block struct {
 	// whole-activation plans (Unit.Leaf, StaticPlan) refuse such blocks.
 	Traps bool
 	Flat  []Op
+	// OpFree counts the instructions of the block's pure chunks that
+	// lowered to no op of their own (folded into a neighbour's op or the
+	// terminator's operands). The executor tallies it per batch it
+	// charges; the tally of interpreted frames is Stats.SuperinstrPairs.
+	OpFree int32
 	// LoopBody marks the canonical counted-loop shape — this block is a
 	// batchable header whose conditional branch falls through to a
 	// batchable body block that jumps straight back here — and holds the
@@ -295,6 +300,9 @@ type StaticPlan struct {
 	// count of the whole activation (entry + (Trip+1) headers + Trip
 	// bodies + exit, terminators included).
 	Trip, Total int64
+	// OpFree is the activation's op-free instruction tally: the blocks'
+	// OpFree, each counted as often as the block runs.
+	OpFree int64
 	// Ret describes the Ireturn operand (HasRet false for a void return).
 	HasRet    bool
 	RetImm    bool

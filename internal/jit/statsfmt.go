@@ -6,19 +6,20 @@ import (
 )
 
 // RenderTier2 formats the tier-2 portion of a stats snapshot — the
-// aggregate inlining/OSR/op-free-instruction counters and the per-method
-// rows — for the CLIs' -tierstats views. Every line is prefixed with
+// aggregate inlining/OSR counters, the op-free instructions interpreted
+// frames ran in batches, and the per-method rows — for the CLIs'
+// -tierstats views. Every line is prefixed with
 // indent. Methods with no tier-2 activity are absent from PerMethod, so
 // the table shows exactly where the tier-2 wins (or their absence) come
 // from; an empty string means the run had no tier-2 activity at all.
 func (s *Stats) RenderTier2(indent string) string {
 	var out strings.Builder
 	if s.InlinedSites+s.InlinedCalls+s.OSREntries+s.SuperinstrPairs > 0 {
-		fmt.Fprintf(&out, "%stier-2: %d inline sites, %d inlined calls, %d OSR entries, %d op-free batched instructions\n",
+		fmt.Fprintf(&out, "%stier-2: %d inline sites, %d inlined calls, %d OSR entries, %d op-free instructions in interpreted batches\n",
 			indent, s.InlinedSites, s.InlinedCalls, s.OSREntries, s.SuperinstrPairs)
 	}
 	if len(s.PerMethod) > 0 {
-		fmt.Fprintf(&out, "%stier-2 per method (sites / inlined calls / OSR entries / op-free batched instrs / static op-free share):\n", indent)
+		fmt.Fprintf(&out, "%stier-2 per method (sites / inlined calls / OSR entries / op-free interpreted instrs / lowering op-free share):\n", indent)
 		for _, m := range s.PerMethod {
 			fmt.Fprintf(&out, "%s  %-44s %3d sites %10d inlined %6d osr %12d op-free  share %s\n",
 				indent, m.Method, m.InlineSites, m.InlinedCalls, m.OSREntries, m.SuperPairs, m.FusionCoverage())
@@ -27,10 +28,10 @@ func (s *Stats) RenderTier2(indent string) string {
 	return out.String()
 }
 
-// FusionCoverage renders the static op-free share: the fraction of the
-// instructions in the method's batchable pure chunks that the lowering
-// folded into other instructions' ops, or "-" for methods with no such
-// chunks.
+// FusionCoverage renders the lowering's static op-free share: the
+// fraction of the instructions in the method's pure chunks that the
+// lowering folded into other instructions' ops, or "-" for methods with
+// no pure chunk.
 func (m *MethodStats) FusionCoverage() string {
 	if m.StraightInstrs <= 0 {
 		return "-"

@@ -78,8 +78,8 @@ func (p *Pins) Check(res *core.RunResult) error {
 // CanonicalOptions are the VM options pins are recorded and verified
 // under: the interpreter engine with default options on the step-by-step
 // instrumented loop — the reference semantics every other engine's
-// byte-identity contract points back to. The fast loop runs the jit's
-// lowering, so only the instrumented loop is independent of it.
+// byte-identity contract points back to. Every other frame runs the
+// jit's lowering, so only the instrumented loop is independent of it.
 func CanonicalOptions() vm.Options {
 	o := vm.DefaultOptions()
 	o.ForceInstrumentedLoop = true

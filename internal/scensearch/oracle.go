@@ -30,8 +30,8 @@ type leg struct {
 
 // searchOptions are the canonical options with the promotion thresholds
 // lowered so the jit and auto legs actually compile inside the small
-// workloads the mutation grammar emits, and with the fast loop selected:
-// each leg that wants the instrumented loop asks for it.
+// workloads the mutation grammar emits, and with the block executor
+// selected: each leg that wants the instrumented loop asks for it.
 func searchOptions() vm.Options {
 	o := scenarios.CanonicalOptions()
 	o.JITThreshold = 4
@@ -44,8 +44,8 @@ func searchOptions() vm.Options {
 var oracles = []oracle{
 	{
 		name: "engines",
-		// The baseline leg is the step-by-step loop: the fast loop and
-		// the compiled tier execute the same lowering, so a lowering
+		// The baseline leg is the step-by-step loop: interpreted and
+		// compiled frames execute the same lowering, so a lowering
 		// defect shows in both and only this leg stays independent.
 		legs: []leg{
 			{"interp", func(o *vm.Options) { o.Tier = jit.EngineInterp; o.ForceInstrumentedLoop = true }},

@@ -14,8 +14,8 @@ import (
 )
 
 // loopClass assembles sum(n): a tight arithmetic loop dominated by a
-// single straight-line run plus its back-edge — the fast loop's batched
-// best case.
+// single straight-line run plus its back-edge — the block executor's
+// fused-loop best case.
 func loopClass(b *testing.B) *classfile.Class {
 	b.Helper()
 	a := bytecode.NewAssembler()

@@ -133,7 +133,7 @@ func (v *VM) GCCycles() uint64 {
 // the allocation site (the method and code offset of the allocating
 // instruction); native-side allocations pass nil/-1 with sp < 0.
 //
-// Every engine (fast loop, instrumented loop, compiled tier) funnels
+// Every executor (block executor, instrumented loop) funnels
 // through here at the same bytecode boundaries with identical heap and
 // frame state, which is what keeps collection points, pause costs and
 // survivor sets byte-identical across engines.

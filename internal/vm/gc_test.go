@@ -101,8 +101,8 @@ func gcOptions() Options {
 }
 
 // TestGCCrossEngineIdentity is the generational heap's byte-identity
-// contract: with collections running constantly, the fast loop, the
-// instrumented loop and the compiled tier agree on every observable —
+// contract: with collections running constantly, interpreted frames on
+// the block executor, the instrumented loop and the compiled tier agree on every observable —
 // results, cycle counters, instruction counts, ground truth (GC cycles
 // included) and the full collection ledger.
 func TestGCCrossEngineIdentity(t *testing.T) {

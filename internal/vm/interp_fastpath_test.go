@@ -9,10 +9,11 @@ import (
 	"repro/internal/jit"
 )
 
-// The fast and instrumented dispatch loops must be observably identical.
-// These tests run the same programs under both (Options.
-// ForceInstrumentedLoop selects the instrumented loop even without a
-// tracer or sampler) and compare every piece of state the engine exposes.
+// Interpreted frames on the block executor and the instrumented loop
+// must be observably identical. These tests run the same programs under
+// both (Options.ForceInstrumentedLoop selects the instrumented loop even
+// without a tracer or sampler) and compare every piece of state the
+// engine exposes.
 
 // runBoth executes method m (class cls) with the given args on two fresh
 // VMs, one per dispatch loop, and compares result, error, cycle counter,
@@ -25,7 +26,8 @@ func runBoth(t *testing.T, opts Options, cls *classfile.Class, method, desc stri
 }
 
 // runLoops is runBoth with a hook that adjusts each VM after loading
-// (nil for none); it also returns the fast-loop VM for its tier stats.
+// (nil for none); it also returns the block-executor VM for its tier
+// stats.
 func runLoops(t *testing.T, opts Options, cls *classfile.Class, prep func(*VM),
 	method, desc string, args ...int64) (int64, error, *VM) {
 	t.Helper()
@@ -60,7 +62,7 @@ func runLoops(t *testing.T, opts Options, cls *classfile.Class, prep func(*VM),
 		fast.instrs != slow.instrs ||
 		fast.bc != slow.bc || fast.nat != slow.nat || fast.o != slow.o ||
 		fast.budget != slow.budget {
-		t.Fatalf("fast loop diverged from instrumented loop:\nfast: %+v\nslow: %+v", fast, slow)
+		t.Fatalf("block executor diverged from instrumented loop:\nfast: %+v\nslow: %+v", fast, slow)
 	}
 	if fast.err != nil && slow.err != nil && fast.err.Error() != slow.err.Error() {
 		t.Fatalf("error text diverged: fast %q, slow %q", fast.err, slow.err)
@@ -508,20 +510,20 @@ func TestFastLoopMatchesInstrumentedQuanta(t *testing.T) {
 		}
 		_, _, fv := runLoops(t, DefaultOptions(), cls, nil, name, "(J)J", 25)
 		if fv.TierStats().SuperinstrPairs == 0 {
-			t.Fatalf("%s: the fast loop batched no straight-line code", name)
+			t.Fatalf("%s: interpreted frames batched no straight-line code", name)
 		}
 	}
 }
 
 // TestFastLoopMatchesInstrumentedWithoutLowering: a method whose lowering
-// failed has no batches; the fast loop steps it per instruction, and the
-// template tier pins it to the interpreter.
+// failed has nothing for the block executor to run, so its interpreted
+// frames fall back to the instrumented loop — no batches, no compiled
+// frames — and promotion pins it to the interpreter.
 func TestFastLoopMatchesInstrumentedWithoutLowering(t *testing.T) {
 	unlower := func(v *VM) {
 		for _, c := range v.classes {
 			for _, m := range c.methods {
-				m.lowered, m.runs = nil, nil
-				clear(m.runAt)
+				m.lowered = nil
 			}
 		}
 	}
@@ -532,20 +534,23 @@ func TestFastLoopMatchesInstrumentedWithoutLowering(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tier := range []jit.Engine{jit.EngineInterp, jit.EngineJIT} {
-			opts := DefaultOptions()
-			opts.Tier = tier
-			opts.Quantum = 5
-			opts.OSRThreshold = 1 // the jit leg tries to promote at once
-			got, err, fv := runLoops(t, opts, cls, unlower, name, "(J)J", 25)
-			if err != nil || got != want {
-				t.Fatalf("%s %s: %d, %v; want %d", name, tier, got, err, want)
-			}
-			st := fv.TierStats()
-			if st.SuperinstrPairs != 0 || st.CompiledFrames != 0 {
-				t.Fatalf("%s %s: ran lowered code without a lowering: %+v", name, tier, st)
-			}
-			if tier == jit.EngineJIT && st.CompileFailures == 0 {
-				t.Fatalf("%s: promotion of an unlowered method did not fail", name)
+			for _, q := range []int{5, DefaultOptions().Quantum} {
+				opts := DefaultOptions()
+				opts.Tier = tier
+				opts.Quantum = q
+				opts.CompileThreshold = 1 // the jit leg tries to promote at once
+				opts.OSRThreshold = 1
+				got, err, fv := runLoops(t, opts, cls, unlower, name, "(J)J", 25)
+				if err != nil || got != want {
+					t.Fatalf("%s %s quantum %d: %d, %v; want %d", name, tier, q, got, err, want)
+				}
+				st := fv.TierStats()
+				if st.SuperinstrPairs != 0 || st.CompiledFrames != 0 || st.OSREntries != 0 {
+					t.Fatalf("%s %s quantum %d: ran lowered code without a lowering: %+v", name, tier, q, st)
+				}
+				if tier == jit.EngineJIT && st.CompileFailures == 0 {
+					t.Fatalf("%s: promotion of an unlowered method did not fail", name)
+				}
 			}
 		}
 	}

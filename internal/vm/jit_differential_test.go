@@ -102,7 +102,8 @@ func mustClass(t *testing.T, name string, methods ...*classfile.Method) *classfi
 // TestJITDifferentialRandomPrograms is the property half of the tier's
 // differential contract: random straight-line arithmetic programs produce
 // identical results, cycles, ground truth and instruction counts on the
-// instrumented loop, the fast loop, and compiled units.
+// instrumented loop, interpreted frames on the block executor, and
+// compiled units.
 func TestJITDifferentialRandomPrograms(t *testing.T) {
 	f := func(seed int64) bool {
 		m, want, err := genProgram(seed)
@@ -149,7 +150,7 @@ func genLoopProgram(seed int64) (*classfile.Method, error) {
 
 // genOSRLoopProgram is genLoopProgram with iteration counts chosen to
 // cross the backward-branch OSR threshold (default 64) inside a single
-// invocation: the activation starts on the fast loop and must finish on
+// invocation: the activation starts interpreted and must finish on
 // a compiled unit entered at the loop header, mid-iteration, with the
 // locals and the pending deferred accounting carried across. Its bodies
 // always have the handler, so a trap cannot end the loop before the

@@ -15,7 +15,10 @@ import (
 // promotion can never fire for osr — crossing the backward-branch
 // threshold mid-loop is the only route into compiled code, which makes
 // every compiled frame in these tests an OSR entry with an inlined
-// callee that can perturb the VM from the inside.
+// callee that can perturb the VM from the inside. fused(x) is the
+// fused LoopBody shape instead — 50 rounds of x = x*31+7 with no call —
+// which is also a StaticPlan kernel; only TestJITOSRExactThreshold runs
+// it.
 func buildOSRDriver(t *testing.T) *classfile.Class {
 	t.Helper()
 	k := bytecode.NewAssembler()
@@ -51,6 +54,28 @@ func buildOSRDriver(t *testing.T) *classfile.Class {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := bytecode.NewAssembler()
+	f.Const(50)
+	f.Store(1)
+	ftop, fend := f.NewLabel(), f.NewLabel()
+	f.Bind(ftop)
+	f.Load(1)
+	f.Ifle(fend)
+	f.Load(0)
+	f.Const(31)
+	f.Mul()
+	f.Const(7)
+	f.Add()
+	f.Store(0)
+	f.Inc(1, -1)
+	f.Goto(ftop)
+	f.Bind(fend)
+	f.Load(0)
+	f.IReturn()
+	fused, err := f.FinishMethod("fused", "(J)J", classfile.AccPublic|classfile.AccStatic, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hook := &classfile.Method{
 		Name: "hook", Desc: "()V",
 		Flags: classfile.AccPublic | classfile.AccStatic | classfile.AccNative,
@@ -63,7 +88,7 @@ func buildOSRDriver(t *testing.T) *classfile.Class {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls := &classfile.Class{Name: "p/O", Methods: []*classfile.Method{mainM, osr, kernel, hook}}
+	cls := &classfile.Class{Name: "p/O", Methods: []*classfile.Method{mainM, osr, kernel, hook, fused}}
 	if err := cls.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +101,18 @@ func buildOSRDriver(t *testing.T) *classfile.Class {
 func runOSRDriver(t *testing.T, engine jit.Engine, force bool, fnCall int, fn func(v *VM)) (runOutcome, *VM) {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.JITThreshold = 4
-	opts.CompileThreshold = 3
 	opts.Tier = engine
 	opts.ForceInstrumentedLoop = force
+	return runOSRWith(t, opts, "main", fnCall, fn)
+}
+
+// runOSRWith is runOSRDriver with the options (JITThreshold and
+// CompileThreshold are set to the driver's 4 and 3) and the entry method
+// given.
+func runOSRWith(t *testing.T, opts Options, entry string, fnCall int, fn func(v *VM)) (runOutcome, *VM) {
+	t.Helper()
+	opts.JITThreshold = 4
+	opts.CompileThreshold = 3
 	v := New(opts)
 	if err := v.LoadClasses([]*classfile.Class{buildOSRDriver(t).Clone()}); err != nil {
 		t.Fatal(err)
@@ -94,7 +127,7 @@ func runOSRDriver(t *testing.T, engine jit.Engine, force bool, fnCall int, fn fu
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := v.Run("p/O", "main", "(J)J", 5)
+	res, err := v.Run("p/O", entry, "(J)J", 5)
 	var o runOutcome
 	o.result = res
 	if err != nil {
@@ -151,6 +184,59 @@ func TestJITOSRPromotesMidIteration(t *testing.T) {
 	}
 	if osrRow == nil || osrRow.OSREntries == 0 {
 		t.Fatalf("per-method stats missing the OSR entry: %+v", st.PerMethod)
+	}
+}
+
+// TestJITOSRExactThreshold pins on-stack replacement to the exact
+// back-edge. An interpreted frame counts every taken back-edge — of a
+// plain branch loop (osr, whose body calls out) and of the fused
+// LoopBody shape (fused, a StaticPlan kernel as well) — and enters the
+// promoted unit at the OSRThreshold-th one, so the loop method's edge
+// count stops exactly at the threshold; below it every edge counts and no
+// OSR happens. Observables equal the instrumented loop's, and the tier
+// counters are pinned to the values the earlier per-instruction
+// interpreter loop produced for the same runs.
+func TestJITOSRExactThreshold(t *testing.T) {
+	cases := []struct {
+		entry, loop string
+		edges       uint64 // taken back-edges of the loop in one run
+		threshold   uint64
+		// OSREntries, CompiledFrames and InlinedCalls of the jit run.
+		osr, frames, inlined uint64
+	}{
+		{"main", "osr", 300, 1, 1, 300, 299},
+		{"main", "osr", 300, 2, 1, 299, 298},
+		{"main", "osr", 300, 64, 1, 299, 236},
+		{"main", "osr", 300, 300, 1, 299, 0},
+		{"main", "osr", 300, 301, 0, 298, 0},
+		{"fused", "fused", 50, 1, 1, 1, 0},
+		{"fused", "fused", 50, 7, 1, 1, 0},
+		{"fused", "fused", 50, 50, 1, 1, 0},
+		{"fused", "fused", 50, 51, 0, 0, 0},
+	}
+	for _, c := range cases {
+		opts := DefaultOptions()
+		opts.OSRThreshold = c.threshold
+		instOpts := opts
+		instOpts.ForceInstrumentedLoop = true
+		inst, _ := runOSRWith(t, instOpts, c.entry, 0, nil)
+		opts.Tier = jit.EngineJIT
+		got, jv := runOSRWith(t, opts, c.entry, 0, nil)
+		if got != inst {
+			t.Fatalf("%s threshold %d: jit %+v != instrumented %+v", c.loop, c.threshold, got, inst)
+		}
+		cls, err := jv.Class("p/O")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, want := cls.Method(c.loop, "(J)J").osrEdges, min(c.threshold, c.edges); e != want {
+			t.Errorf("%s threshold %d: %d back-edges counted, want %d", c.loop, c.threshold, e, want)
+		}
+		st := jv.TierStats()
+		if st.OSREntries != c.osr || st.CompiledFrames != c.frames || st.InlinedCalls != c.inlined {
+			t.Errorf("%s threshold %d: OSR entries %d, compiled frames %d, inlined calls %d; want %d, %d, %d",
+				c.loop, c.threshold, st.OSREntries, st.CompiledFrames, st.InlinedCalls, c.osr, c.frames, c.inlined)
+		}
 	}
 }
 

@@ -142,7 +142,8 @@ func runWithHook(t *testing.T, engine jit.Engine, force bool, fn func(v *VM)) (r
 }
 
 // assertEnginesAgree runs the hook program under the instrumented loop,
-// the fast loop and the jit tier and fails on any observable divergence.
+// the interp engine's block executor and the jit tier and fails on any
+// observable divergence.
 // It returns the jit VM for tier-state assertions.
 func assertEnginesAgree(t *testing.T, fn func(v *VM)) *VM {
 	t.Helper()

@@ -7,44 +7,61 @@ import (
 	"repro/internal/jit"
 )
 
-// runCompiled executes one method activation on its compiled trace unit.
+// runCompiled executes one method activation on the block executor:
+// lowering selects the method's load-time lowering (an interpreted frame)
+// over its promoted unit.
 //
-// Observational contract: the compiled tier reproduces the fast loop's
-// deferred-accounting discipline exactly. Per-instruction accounting
-// (cycle charge, ground truth, instruction count, yield budget) is pure
-// arithmetic here too, accumulated in locals and published via
-// flushInterp only where an observer could look — before invokes, at
-// yield points, on every exit. A pure chunk is charged as one batch only
-// when the yield budget strictly exceeds its length; otherwise the chunk
-// re-executes from the original bytecode one instruction at a time, so
-// every yield lands on exactly the instruction boundary the interpreter
-// would use. Effects and terminators charge singly, in the interpreter's
-// order (count, yield check, then execute). A batch may also hold
-// trapping ops (array access, div/rem); when one traps, the executor
-// un-charges the rest of the block and dispatches the handler (see the
-// trap exit after the block loop). Since a quantum boundary
-// therefore falls after exactly the same instruction in every engine,
-// multi-threaded interleavings — and with them every downstream
-// observable — are byte-identical.
+// Observational contract: the executor reproduces the instrumented
+// loop's per-instruction accounting exactly. That accounting (cycle
+// charge, ground truth, instruction count, yield budget) is pure
+// arithmetic here, accumulated in locals and published via flushInterp
+// only where an observer could look — before invokes, at yield points, on
+// every exit. A pure chunk is charged as one batch only when the yield
+// budget strictly exceeds its length; otherwise the chunk re-executes
+// from the original bytecode one instruction at a time, so every yield
+// lands on exactly the instruction boundary the instrumented loop would
+// use. Effects and terminators charge singly, in that loop's order
+// (count, yield check, then execute). A batch may also hold trapping ops
+// (array access, div/rem); when one traps, the executor un-charges the
+// rest of the block and dispatches the handler (see the trap exit after
+// the block loop). Since a quantum boundary therefore falls after
+// exactly the same instruction in every engine, multi-threaded
+// interleavings — and with them every downstream observable — are
+// byte-identical.
 //
-// Deoptimization: after every invoke the executor re-checks the world.
-// If a tracer appeared, method events de-optimized the VM, or a class
-// load bumped the relink epoch, the remaining activation deopts to the
-// instrumented interpreter at the exact bytecode boundary — the frame
-// layout is the interpreter's own (the lowering keeps every chunk
-// boundary canonical), so the handoff is a pair of slice views, not a
-// state reconstruction.
-func (t *Thread) runCompiled(m *Method, u *jit.Unit, fr, locals, stack []int64) (int64, error) {
-	cost := t.vm.opts.CostInterp
+// Interpreted and promoted frames differ only in their tier bookkeeping.
+// A promoted frame counts as a compiled frame, and after every invoke it
+// re-checks the world: if a tracer appeared, method events de-optimized
+// the VM, or a class load bumped the relink epoch, the rest of the
+// activation deopts to the instrumented loop at the exact bytecode
+// boundary — the frame layout is the interpreter's own (the lowering
+// keeps every chunk boundary canonical), so the handoff is a pair of
+// slice views, not a state reconstruction. An interpreted frame never
+// deopts mid-frame (its lowering has no inline sites and depends on no
+// link state); it tallies its batches' op-free instructions, and under a
+// promoting engine it counts taken back-edges toward on-stack
+// replacement.
+func (t *Thread) runCompiled(m *Method, u *jit.Unit, fr, locals, stack []int64, lowering bool) (int64, error) {
+	v := t.vm
+	cost := v.opts.CostInterp
 	if m.compiled {
-		cost = t.vm.opts.CostCompiled
+		cost = v.opts.CostCompiled
 	}
-	if p := u.Static; p != nil {
+	// A static plan runs the whole loop without counting its back-edges,
+	// so a frame armed for OSR runs block by block.
+	osr := lowering && v.opts.Tier != jit.EngineInterp && !v.jitDisabled
+	if p := u.Static; p != nil && !osr {
 		if budget := t.budget; int64(budget) > p.Total {
-			return t.runStatic(p, fr, cost, budget), nil
+			ret := t.runStatic(p, fr, cost, budget)
+			if lowering {
+				m.superExec += uint64(p.OpFree)
+			} else {
+				v.tierFrames++
+			}
+			return ret, nil
 		}
 	}
-	return t.runCompiledFrom(m, u, fr, locals, stack, 0, cost)
+	return t.runCompiledFrom(m, u, fr, locals, stack, 0, cost, lowering, osr)
 }
 
 // runStatic executes a whole counted-kernel activation per its compile-
@@ -66,7 +83,6 @@ func (t *Thread) runStatic(p *jit.StaticPlan, fr []int64, cost uint64, budget in
 		}
 	}
 	t.flushInterp(uint64(p.Total), cost, budget-int(p.Total))
-	t.vm.tierFrames++
 	return ret
 }
 
@@ -99,21 +115,33 @@ func runStaticBody(fr []int64, ops []jit.Op, trip int64) {
 // frame-entry cost supplied by the caller — the entry point shared by
 // normal frame entry (block 0), on-stack replacement (the loop-header
 // block, with the cost the interpreted frame captured at entry), and
-// inline-expanded calls (block 0 of the callee's private unit).
-func (t *Thread) runCompiledFrom(m *Method, u *jit.Unit, fr, locals, stack []int64, bi int32, cost uint64) (int64, error) {
+// inline-expanded calls (block 0 of the callee's private unit). osr arms
+// an interpreted frame's back-edge counting (see runCompiled).
+func (t *Thread) runCompiledFrom(m *Method, u *jit.Unit, fr, locals, stack []int64, bi int32, cost uint64,
+	lowering, osr bool) (int64, error) {
 	v := t.vm
 	opts := &v.opts
 	heap := v.Heap
 	quantum := opts.Quantum
 	ml := u.MaxLocals
 	startEpoch := v.tier.Epoch()
-	v.tierFrames++
+	var osrThresh uint64
+	if osr {
+		osrThresh = v.osrThresholdEffective()
+	}
+	if !lowering {
+		v.tierFrames++
+	}
 
 	var done uint64 // instructions executed since the last flush
+	var free uint64 // op-free instructions of the batches charged
 	budget := t.budget
-	// A batch whose op traps leaves the block loop with the block and
-	// the op's index here; the handler dispatch after the loop re-enters
-	// it.
+	// Every exit but a deopt or OSR handoff leaves the block loop with the
+	// activation's outcome here, so the deferred accounting flushes in one
+	// place. A batch whose op traps leaves it with the block and the op's
+	// index instead; the handler dispatch after the loop re-enters it.
+	var ret int64
+	var fail error
 	var trapB *jit.Block
 	var trapK int
 
@@ -121,399 +149,250 @@ blocks:
 	for {
 		b := &u.Blocks[bi]
 		// Fused loop fast path: the canonical header/body pair iterates
-		// here without per-iteration block dispatch. Charges and budget
-		// guards are exactly the per-block batch discipline, applied to
-		// header and body in turn, so accounting and yield boundaries
-		// are unchanged; any short budget drops back to the general
-		// paths at the right block.
-		if b.LoopBody >= 0 {
+		// without per-iteration block dispatch (see fusedLoop). A frame
+		// armed for OSR runs the pair block by block instead, so every
+		// iteration's back-edge passes the taken-branch check below.
+		if b.LoopBody >= 0 && !osr {
 			body := &u.Blocks[b.LoopBody]
-			hn, bn := int(b.NInstr), int(body.NInstr)
-			tm := &b.Term
-			// Specialized counted-loop kernels: a bare single-compare
-			// header over a two-op body covers the canonical generated
-			// loops (accumulate-and-decrement, multiply-add-and-step).
-			// Same charges, same budget guards, same exit edges as the
-			// generic fused loop below — just with the ops unrolled into
-			// straight-line Go so the per-iteration dispatch disappears.
-			// A short budget or an unmatched shape falls through; the
-			// generic loop's entry guard decides from there.
-			if len(b.Flat) == 0 && tm.Kind == jit.TermBr1 && !tm.AImm && len(body.Flat) == 2 {
-				o1, o2 := &body.Flat[0], &body.Flat[1]
-				cnd := bytecode.Op(tm.Cond)
-				ts := tm.A
-				if o1.Kind == jit.KAddSS && o2.Kind == jit.KAddSI {
-					d1, a1, b1 := o1.Dst, o1.A, o1.B
-					d2, a2, i2 := o2.Dst, o2.A, o2.Imm
-					for budget > hn {
-						done += uint64(hn)
-						budget -= hn
-						if cond1(cnd, fr[ts]) {
-							bi = tm.Target
-							continue blocks
-						}
-						if budget <= bn {
-							bi = tm.Next
-							continue blocks
-						}
-						done += uint64(bn)
-						budget -= bn
-						fr[d1] = fr[a1] + fr[b1]
-						fr[d2] = fr[a2] + i2
-					}
-				} else if o1.Kind == jit.KMulAddSII && o2.Kind == jit.KAddSI {
-					d1, a1, m1, c1 := o1.Dst, o1.A, o1.Imm, o1.Imm2
-					d2, a2, i2 := o2.Dst, o2.A, o2.Imm
-					for budget > hn {
-						done += uint64(hn)
-						budget -= hn
-						if cond1(cnd, fr[ts]) {
-							bi = tm.Target
-							continue blocks
-						}
-						if budget <= bn {
-							bi = tm.Next
-							continue blocks
-						}
-						done += uint64(bn)
-						budget -= bn
-						fr[d1] = fr[a1]*m1 + c1
-						fr[d2] = fr[a2] + i2
-					}
-				}
+			left := budget
+			nb, rest, tb, tk := fusedLoop(heap, fr, b, body, budget)
+			d := left - rest
+			budget = rest
+			done += uint64(d)
+			// Only interpreted frames report their tally, and the tally's
+			// division would cost promoted frames a few percent.
+			if lowering {
+				free += loopOpFree(b, body, d)
 			}
-			for budget > hn {
-				done += uint64(hn)
-				budget -= hn
-				if len(b.Flat) > 0 {
-					if k := runOps(heap, fr, b.Flat); k >= 0 {
-						trapB, trapK = b, k
-						break blocks
-					}
-				}
-				var taken bool
-				if tm.Kind == jit.TermBr1 {
-					a := tm.ImmA
-					if !tm.AImm {
-						a = fr[tm.A]
-					}
-					taken = cond1(bytecode.Op(tm.Cond), a)
-				} else {
-					a, bb2 := tm.ImmA, tm.ImmB
-					if !tm.AImm {
-						a = fr[tm.A]
-					}
-					if !tm.BImm {
-						bb2 = fr[tm.B]
-					}
-					taken = cond2(bytecode.Op(tm.Cond), a, bb2)
-				}
-				if taken { // loop exit edge
-					bi = tm.Target
-					continue blocks
-				}
-				if budget <= bn { // yield boundary inside the body
-					bi = tm.Next
-					continue blocks
-				}
-				done += uint64(bn)
-				budget -= bn
-				// bn includes the back-edge goto's charge.
-				if k := runOps(heap, fr, body.Flat); k >= 0 {
-					trapB, trapK = body, k
-					break blocks
-				}
+			if tb != nil {
+				trapB, trapK = tb, tk
+				break blocks
+			}
+			if nb >= 0 {
+				bi = nb
+				continue
 			}
 			// Budget short at the header: fall through to the general
 			// handling of this block (its batch guard fails the same way).
 		}
-		// Block batch fast path: a block with only pure chunks is charged
-		// whole — terminator included — and its flattened ops run with no
-		// per-chunk bookkeeping. The strict budget guard keeps every
-		// yield on the interpreter's exact instruction boundary: a short
-		// budget drops to the general per-chunk path below.
+		tm := &b.Term
 		if b.CanBatch && budget > int(b.NInstr) {
+			// Block batch fast path: a block with only pure and may-trap
+			// chunks is charged whole — terminator included — and its
+			// flattened ops run with no per-chunk bookkeeping. The strict
+			// budget guard keeps every yield on the exact instruction
+			// boundary: a short budget drops to the per-chunk path below.
 			done += uint64(b.NInstr)
 			budget -= int(b.NInstr)
+			free += uint64(b.OpFree)
 			if len(b.Flat) > 0 {
 				if k := runOps(heap, fr, b.Flat); k >= 0 {
 					trapB, trapK = b, k
 					break blocks
 				}
 			}
-			tm := &b.Term
-			switch tm.Kind {
-			case jit.TermGoto:
-				bi = tm.Target
-				continue
-			case jit.TermBr1:
-				a := tm.ImmA
-				if !tm.AImm {
-					a = fr[tm.A]
-				}
-				if cond1(bytecode.Op(tm.Cond), a) {
-					bi = tm.Target
-					continue
-				}
-			case jit.TermBr2:
-				a, bb2 := tm.ImmA, tm.ImmB
-				if !tm.AImm {
-					a = fr[tm.A]
-				}
-				if !tm.BImm {
-					bb2 = fr[tm.B]
-				}
-				if cond2(bytecode.Op(tm.Cond), a, bb2) {
-					bi = tm.Target
-					continue
-				}
-			case jit.TermFall:
-				if tm.Next < 0 {
-					t.flushInterp(done, cost, budget)
-					return 0, fmt.Errorf("vm: %s: fell off end of code", m.FullName())
-				}
-				bi = tm.Next
-				continue
-			case jit.TermReturn:
-				t.flushInterp(done, cost, budget)
-				return 0, nil
-			case jit.TermIreturn:
-				val := tm.ImmA
-				if !tm.AImm {
-					val = fr[tm.A]
-				}
-				t.flushInterp(done, cost, budget)
-				return val, nil
-			case jit.TermThrow:
-				val := tm.ImmA
-				if !tm.AImm {
-					val = fr[tm.A]
-				}
-				nb, r, err := t.throwAt(m, u, locals, stack, int(tm.Idx), Throw(val, ""), done, budget, cost)
-				if nb < 0 {
-					return r, err
-				}
-				bi = nb
-				continue
-			}
-			// Conditional branch fell through.
-			if tm.Next < 0 {
-				t.flushInterp(done, cost, budget)
-				return 0, fmt.Errorf("vm: %s: fell off end of code", m.FullName())
-			}
-			bi = tm.Next
-			continue
-		}
-		for ci := range b.Chunks {
-			ch := &b.Chunks[ci]
-			if ch.Pure {
-				n := int(ch.N)
-				if budget > n {
-					done += uint64(n)
-					budget -= n
-					// Single-op chunks — the bulk of the pure code between
-					// effects — execute inline; the kinds spelled out here
-					// cover what the lowering emits for them (moves and the
-					// add forms), everything else takes the general loop.
-					if len(ch.Ops) == 1 {
-						op := &ch.Ops[0]
-						switch op.Kind {
-						case jit.KMov:
-							fr[op.Dst] = fr[op.A]
-						case jit.KMovI:
-							fr[op.Dst] = op.Imm
-						case jit.KAddSS:
-							fr[op.Dst] = fr[op.A] + fr[op.B]
-						case jit.KAddSI:
-							fr[op.Dst] = fr[op.A] + op.Imm
-						case jit.KMulAddSII:
-							fr[op.Dst] = fr[op.A]*op.Imm + op.Imm2
-						default:
+		} else {
+			for ci := range b.Chunks {
+				ch := &b.Chunks[ci]
+				if ch.Pure {
+					n := int(ch.N)
+					if budget > n {
+						done += uint64(n)
+						budget -= n
+						free += uint64(n - len(ch.Ops))
+						// Single-op chunks — the bulk of the pure code
+						// between effects — execute inline; the kinds
+						// spelled out here cover what the lowering emits
+						// for them (moves and the add forms), everything
+						// else takes the general loop.
+						if len(ch.Ops) == 1 {
+							op := &ch.Ops[0]
+							switch op.Kind {
+							case jit.KMov:
+								fr[op.Dst] = fr[op.A]
+							case jit.KMovI:
+								fr[op.Dst] = op.Imm
+							case jit.KAddSS:
+								fr[op.Dst] = fr[op.A] + fr[op.B]
+							case jit.KAddSI:
+								fr[op.Dst] = fr[op.A] + op.Imm
+							case jit.KMulAddSII:
+								fr[op.Dst] = fr[op.A]*op.Imm + op.Imm2
+							default:
+								runOps(nil, fr, ch.Ops)
+							}
+						} else if len(ch.Ops) > 0 {
 							runOps(nil, fr, ch.Ops)
 						}
-					} else if len(ch.Ops) > 0 {
-						runOps(nil, fr, ch.Ops)
-					}
-				} else {
-					// A quantum boundary falls inside the chunk: step the
-					// original bytecode per instruction so the yield lands
-					// on the interpreter's exact boundary. The frame is
-					// canonical at chunk entry, and per-instruction
-					// execution leaves it canonical again.
-					v.tierFallbacks++
-					var err error
-					done, budget, err = t.stepPureRange(m, fr, int(ch.Start), n, int(ch.SP), done, budget, cost, quantum)
-					if err != nil {
-						return 0, err
-					}
-				}
-				continue
-			}
-
-			// Effect: one instruction, charged singly in the
-			// interpreter's order — count, yield check, execute. The
-			// yield records the effect's entry stack depth (the frame is
-			// canonical at chunk boundaries), matching the depth the
-			// interpreter's pre-instruction yield records.
-			eff := &ch.Eff
-			done++
-			budget--
-			if budget <= 0 {
-				t.flushInterp(done, cost, quantum)
-				done = 0
-				budget = quantum
-				t.yieldAt(int(eff.SP))
-			}
-			var thrown *Thrown
-			idx := int(eff.Idx)
-			base := ml + int(eff.SP)
-			switch eff.Kind {
-			case jit.EffTrap:
-				if runOps(heap, fr, ch.Ops) >= 0 {
-					thrown = trapThrown(heap, fr, &ch.Ops[0])
-				}
-			case jit.EffNewArray:
-				h, err := t.newArray(m, m.instrs[idx].Offset, fr[base-1], int(eff.SP)-1)
-				if err != nil {
-					if th, ok := AsThrown(err); ok {
-						thrown = th
 					} else {
-						t.flushInterp(done, cost, budget)
-						return 0, err
-					}
-				} else {
-					fr[base-1] = h
-				}
-			case jit.EffGetStatic:
-				p := m.refStatics[eff.Ref]
-				if p == nil {
-					resolved, err := v.resolveStatic(m.Def.Refs[eff.Ref])
-					if err != nil {
-						t.flushInterp(done, cost, budget)
-						return 0, fmt.Errorf("vm: %s at %d: %w", m.FullName(), m.instrs[idx].Offset, err)
-					}
-					p = resolved
-				}
-				fr[base] = *p
-			case jit.EffPutStatic:
-				p := m.refStatics[eff.Ref]
-				if p == nil {
-					resolved, err := v.resolveStatic(m.Def.Refs[eff.Ref])
-					if err != nil {
-						t.flushInterp(done, cost, budget)
-						return 0, fmt.Errorf("vm: %s at %d: %w", m.FullName(), m.instrs[idx].Offset, err)
-					}
-					p = resolved
-				}
-				*p = fr[base-1]
-			case jit.EffInvoke:
-				// The charge for the invoke instruction itself lands
-				// before the call, exactly as the interpreter orders it.
-				t.flushInterp(done, cost, budget)
-				done = 0
-				callee := m.refMethods[eff.Ref]
-				if callee == nil {
-					resolved, err := v.resolveMethod(m.Def.Refs[eff.Ref])
-					if err != nil {
-						return 0, fmt.Errorf("vm: %s at %d: %w", m.FullName(), m.instrs[idx].Offset, err)
-					}
-					callee = resolved
-				}
-				argBase := base - callee.argWords
-				t.setFrameSP(int(eff.SP) - callee.argWords)
-				var r int64
-				var err error
-				// Inline fast path: the lowering attached a compiled plan
-				// for this site's resolved callee. The Key re-check is the
-				// transitive half of relink invalidation — any resolution
-				// drift sends the call out of line — and an installed
-				// tracer or a de-optimized VM must take the generic invoke
-				// for its entry/exit events.
-				if si := eff.Inline; si >= 0 && v.tracer == nil && !v.jitDisabled &&
-					u.Inlines[si].Key == any(callee) {
-					site := &u.Inlines[si]
-					m.inlinedCalls++
-					r, err = t.invokeInline(callee, site,
-						fr[u.NumSlots:u.NumSlots+int(site.Slots)], fr[argBase:base])
-				} else {
-					r, err = t.invoke(callee, fr[argBase:base])
-				}
-				budget = t.budget // the callee shares the yield budget
-				sp := int(eff.SP) - callee.argWords
-				if err != nil {
-					if th, ok := AsThrown(err); ok {
-						thrown = th
-					} else {
-						return 0, err
-					}
-				} else if callee.returns {
-					fr[ml+sp] = r
-					sp++
-				}
-				// Mid-frame deoptimization: the callee may have installed
-				// a tracer, enabled method events, or loaded a class
-				// (stale relink epoch). Hand the rest of the activation
-				// to the instrumented interpreter at this exact boundary.
-				if v.tracer != nil || v.jitDisabled || v.tier.Epoch() != startEpoch {
-					v.tierDeopts++
-					if thrown != nil {
-						h := m.handlerIdx[idx]
-						if h < 0 {
-							t.flushInterp(done, cost, budget)
-							return 0, thrown
+						// A quantum boundary falls inside the chunk: step
+						// the original bytecode per instruction so the
+						// yield lands on the exact boundary. The frame is
+						// canonical at chunk entry, and per-instruction
+						// execution leaves it canonical again.
+						if !lowering {
+							v.tierFallbacks++
 						}
-						stack[0] = thrown.Value
-						return t.interpretInstrumentedFrom(m, locals, stack, int(h), 1, cost)
+						var err error
+						done, budget, err = t.stepPureRange(m, fr, int(ch.Start), n, int(ch.SP), done, budget, cost, quantum)
+						if err != nil {
+							fail = err
+							break blocks
+						}
 					}
+					continue
+				}
+
+				// Effect: one instruction, charged singly in the
+				// instrumented loop's order — count, yield check,
+				// execute. The yield records the effect's entry stack
+				// depth (the frame is canonical at chunk boundaries),
+				// matching the depth that loop's pre-instruction yield
+				// records.
+				eff := &ch.Eff
+				done++
+				budget--
+				if budget <= 0 {
+					t.flushInterp(done, cost, quantum)
+					done = 0
+					budget = quantum
+					t.yieldAt(int(eff.SP))
+				}
+				var thrown *Thrown
+				idx := int(eff.Idx)
+				base := ml + int(eff.SP)
+				switch eff.Kind {
+				case jit.EffTrap:
+					if runOps(heap, fr, ch.Ops) >= 0 {
+						thrown = trapThrown(heap, fr, &ch.Ops[0])
+					}
+				case jit.EffNewArray:
+					h, err := t.newArray(m, m.instrs[idx].Offset, fr[base-1], int(eff.SP)-1)
+					if err != nil {
+						th, ok := AsThrown(err)
+						if !ok {
+							fail = err
+							break blocks
+						}
+						thrown = th
+					} else {
+						fr[base-1] = h
+					}
+				case jit.EffGetStatic, jit.EffPutStatic:
+					p := m.refStatics[eff.Ref]
+					if p == nil {
+						resolved, err := v.resolveStatic(m.Def.Refs[eff.Ref])
+						if err != nil {
+							fail = fmt.Errorf("vm: %s at %d: %w", m.FullName(), m.instrs[idx].Offset, err)
+							break blocks
+						}
+						p = resolved
+					}
+					if eff.Kind == jit.EffGetStatic {
+						fr[base] = *p
+					} else {
+						*p = fr[base-1]
+					}
+				case jit.EffInvoke:
+					// The charge for the invoke instruction itself lands
+					// before the call, exactly as the instrumented loop
+					// orders it.
 					t.flushInterp(done, cost, budget)
-					return t.interpretInstrumentedFrom(m, locals, stack, idx+1, sp, cost)
+					done = 0
+					callee := m.refMethods[eff.Ref]
+					if callee == nil {
+						resolved, err := v.resolveMethod(m.Def.Refs[eff.Ref])
+						if err != nil {
+							fail = fmt.Errorf("vm: %s at %d: %w", m.FullName(), m.instrs[idx].Offset, err)
+							break blocks
+						}
+						callee = resolved
+					}
+					argBase := base - callee.argWords
+					t.setFrameSP(int(eff.SP) - callee.argWords)
+					var r int64
+					var err error
+					// Inline fast path: promotion attached a compiled plan
+					// for this site's resolved callee. The Key re-check is
+					// the transitive half of relink invalidation — any
+					// resolution drift sends the call out of line — and an
+					// installed tracer or a de-optimized VM must take the
+					// generic invoke for its entry/exit events.
+					if si := eff.Inline; si >= 0 && v.tracer == nil && !v.jitDisabled &&
+						u.Inlines[si].Key == any(callee) {
+						site := &u.Inlines[si]
+						m.inlinedCalls++
+						r, err = t.invokeInline(callee, site,
+							fr[u.NumSlots:u.NumSlots+int(site.Slots)], fr[argBase:base])
+					} else {
+						r, err = t.invoke(callee, fr[argBase:base])
+					}
+					budget = t.budget // the callee shares the yield budget
+					sp := int(eff.SP) - callee.argWords
+					if err != nil {
+						th, ok := AsThrown(err)
+						if !ok {
+							fail = err
+							break blocks
+						}
+						thrown = th
+					} else if callee.returns {
+						fr[ml+sp] = r
+						sp++
+					}
+					// Mid-frame deoptimization of a promoted frame: the
+					// callee may have installed a tracer, enabled method
+					// events, or loaded a class (stale relink epoch). Hand
+					// the rest of the activation to the instrumented loop
+					// at this exact boundary.
+					if !lowering && (v.tracer != nil || v.jitDisabled || v.tier.Epoch() != startEpoch) {
+						v.tierDeopts++
+						next := idx + 1
+						if thrown != nil {
+							h := m.handlerIdx[idx]
+							if h < 0 {
+								fail = thrown
+								break blocks
+							}
+							stack[0] = thrown.Value
+							next, sp = int(h), 1
+						}
+						t.flushInterp(done, cost, budget)
+						return t.interpretInstrumentedFrom(m, locals, stack, next, sp, cost)
+					}
+				}
+				if thrown != nil {
+					if bi = throwAt(m, u, stack, idx, thrown); bi < 0 {
+						fail = thrown
+						break blocks
+					}
+					continue blocks
 				}
 			}
-			if thrown != nil {
-				nb, r, err := t.throwAt(m, u, locals, stack, idx, thrown, done, budget, cost)
-				if nb < 0 {
-					return r, err
+
+			// Terminator, charged singly like an effect.
+			if tm.N > 0 {
+				done++
+				budget--
+				if budget <= 0 {
+					t.flushInterp(done, cost, quantum)
+					done = 0
+					budget = quantum
+					t.yieldAt(int(tm.SP))
 				}
-				bi = nb
-				continue blocks
 			}
 		}
 
-		// Terminator.
-		tm := &b.Term
-		if tm.N > 0 {
-			done++
-			budget--
-			if budget <= 0 {
-				t.flushInterp(done, cost, quantum)
-				done = 0
-				budget = quantum
-				t.yieldAt(int(tm.SP))
-			}
-		}
+		var taken bool
 		switch tm.Kind {
-		case jit.TermFall:
-			if tm.Next < 0 {
-				t.flushInterp(done, cost, budget)
-				return 0, fmt.Errorf("vm: %s: fell off end of code", m.FullName())
-			}
-			bi = tm.Next
 		case jit.TermGoto:
-			bi = tm.Target
+			taken = true
 		case jit.TermBr1:
 			a := tm.ImmA
 			if !tm.AImm {
 				a = fr[tm.A]
 			}
-			if cond1(bytecode.Op(tm.Cond), a) {
-				bi = tm.Target
-			} else {
-				if tm.Next < 0 {
-					t.flushInterp(done, cost, budget)
-					return 0, fmt.Errorf("vm: %s: fell off end of code", m.FullName())
-				}
-				bi = tm.Next
-			}
+			taken = cond1(bytecode.Op(tm.Cond), a)
 		case jit.TermBr2:
 			a, bb2 := tm.ImmA, tm.ImmB
 			if !tm.AImm {
@@ -522,54 +401,187 @@ blocks:
 			if !tm.BImm {
 				bb2 = fr[tm.B]
 			}
-			if cond2(bytecode.Op(tm.Cond), a, bb2) {
-				bi = tm.Target
-			} else {
-				if tm.Next < 0 {
-					t.flushInterp(done, cost, budget)
-					return 0, fmt.Errorf("vm: %s: fell off end of code", m.FullName())
-				}
-				bi = tm.Next
-			}
+			taken = cond2(bytecode.Op(tm.Cond), a, bb2)
 		case jit.TermReturn:
-			t.flushInterp(done, cost, budget)
-			return 0, nil
+			break blocks
 		case jit.TermIreturn:
-			val := tm.ImmA
+			ret = tm.ImmA
 			if !tm.AImm {
-				val = fr[tm.A]
+				ret = fr[tm.A]
 			}
-			t.flushInterp(done, cost, budget)
-			return val, nil
+			break blocks
 		case jit.TermThrow:
 			val := tm.ImmA
 			if !tm.AImm {
 				val = fr[tm.A]
 			}
-			nb, r, err := t.throwAt(m, u, locals, stack, int(tm.Idx), Throw(val, ""), done, budget, cost)
-			if nb < 0 {
-				return r, err
+			thrown := Throw(val, "")
+			if bi = throwAt(m, u, stack, int(tm.Idx), thrown); bi < 0 {
+				fail = thrown
+				break blocks
 			}
-			bi = nb
+			continue
+		}
+		if !taken { // a fallthrough, or a conditional branch not taken
+			if tm.Next < 0 {
+				fail = fmt.Errorf("vm: %s: fell off end of code", m.FullName())
+				break blocks
+			}
+			bi = tm.Next
+			continue
+		}
+		bi = tm.Target
+		// On-stack replacement: an armed frame counts its taken
+		// back-edges (every loop closes with one), and at the threshold
+		// moves into the promoted unit at this very branch target. One
+		// failed attempt disarms the frame — the JIT is disabled or an
+		// observer appeared — so the hot path never re-checks a dead end.
+		if osr && u.Blocks[bi].Start <= tm.Idx {
+			m.osrEdges++
+			if m.osrEdges >= osrThresh {
+				if pu := v.promoteForOSR(m); pu != nil {
+					t.flushInterp(done, cost, budget)
+					m.superExec += free
+					return t.enterOSR(m, pu, locals, stack, bi, int(pu.Blocks[bi].SPIn), cost)
+				}
+				osr = false
+			}
 		}
 	}
 
-	// A batch trapped at op trapK of block trapB. The batch charged the
-	// whole block up front; the interpreter would have charged only up
-	// to and including the trapping instruction, so the instructions
-	// after it are un-charged. The strict budget guard that admitted the
-	// batch rules out a yield inside it, so this arithmetic is exact.
-	op := &trapB.Flat[trapK]
-	idx := int(op.Imm)
-	rest := int(trapB.Start+trapB.NInstr) - idx - 1
-	done -= uint64(rest)
-	budget += rest
-	nb, r, err := t.throwAt(m, u, locals, stack, idx, trapThrown(heap, fr, op), done, budget, cost)
-	if nb < 0 {
-		return r, err
+	if b := trapB; b != nil {
+		// A batch trapped at op trapK of block b. The batch charged the
+		// whole block up front; the instrumented loop would have charged
+		// only up to and including the trapping instruction, so the
+		// instructions after it are un-charged. The strict budget guard
+		// that admitted the batch rules out a yield inside it, so this
+		// arithmetic is exact.
+		trapB = nil
+		op := &b.Flat[trapK]
+		idx := int(op.Imm)
+		rest := int(b.Start+b.NInstr) - idx - 1
+		done -= uint64(rest)
+		budget += rest
+		thrown := trapThrown(heap, fr, op)
+		if bi = throwAt(m, u, stack, idx, thrown); bi >= 0 {
+			goto blocks
+		}
+		fail = thrown
 	}
-	bi = nb
-	goto blocks
+	t.flushInterp(done, cost, budget)
+	if lowering {
+		m.superExec += free
+	}
+	return ret, fail
+}
+
+// fusedLoop iterates the canonical header/body pair h, body (h.LoopBody)
+// from the header with budget left, without per-iteration block
+// dispatch. Charges and budget guards are exactly the per-block batch
+// discipline, applied to header and body in turn, so accounting and
+// yield boundaries are unchanged: the caller charges the instructions
+// the budget lost. It returns the block to continue at — the exit edge's
+// target, or the body when a yield boundary falls inside it — or -1 when
+// the budget is short at the header (the caller's general handling of h
+// fails its batch guard the same way), or the trapping op that stopped it.
+//
+// Specialized counted-loop kernels come first: a bare single-compare
+// header over a two-op body covers the canonical generated loops
+// (accumulate-and-decrement, multiply-add-and-step) with the ops
+// unrolled into straight-line Go. A short budget or an unmatched shape
+// falls through to the generic loop, whose entry guard decides from
+// there.
+func fusedLoop(heap *Heap, fr []int64, h, body *jit.Block, budget int) (next int32, left int, trapB *jit.Block, trapK int) {
+	hn, bn := int(h.NInstr), int(body.NInstr)
+	tm := &h.Term
+	if len(h.Flat) == 0 && tm.Kind == jit.TermBr1 && !tm.AImm && len(body.Flat) == 2 {
+		o1, o2 := &body.Flat[0], &body.Flat[1]
+		cnd := bytecode.Op(tm.Cond)
+		ts := tm.A
+		if o1.Kind == jit.KAddSS && o2.Kind == jit.KAddSI {
+			d1, a1, b1 := o1.Dst, o1.A, o1.B
+			d2, a2, i2 := o2.Dst, o2.A, o2.Imm
+			for budget > hn {
+				budget -= hn
+				if cond1(cnd, fr[ts]) {
+					return tm.Target, budget, nil, 0
+				}
+				if budget <= bn {
+					return tm.Next, budget, nil, 0
+				}
+				budget -= bn
+				fr[d1] = fr[a1] + fr[b1]
+				fr[d2] = fr[a2] + i2
+			}
+		} else if o1.Kind == jit.KMulAddSII && o2.Kind == jit.KAddSI {
+			d1, a1, m1, c1 := o1.Dst, o1.A, o1.Imm, o1.Imm2
+			d2, a2, i2 := o2.Dst, o2.A, o2.Imm
+			for budget > hn {
+				budget -= hn
+				if cond1(cnd, fr[ts]) {
+					return tm.Target, budget, nil, 0
+				}
+				if budget <= bn {
+					return tm.Next, budget, nil, 0
+				}
+				budget -= bn
+				fr[d1] = fr[a1]*m1 + c1
+				fr[d2] = fr[a2] + i2
+			}
+		}
+	}
+	for budget > hn {
+		budget -= hn
+		if len(h.Flat) > 0 {
+			if k := runOps(heap, fr, h.Flat); k >= 0 {
+				return -1, budget, h, k
+			}
+		}
+		var taken bool
+		if tm.Kind == jit.TermBr1 {
+			a := tm.ImmA
+			if !tm.AImm {
+				a = fr[tm.A]
+			}
+			taken = cond1(bytecode.Op(tm.Cond), a)
+		} else {
+			a, b := tm.ImmA, tm.ImmB
+			if !tm.AImm {
+				a = fr[tm.A]
+			}
+			if !tm.BImm {
+				b = fr[tm.B]
+			}
+			taken = cond2(bytecode.Op(tm.Cond), a, b)
+		}
+		if taken { // loop exit edge
+			return tm.Target, budget, nil, 0
+		}
+		if budget <= bn { // yield boundary inside the body
+			return tm.Next, budget, nil, 0
+		}
+		budget -= bn // bn includes the back-edge goto's charge
+		if k := runOps(heap, fr, body.Flat); k >= 0 {
+			return -1, budget, body, k
+		}
+	}
+	return -1, budget, nil, 0
+}
+
+// loopOpFree is the op-free tally of a fused loop over h and body that
+// charged d instructions: whole iterations, plus a header charged alone
+// on the way out. A loop that left before a whole iteration skips the
+// division.
+func loopOpFree(h, body *jit.Block, d int) uint64 {
+	var free uint64
+	if n := int(h.NInstr + body.NInstr); d >= n {
+		free = uint64(d/n) * uint64(h.OpFree+body.OpFree)
+		d %= n
+	}
+	if d != 0 {
+		free += uint64(h.OpFree)
+	}
+	return free
 }
 
 // invokeInline runs an inline-expanded call: the callee's private unit
@@ -615,6 +627,7 @@ func (t *Thread) invokeInline(callee *Method, site *jit.InlineSite, scr, args []
 	if p := site.U.Static; p != nil {
 		if budget := t.budget; int64(budget) > p.Total {
 			ret := t.runStatic(p, scr, cost, budget)
+			t.vm.tierFrames++
 			t.depth--
 			return ret, nil
 		}
@@ -648,20 +661,20 @@ func (t *Thread) invokeInline(callee *Method, site *jit.InlineSite, scr, args []
 	}
 
 	t.pushFrameRef(scr, nl)
-	ret, err := t.runCompiledFrom(callee, site.U, scr, locals, stack, 0, cost)
+	ret, err := t.runCompiledFrom(callee, site.U, scr, locals, stack, 0, cost, false, false)
 	t.popFrameRef()
 	t.depth--
 	return ret, err
 }
 
-// enterOSR performs on-stack replacement: a fast-loop activation that
-// crossed the OSR threshold moves into compiled code at a loop header,
-// mid-iteration. The interpreter frame's locals and live operand stack
-// are copied into a fresh compiled-size frame (the interpreter sized its
-// own without inline scratch), the thread's root-scan record for the
-// frame is swapped to the new storage, and execution resumes in the unit
-// at the branch target's block with the frame-entry cost the interpreted
-// activation captured. The abandoned interpreter frame stays in the
+// enterOSR performs on-stack replacement: an interpreted activation that
+// crossed the OSR threshold moves into its promoted unit at a loop
+// header, mid-iteration. The interpreted frame's locals and live operand
+// stack are copied into a fresh compiled-size frame (the interpreted
+// frame was sized without inline scratch), the thread's root-scan record
+// for the frame is swapped to the new storage, and execution resumes in
+// the unit at the branch target's block with the frame-entry cost the
+// interpreted activation captured. The abandoned frame stays in the
 // arena until interpret pops its own base, which frees both at once.
 func (t *Thread) enterOSR(m *Method, u *jit.Unit, locals, stack []int64, bi int32, sp int, cost uint64) (int64, error) {
 	m.osrEntries++
@@ -670,7 +683,7 @@ func (t *Thread) enterOSR(m *Method, u *jit.Unit, locals, stack []int64, bi int3
 	copy(fr[:nl], locals)
 	copy(fr[nl:nl+sp], stack[:sp])
 	t.frames[len(t.frames)-1] = frameRef{fr: fr, nl: int32(nl), sp: int32(sp)}
-	return t.runCompiledFrom(m, u, fr, fr[:nl:nl], fr[nl:], bi, cost)
+	return t.runCompiledFrom(m, u, fr, fr[:nl:nl], fr[nl:], bi, cost, false, false)
 }
 
 // runOps executes a fused op sequence against the flat frame and returns
@@ -784,44 +797,31 @@ func trapThrown(heap *Heap, fr []int64, op *jit.Op) *Thrown {
 	return err.(*Thrown)
 }
 
-// throwAt dispatches thrown, raised by instruction idx of a compiled
-// activation: to the covering handler's block (nb >= 0, the caller
-// continues there with its accounting), to the instrumented interpreter
-// when the handler is not a block leader, or out of the activation when
-// no handler covers idx. For nb < 0 the activation is over, accounting
-// flushed, and ret, err are its outcome.
-func (t *Thread) throwAt(m *Method, u *jit.Unit, locals, stack []int64, idx int, thrown *Thrown,
-	done uint64, budget int, cost uint64) (nb int32, ret int64, err error) {
+// throwAt dispatches thrown, raised by instruction idx: it pushes the
+// exception value and returns the covering handler's block (Lower makes
+// every handler a block leader), or -1 when no handler covers idx.
+func throwAt(m *Method, u *jit.Unit, stack []int64, idx int, thrown *Thrown) int32 {
 	h := m.handlerIdx[idx]
 	if h < 0 {
-		t.flushInterp(done, cost, budget)
-		return -1, 0, thrown
+		return -1
 	}
 	stack[0] = thrown.Value
-	if nb = u.BlockOf[h]; nb >= 0 {
-		return nb, 0, nil
-	}
-	// Handlers are always block leaders; deopt defensively rather than
-	// trust a violated invariant.
-	t.vm.tierDeopts++
-	t.flushInterp(done, cost, budget)
-	ret, err = t.interpretInstrumentedFrom(m, locals, stack, int(h), 1, cost)
-	return -1, ret, err
+	return u.BlockOf[h]
 }
 
 // stepPureRange executes n straight-line bytecode instructions beginning
-// at instruction index start with per-instruction accounting — the
-// compiled tier's yield-boundary fallback. sp is the operand-stack depth
-// at entry. It returns the updated deferred-accounting state.
+// at instruction index start with per-instruction accounting — the block
+// executor's yield-boundary fallback. sp is the operand-stack depth at
+// entry. It returns the updated deferred-accounting state, which the
+// caller flushes.
 //
-// The opcode switch is deliberately another copy of the straight-line
-// subset realized in interpretFast's per-instruction path (including the
-// OpInc slot|delta<<16 operand packing from linkDispatch): sharing one
-// helper would add a call into the interpreter's hottest loop and
-// perturb its code generation. Any change to the straight-line opcode
-// set or encoding must touch both copies; TestJITYieldBoundariesMatchInterp
-// runs with a hostile 7-instruction quantum precisely so this fallback
-// executes constantly and any divergence between the copies fails loudly.
+// It is the only straight-line stepper besides the instrumented loop's
+// own switch, and it reads the link-time dispatch arrays (including the
+// OpInc slot|delta<<16 operand packing from linkDispatch) where that
+// loop reads decoded instructions. The quanta tests run hostile quanta
+// (1 to 12, and 7 in TestJITYieldBoundariesMatchInterp) precisely so this
+// fallback executes constantly and any divergence from the instrumented
+// loop fails loudly.
 func (t *Thread) stepPureRange(m *Method, fr []int64, start, n, sp int,
 	done uint64, budget int, cost uint64, quantum int) (uint64, int, error) {
 
@@ -893,7 +893,6 @@ func (t *Thread) stepPureRange(m *Method, fr []int64, start, n, sp int,
 		case bytecode.OpSwap:
 			stack[sp-1], stack[sp-2] = stack[sp-2], stack[sp-1]
 		default:
-			t.flushInterp(done, cost, budget)
 			return done, budget, fmt.Errorf("vm: %s: non-straight-line opcode %s in compiled chunk at %d",
 				m.FullName(), ops[idx], m.instrs[idx].Offset)
 		}

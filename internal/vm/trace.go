@@ -66,8 +66,8 @@ func (tr *Tracer) instruction(t *Thread, m *Method, in bytecode.Instruction) {
 // boundary. Note that the trace *text* for already-running frames is a
 // best-effort diagnostic, not part of the cross-engine byte-identity
 // contract: a deoptimized compiled frame traces all of its remaining
-// instructions, while a frame mid-flight in the fast interpreter loop
-// keeps its uninstrumented dispatch and traces nothing more. Simulated
+// instructions, while an interpreted frame mid-flight on the block
+// executor keeps its uninstrumented dispatch and traces nothing more. Simulated
 // observables (cycles, counts, ground truth, results) are unaffected
 // either way — tracing has no effect on virtual time.
 func (v *VM) SetTracer(tr *Tracer) {

@@ -57,13 +57,14 @@ type Options struct {
 	Quantum int
 	// ForceInstrumentedLoop forces the interpreter onto its fully
 	// instrumented dispatch loop even when no tracer or sampling hook is
-	// installed. The fast and instrumented loops are observably
-	// equivalent; this switch exists so differential tests can prove it.
+	// installed. The block executor and the instrumented loop are
+	// observably equivalent; this switch exists so differential tests can
+	// prove it.
 	// It also pins the template tier out of the frame dispatch: compiled
 	// units are never entered while it is set.
 	ForceInstrumentedLoop bool
 	// Tier selects the execution engine. EngineInterp (the zero value)
-	// runs everything on the interpreter's dispatch loops; EngineJIT and
+	// never promotes: frames run their method's lowering; EngineJIT and
 	// EngineAuto enable the internal/jit template tier, which promotes
 	// hot bytecode methods to compiled trace units and deoptimizes back
 	// to the instrumented interpreter whenever per-instruction semantics
@@ -76,8 +77,8 @@ type Options struct {
 	// JITThreshold, so host compilation coincides with the simulated
 	// interp→compiled cost transition.
 	CompileThreshold uint64
-	// OSRThreshold is the taken-backward-branch count at which the fast
-	// interpreter loop promotes a running frame onto the method's
+	// OSRThreshold is the taken-backward-branch count at which an
+	// interpreted frame promotes itself onto the method's
 	// compiled unit mid-iteration (on-stack replacement), instead of
 	// waiting for the next method entry. It matters for methods invoked
 	// once with long loops — thread entry points, campaign drivers. 0
@@ -229,28 +230,18 @@ type Method struct {
 	handlerIdx []int32
 	// lowered is the method's one lowering (jit.Lower), nil when the
 	// lowering rejected the method. It is link-independent, so no class
-	// load ever invalidates it: the fast loop runs its pure chunks, and
-	// promotion builds every compiled unit from it. runs are the fast
-	// loop's batches over it (see fastRun); runAt maps an instruction
-	// index to 1 + the index of the batch starting there, 0 where none
-	// does.
+	// load ever invalidates it: interpreted frames run it on the block
+	// executor, and promotion builds every compiled unit from it.
 	lowered *jit.Unit
-	runs    []fastRun
-	runAt   []int32
-	// straightInstrs counts the instructions the batches cover (their
-	// terminators excluded) and fusedPairs those of them without an op
-	// of their own, the static figures of the -tierstats view.
-	straightInstrs int
-	fusedPairs     int
 
 	// Tier-2 execution counters, written by the executing thread under
 	// the scheduler baton (parallel harness runs use separate VMs, so
 	// plain fields suffice — same rule as the VM's tier counters).
-	// osrEdges counts taken backward branches in fast-loop frames (the
+	// osrEdges counts taken backward branches in interpreted frames (the
 	// OSR trigger); osrEntries the on-stack replacements taken;
 	// inlinedCalls the calls this method made through inline sites;
-	// superExec the instructions its fast-loop batches executed without
-	// an op of their own.
+	// superExec the instructions its interpreted frames' batches
+	// executed without an op of their own.
 	osrEdges     uint64
 	osrEntries   uint64
 	inlinedCalls uint64
@@ -557,7 +548,7 @@ func (v *VM) LoadClass(def *classfile.Class) (*Class, error) {
 
 // linkDispatch precomputes the interpreter's per-instruction dispatch
 // metadata — branch-target and exception-handler instruction indexes —
-// and lowers the method for the fast loop's batches. Missing branch or
+// and lowers the method for the block executor. Missing branch or
 // handler offsets map to instruction 0, matching the historical
 // map-lookup behaviour; the verifier rejects such code before it reaches
 // the interpreter.
@@ -590,10 +581,8 @@ func (m *Method) linkDispatch() {
 		m.refMethods = make([]*Method, n)
 		m.refStatics = make([]*int64, n)
 	}
-	m.runAt = make([]int32, len(ins))
 	if u, err := jit.Lower(m.Def, ins); err == nil {
 		m.lowered = u
-		m.linkRuns()
 	}
 }
 
@@ -796,7 +785,8 @@ func (v *VM) compileUnit(m *Method) *jit.Unit {
 }
 
 // osrThresholdEffective is the taken-backward-branch count at which the
-// fast loop attempts on-stack replacement: Options.OSRThreshold, or the
+// block executor attempts on-stack replacement in an interpreted frame:
+// Options.OSRThreshold, or the
 // default when unset.
 func (v *VM) osrThresholdEffective() uint64 {
 	if v.opts.OSRThreshold > 0 {
@@ -810,7 +800,7 @@ func (v *VM) osrThresholdEffective() uint64 {
 // count (the whole point of OSR: the frame is hot even if the method was
 // entered once). It returns nil when the tier must stay out — lowering
 // already failed, the JIT is disabled, or a per-instruction observer
-// appeared since the frame entered the fast loop.
+// appeared since the interpreted frame started.
 func (v *VM) promoteForOSR(m *Method) *jit.Unit {
 	if u := m.unit; u != nil {
 		return u
@@ -841,8 +831,8 @@ func (r *vmResolver) ResolveInvoke(ref int) (*jit.Unit, any, bool) {
 
 // TierStats returns the template tier's bookkeeping: compile and cache
 // counts from the jit cache, the VM's frame-level execution counters,
-// and the per-method tier-2 detail (inline sites, OSR entries, fast-loop
-// instructions without an op) summed across every loaded method.
+// and the per-method tier-2 detail (inline sites, OSR entries, op-free
+// instructions of interpreted frames' batches) summed across every loaded method.
 func (v *VM) TierStats() jit.Stats {
 	s := v.tier.Snapshot()
 	s.Engine = v.opts.Tier
@@ -862,15 +852,25 @@ func (v *VM) TierStats() jit.Stats {
 			if sites == 0 && m.inlinedCalls == 0 && m.osrEntries == 0 && m.superExec == 0 {
 				continue
 			}
-			s.PerMethod = append(s.PerMethod, jit.MethodStats{
-				Method:         m.FullName(),
-				InlineSites:    sites,
-				InlinedCalls:   m.inlinedCalls,
-				OSREntries:     m.osrEntries,
-				SuperPairs:     m.superExec,
-				FusedPairs:     m.fusedPairs,
-				StraightInstrs: m.straightInstrs,
-			})
+			row := jit.MethodStats{
+				Method:       m.FullName(),
+				InlineSites:  sites,
+				InlinedCalls: m.inlinedCalls,
+				OSREntries:   m.osrEntries,
+				SuperPairs:   m.superExec,
+			}
+			if u := m.lowered; u != nil {
+				for bi := range u.Blocks {
+					b := &u.Blocks[bi]
+					row.FusedPairs += int(b.OpFree)
+					for ci := range b.Chunks {
+						if b.Chunks[ci].Pure {
+							row.StraightInstrs += int(b.Chunks[ci].N)
+						}
+					}
+				}
+			}
+			s.PerMethod = append(s.PerMethod, row)
 		}
 	}
 	v.mu.Unlock()
