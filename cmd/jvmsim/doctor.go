@@ -170,7 +170,9 @@ func checkHeapSpecs() check {
 // (a stale or unstamped-populated layout fails with the remediation the
 // cache itself would give), durable writability — the cache is the
 // crash-resume store, so the probe file is written and fsync'd, as every
-// entry is — and the current entry count/size. An unconfigured cache
+// entry is — the current entry count/size, and how many ".put-*" temp
+// files lie in the root (Evict sweeps those older than
+// resultcache.StrayGrace). An unconfigured cache
 // and an absent directory both pass — caching is opt-in, and rw mode
 // creates its directory on first use.
 func checkCache(dir string) check {
@@ -216,9 +218,14 @@ func checkCache(dir string) check {
 		c.Detail = fmt.Sprintf("%s: %v", dir, err)
 		return c
 	}
+	strays, err := cache.Strays()
+	if err != nil {
+		c.Detail = fmt.Sprintf("%s: %v", dir, err)
+		return c
+	}
 	c.OK = true
-	c.Detail = fmt.Sprintf("%s writable (fsync ok), layout %s, %d entries (%.1f MB)",
-		dir, resultcache.LayoutVersion, count, float64(size)/(1<<20))
+	c.Detail = fmt.Sprintf("%s writable (fsync ok), layout %s, %d entries (%.1f MB), %d stray temp files",
+		dir, resultcache.LayoutVersion, count, float64(size)/(1<<20), strays)
 	return c
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -63,6 +64,24 @@ func cacheEntries(dir string) int {
 	}
 	n, _, _ := c.Len()
 	return n
+}
+
+// TestDoctorCountsStrayTempFiles proves the cache-dir check reports the
+// ".put-*" temp files in the cache root apart from the entries.
+func TestDoctorCountsStrayTempFiles(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	if _, err := resultcache.Open(dir, resultcache.ModeRW); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{".put-1", ".put-2"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"key":"`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := checkCache(dir)
+	if !c.OK || !strings.Contains(c.Detail, "0 entries (0.0 MB), 2 stray temp files") {
+		t.Fatalf("cache-dir check %+v, want OK with 0 entries and 2 stray temp files", c)
+	}
 }
 
 // TestCrashResumeByteIdentical is the end-to-end crash-resume proof on

@@ -11,20 +11,35 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
-// CellKey content-addresses a cell: the hex sha256 of the canonical JSON
-// encoding of identity. Callers put everything that determines the
-// cell's result into identity — scenario workload and checks, agent,
-// engine, effective heap spec, scale, run counts — so equal keys imply
-// interchangeable results.
+// PayloadFormat versions the byte form of cell payloads; CellKey mixes
+// it into every key. Bump it whenever a change moves a payload's
+// canonical bytes (a field added, dropped or re-tagged), so a cache
+// warmed by an older binary misses instead of failing -cache-verify on
+// a byte mismatch. v1 was the unversioned key; v2 dropped the tier's
+// per-method rows, op-free count and zero counters from Measurement.
+const PayloadFormat = "jvmsim-payload-v2"
+
+// CellKey content-addresses a cell: the hex sha256 of PayloadFormat and
+// the canonical JSON encoding of identity. Callers put everything that
+// determines the cell's result into identity — scenario workload and
+// checks, agent, engine, effective heap spec, scale, run counts — so
+// equal keys imply interchangeable results.
 func CellKey(identity any) (string, error) {
-	b, err := json.Marshal(identity)
-	if err != nil {
+	return cellKey(PayloadFormat, identity)
+}
+
+// cellKey hashes format and identity's JSON encoding, which the encoder
+// writes straight into the hash.
+func cellKey(format string, identity any) (string, error) {
+	h := sha256.New()
+	io.WriteString(h, format)
+	if err := json.NewEncoder(h).Encode(identity); err != nil {
 		return "", fmt.Errorf("checkpoint: hashing cell identity: %w", err)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // CanonicalPayload is the canonical JSON encoding of a cell payload —

@@ -50,6 +50,27 @@ func TestCellKeyDeterministic(t *testing.T) {
 	}
 }
 
+// TestCellKeyCarriesPayloadFormat proves the payload format is part of
+// the key: the same identity under another format string hashes to
+// another key, so entries an older payload format wrote are misses.
+func TestCellKeyCarriesPayloadFormat(t *testing.T) {
+	id := struct {
+		Scenario string `json:"scenario"`
+	}{"compress"}
+	k, err := CellKey(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same, _ := cellKey(PayloadFormat, id); same != k {
+		t.Fatalf("CellKey %s is not the key under PayloadFormat (%s)", k, same)
+	}
+	for _, format := range []string{"", "jvmsim-payload-v1", PayloadFormat + "x"} {
+		if other, _ := cellKey(format, id); other == k {
+			t.Errorf("format %q gives the same key as %q", format, PayloadFormat)
+		}
+	}
+}
+
 // TestCanonicalPayloadRoundTrip proves the canonical encoding is a fixed
 // point: decoding a payload and re-encoding it gives the same bytes, the
 // property byte-level cache verification relies on.

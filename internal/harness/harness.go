@@ -221,7 +221,10 @@ type Measurement struct {
 	// the last measured repetition (summed across a warehouse sequence).
 	// It never feeds a simulated metric — it exists so campaigns and
 	// tests can assert that promotion, deopt and invalidation actually
-	// happened under -engine=jit/auto.
+	// happened under -engine=jit/auto. Per-method rows and the op-free
+	// instruction count are not aggregated: only the -tierstats views
+	// render them, straight from the VM, and the payload never carries
+	// them.
 	Tier jit.Stats
 	// Host is the host-side cost of producing this measurement (wall
 	// time, Go-heap allocation, and whether it came from execution, the
@@ -331,8 +334,6 @@ func MeasureScenario(ctx context.Context, sc scenarios.Scenario, agentName strin
 			tier.InlinedSites += res.Tier.InlinedSites
 			tier.InlinedCalls += res.Tier.InlinedCalls
 			tier.OSREntries += res.Tier.OSREntries
-			tier.SuperinstrPairs += res.Tier.SuperinstrPairs
-			tier.PerMethod = jit.MergeMethodStats(tier.PerMethod, res.Tier.PerMethod)
 		}
 		rspan.End()
 		if warmup {

@@ -267,9 +267,11 @@ func TestCampaignCrashResumeByteIdentical(t *testing.T) {
 
 // TestCampaignResumeServesFromCache proves a second run over a complete
 // cache re-runs nothing: every cell hits, none is re-measured and
-// re-stored, and the output is byte-identical. A stray ".put-*" temp
-// file — what a writer killed between write and rename leaves in the
-// cache root — is ignored by Open, Len, Evict and the resume alike.
+// re-stored, and the output is byte-identical. Stray ".put-*" temp
+// files — what a writer killed between write and rename leaves in the
+// cache root — are ignored by Open, Len and the resume alike; Evict
+// sweeps the one older than resultcache.StrayGrace and leaves the young
+// one, which may be another process's write in flight.
 func TestCampaignResumeServesFromCache(t *testing.T) {
 	suite := robustScenarios(t)
 	cfg := DefaultConfig()
@@ -287,8 +289,15 @@ func TestCampaignResumeServesFromCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		strayPath := filepath.Join(dir, ".put-1234567")
+		agedPath := filepath.Join(dir, ".put-7654321")
 		if stray {
-			if err := os.WriteFile(strayPath, []byte(`{"key":"`+strings.Repeat("ab", 32)), 0o644); err != nil {
+			for _, p := range []string{strayPath, agedPath} {
+				if err := os.WriteFile(p, []byte(`{"key":"`+strings.Repeat("ab", 32)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			aged := time.Now().Add(-2 * resultcache.StrayGrace)
+			if err := os.Chtimes(agedPath, aged, aged); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -312,7 +321,10 @@ func TestCampaignResumeServesFromCache(t *testing.T) {
 		}
 		if stray {
 			if _, err := os.Stat(strayPath); err != nil {
-				t.Errorf("stray temp file touched: %v", err)
+				t.Errorf("young stray temp file touched: %v", err)
+			}
+			if _, err := os.Stat(agedPath); !os.IsNotExist(err) {
+				t.Errorf("aged stray temp file not swept: %v", err)
 			}
 		}
 	}

@@ -79,20 +79,26 @@ func (c *Cache) NoteFailure() { c.failures.Add(1) }
 
 // Stats is the tier's observable bookkeeping, assembled by the VM for the
 // CLIs' tier-stats dumps and for tests.
+//
+// A harness Measurement carries a Stats in the result cache's canonical
+// payload, so the JSON form is kept to what a cached cell's readers use:
+// every scalar is omitempty (an interp cell's Stats encodes as {}), and
+// SuperinstrPairs and PerMethod, which only the -tierstats views render
+// straight from the VM, are never encoded.
 type Stats struct {
 	// Engine is the tier the VM ran with.
-	Engine Engine
+	Engine Engine `json:",omitempty"`
 	// Epoch is the final relink epoch.
-	Epoch uint64
+	Epoch uint64 `json:",omitempty"`
 	// MethodsCompiled counts units built over the VM's lifetime
 	// (recompilations after invalidation count again).
-	MethodsCompiled uint64
+	MethodsCompiled uint64 `json:",omitempty"`
 	// CompileFailures counts methods the lowering rejected.
-	CompileFailures uint64
+	CompileFailures uint64 `json:",omitempty"`
 	// UnitsInvalidated counts units dropped by relink epoch bumps.
-	UnitsInvalidated uint64
+	UnitsInvalidated uint64 `json:",omitempty"`
 	// UnitsLive is the cache population at snapshot time.
-	UnitsLive int
+	UnitsLive int `json:",omitempty"`
 	// CompiledFrames counts method activations executed by promoted
 	// units (inline-expanded calls included); DeoptFrames the promoted
 	// activations that left compiled code mid-frame for the instrumented
@@ -100,9 +106,9 @@ type Stats struct {
 	// stepped original bytecode at a yield boundary. Interpreted frames,
 	// which run the method's lowering on the same executor, count in
 	// none of them.
-	CompiledFrames uint64
-	DeoptFrames    uint64
-	FallbackChunks uint64
+	CompiledFrames uint64 `json:",omitempty"`
+	DeoptFrames    uint64 `json:",omitempty"`
+	FallbackChunks uint64 `json:",omitempty"`
 	// Tier-2 bookkeeping. InlinedSites counts inline-expanded call sites
 	// across every unit built over the VM's lifetime; InlinedCalls the
 	// calls actually executed through an inline site; OSREntries the
@@ -110,14 +116,14 @@ type Stats struct {
 	// SuperinstrPairs the instructions interpreted frames executed in
 	// batches without an op of their own (folded into another
 	// instruction's op by the lowering). Promoted frames do not count.
-	InlinedSites    uint64
-	InlinedCalls    uint64
-	OSREntries      uint64
-	SuperinstrPairs uint64
+	InlinedSites    uint64 `json:",omitempty"`
+	InlinedCalls    uint64 `json:",omitempty"`
+	OSREntries      uint64 `json:",omitempty"`
+	SuperinstrPairs uint64 `json:"-"`
 	// PerMethod is the per-method tier-2 detail for methods with any
 	// tier-2 activity, sorted by full name. Filled by the VM's TierStats,
 	// not by the cache snapshot.
-	PerMethod []MethodStats
+	PerMethod []MethodStats `json:"-"`
 }
 
 // MethodStats is one method's tier-2 bookkeeping for the -tierstats
@@ -142,42 +148,6 @@ type MethodStats struct {
 	// tier-stats view reports.
 	FusedPairs     int
 	StraightInstrs int
-}
-
-// MergeMethodStats combines two per-method stat sets (each sorted by
-// Method, as TierStats emits them) into one sorted set: dynamic counters
-// sum, static per-unit facts (inline sites, op-free coverage) keep the
-// larger observation — across repeated runs of the same program they are
-// identical, and a run where the method never compiled reports zeros
-// that must not erase a run where it did.
-func MergeMethodStats(a, b []MethodStats) []MethodStats {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]MethodStats, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i].Method < b[j].Method):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j].Method < a[i].Method:
-			out = append(out, b[j])
-			j++
-		default:
-			m := a[i]
-			m.InlinedCalls += b[j].InlinedCalls
-			m.OSREntries += b[j].OSREntries
-			m.SuperPairs += b[j].SuperPairs
-			m.InlineSites = max(m.InlineSites, b[j].InlineSites)
-			m.FusedPairs = max(m.FusedPairs, b[j].FusedPairs)
-			m.StraightInstrs = max(m.StraightInstrs, b[j].StraightInstrs)
-			out = append(out, m)
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // snapshot fills the cache-owned fields of a Stats.

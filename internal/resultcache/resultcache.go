@@ -23,12 +23,12 @@
 // place, so neither a concurrent writer (two processes sharing a cache
 // directory) nor a killed one can expose a torn entry: a writer killed
 // before the rename leaves only a ".put-*" temp file, which every reader
-// ignores. Reads check the exact bytes Put writes and make one JSON pass
-// over the payload (decoding it straight into the caller's value, or
-// validating it): an unreadable, truncated, key-mismatched or
-// non-canonical entry, or a payload that does not decode into the
-// caller's value, is a miss, never a crash — a corrupted cache costs
-// re-execution, not correctness.
+// ignores and Evict sweeps once it is older than StrayGrace. Reads check
+// the exact bytes Put writes and make one JSON pass over the payload
+// (decoding it straight into the caller's value, or validating it): an
+// unreadable, truncated, key-mismatched or non-canonical entry, or a
+// payload that does not decode into the caller's value, is a miss, never
+// a crash — a corrupted cache costs re-execution, not correctness.
 //
 // Eviction is a size-capped LRU pass over entry mtimes (an rw-mode hit
 // touches its entry), run by Finish when a cap is configured. Failed
@@ -62,6 +62,17 @@ const LayoutVersion = "jvmsim-resultcache-v1"
 
 // versionFile is the stamp's file name inside the cache directory.
 const versionFile = "VERSION"
+
+// tempPrefix starts the name of every temp file Put writes in the cache
+// root.
+const tempPrefix = ".put-"
+
+// StrayGrace is how old a temp file in the cache root must be before
+// Evict sweeps it. A live Put holds its temp file for one write, fsync
+// and rename, so a file this old was left by a writer killed before its
+// rename; the margin spares a slow writer in another process sharing
+// the directory.
+const StrayGrace = time.Hour
 
 // Mode selects how a cache participates in a run.
 type Mode int
@@ -368,7 +379,7 @@ func (c *Cache) Put(key string, payload json.RawMessage) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	tmp, err := os.CreateTemp(c.dir, ".put-*")
+	tmp, err := os.CreateTemp(c.dir, tempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
@@ -448,12 +459,63 @@ func (c *Cache) walkEntries() ([]entryInfo, error) {
 	return out, nil
 }
 
-// Evict runs the size-capped LRU pass: while the summed entry size
+// strays lists the ".put-*" temp files in the cache root: writes in
+// flight, and what writers killed before their rename left behind.
+func (c *Cache) strays() ([]entryInfo, error) {
+	files, err := os.ReadDir(c.dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []entryInfo
+	for _, f := range files {
+		if f.IsDir() || !strings.HasPrefix(f.Name(), tempPrefix) {
+			continue
+		}
+		info, err := f.Info()
+		if err != nil {
+			continue // renamed or swept underneath us
+		}
+		out = append(out, entryInfo{path: filepath.Join(c.dir, f.Name()), size: info.Size(), mtime: info.ModTime()})
+	}
+	return out, nil
+}
+
+// Strays counts the ".put-*" temp files in the cache root (doctor's
+// census); an absent directory holds none.
+func (c *Cache) Strays() (int, error) {
+	if c == nil {
+		return 0, nil
+	}
+	files, err := c.strays()
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	return len(files), err
+}
+
+// Evict sweeps the temp files older than StrayGrace from the cache
+// root, then runs the size-capped LRU pass: while the summed entry size
 // exceeds MaxBytes, the least-recently-used entry (oldest mtime; an
-// rw-mode hit touches its entry) is deleted. No-op when MaxBytes is zero or the mode
-// is not rw. Returns the number of entries evicted.
+// rw-mode hit touches its entry) is deleted. No-op unless the mode is
+// rw; the LRU pass is skipped when MaxBytes is zero. Returns the number
+// of entries evicted.
 func (c *Cache) Evict() (int, error) {
-	if c == nil || c.mode != ModeRW || c.MaxBytes <= 0 {
+	if c == nil || c.mode != ModeRW {
+		return 0, nil
+	}
+	temps, err := c.strays()
+	if err != nil {
+		return 0, fmt.Errorf("resultcache: sweeping temp files: %w", err)
+	}
+	for _, t := range temps {
+		if time.Since(t.mtime) < StrayGrace {
+			continue
+		}
+		if err := os.Remove(t.path); err != nil && !os.IsNotExist(err) {
+			return 0, fmt.Errorf("resultcache: sweeping %s: %w", t.path, err)
+		}
+	}
+	if c.MaxBytes <= 0 {
 		return 0, nil
 	}
 	entries, err := c.walkEntries()

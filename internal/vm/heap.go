@@ -219,16 +219,18 @@ type GCInfo struct {
 }
 
 // GCStats is the heap's cumulative allocation and collection ledger.
+// A harness Measurement carries it in the result cache's canonical
+// payload, so zero counters are left out of its JSON form.
 type GCStats struct {
-	AllocatedArrays  uint64
-	AllocatedWords   uint64
-	CollectedArrays  uint64
-	CollectedWords   uint64
-	MinorGCs         uint64
-	MajorGCs         uint64
-	TenurePromotions uint64
+	AllocatedArrays  uint64 `json:",omitempty"`
+	AllocatedWords   uint64 `json:",omitempty"`
+	CollectedArrays  uint64 `json:",omitempty"`
+	CollectedWords   uint64 `json:",omitempty"`
+	MinorGCs         uint64 `json:",omitempty"`
+	MajorGCs         uint64 `json:",omitempty"`
+	TenurePromotions uint64 `json:",omitempty"`
 	// GCCycles is the total simulated collection cost charged to threads.
-	GCCycles uint64
+	GCCycles uint64 `json:",omitempty"`
 }
 
 // LiveArrays returns the number of arrays not yet collected.
