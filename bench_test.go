@@ -5,10 +5,9 @@
 //	                        overhead for SPA and IPA on all 8 benchmarks.
 //	BenchmarkTable2/...   — Table II: IPA profiling statistics (% native
 //	                        execution, JNI calls, native method calls).
-//	BenchmarkAblation...  — the design-choice ablations indexed in
-//	                        DESIGN.md (A1 JIT suppression, A2 wrapper-cost
-//	                        compensation, A3 static vs dynamic
-//	                        instrumentation).
+//	BenchmarkAblation...  — the design-choice ablations (A1 JIT
+//	                        suppression, A2 wrapper-cost compensation,
+//	                        A3 static vs dynamic instrumentation).
 //
 // Figures 1-3 of the paper are code listings, reproduced as the
 // implementations in internal/agents/spa, internal/instrument and

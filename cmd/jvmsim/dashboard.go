@@ -1,21 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"html/template"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
+	"repro/internal/harness"
 	"repro/internal/telemetry"
 )
 
-// familyPanel is one scenario family's dashboard row set: the run's
-// telemetry metrics for that family joined (when present) with the
-// ledger's per-family campaign benchmarks.
+// familyPanel is one scenario family's dashboard row set, read from the
+// run's telemetry metrics for that family.
 type familyPanel struct {
 	Family string
 
@@ -38,11 +36,6 @@ type familyPanel struct {
 	MinorGC, MajorGC, Tenured uint64
 	GCPauseP50, GCPauseP95    float64 // simulated cycles per collecting cell
 	GCPauseSamples            uint64
-
-	// Ledger join: per-family campaign ns/op for both engines, when the
-	// chosen entry measured them.
-	InterpNs, JitNs, Speedup float64
-	HasBench                 bool
 }
 
 // processPanel is the process-wide (family-less) section: cache
@@ -55,7 +48,6 @@ type processPanel struct {
 // dashboard is everything the renderers need.
 type dashboard struct {
 	Tool     string
-	Entry    string
 	Families []familyPanel
 	Process  *processPanel
 }
@@ -72,13 +64,10 @@ func histOf(fd telemetry.FamilyDump, name string) *telemetry.Histogram {
 	return hd.Histogram()
 }
 
-// buildDashboard joins a metrics dump with one ledger entry (nil entry
-// means no benchmark join — the telemetry columns still render).
-func buildDashboard(d *telemetry.Dump, entry *Entry) dashboard {
+// buildDashboard gathers a metrics dump into panels, families in the
+// dump's sorted order.
+func buildDashboard(d *telemetry.Dump) dashboard {
 	db := dashboard{Tool: d.Tool}
-	if entry != nil {
-		db.Entry = entry.Label
-	}
 	for _, fam := range d.FamilyNames() {
 		fd := d.Families[fam]
 		if fam == telemetry.ProcessFamily {
@@ -129,13 +118,6 @@ func buildDashboard(d *telemetry.Dump, entry *Entry) dashboard {
 			p.GCPauseP95 = h.Quantile(0.95)
 			p.GCPauseSamples = h.Count
 		}
-		if entry != nil {
-			interp, ok1 := entry.lookup("BenchmarkCampaignByFamily/" + fam + "/engine=interp")
-			jitNs, ok2 := entry.lookup("BenchmarkCampaignByFamily/" + fam + "/engine=jit")
-			if ok1 && ok2 && jitNs > 0 {
-				p.InterpNs, p.JitNs, p.Speedup, p.HasBench = interp, jitNs, interp/jitNs, true
-			}
-		}
 		db.Families = append(db.Families, p)
 	}
 	return db
@@ -143,13 +125,22 @@ func buildDashboard(d *telemetry.Dump, entry *Entry) dashboard {
 
 func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 
+// fmtNs renders a nanosecond duration in the largest unit that keeps it
+// at or above 1.
+func fmtNs(ns float64) string {
+	switch {
+	case ns >= 1e6:
+		return fmt.Sprintf("%.2fms", ns/1e6)
+	case ns >= 1e3:
+		return fmt.Sprintf("%.1fµs", ns/1e3)
+	default:
+		return fmt.Sprintf("%.0fns", ns)
+	}
+}
+
 // renderText writes the per-family dashboard as aligned text panels.
 func renderText(w io.Writer, db dashboard) {
-	fmt.Fprintf(w, "# Campaign dashboard — %s metrics", db.Tool)
-	if db.Entry != "" {
-		fmt.Fprintf(w, ", ledger entry %q", db.Entry)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "# Campaign dashboard — %s metrics\n", db.Tool)
 	for _, p := range db.Families {
 		fmt.Fprintf(w, "\n%s\n%s\n", p.Family, strings.Repeat("-", len(p.Family)))
 		fmt.Fprintf(w, "  cells        %d total, %d failed, %d retries, %d timeouts, %d panics\n",
@@ -165,12 +156,6 @@ func renderText(w io.Writer, db dashboard) {
 				p.MinorGC, p.MajorGC, p.Tenured, p.GCPauseP50, p.GCPauseP95, p.GCPauseSamples)
 		} else {
 			fmt.Fprintf(w, "  gc           quiet (no collections)\n")
-		}
-		if p.HasBench {
-			fmt.Fprintf(w, "  bench        interp %s/op, jit %s/op  (%.2fx jit speedup)\n",
-				fmtNs(p.InterpNs), fmtNs(p.JitNs), p.Speedup)
-		} else {
-			fmt.Fprintf(w, "  bench        no BenchmarkCampaignByFamily pair in ledger entry\n")
 		}
 	}
 	if pr := db.Process; pr != nil {
@@ -200,14 +185,13 @@ td.k { color: #5a6470; white-space: nowrap; }
 .bar span { display: block; height: 100%; background: #4c8dd6; }
 .muted { color: #8a93a0; }
 </style></head><body>
-<h1>Campaign dashboard — {{.Tool}} metrics{{if .Entry}}, ledger entry “{{.Entry}}”{{end}}</h1>
+<h1>Campaign dashboard — {{.Tool}} metrics</h1>
 {{range .Families}}<div class="card"><h2>{{.Family}}</h2><table>
 <tr><td class="k">cells</td><td>{{.Cells}} total, {{.Failed}} failed, {{.Retries}} retries, {{.Timeouts}} timeouts, {{.Panics}} panics</td></tr>
 <tr><td class="k">sources</td><td>{{.Runs}} run, {{.CacheHits}} cache, {{.DedupHits}} dedup, {{.Verified}} verified ({{pct .HitRate}} served without re-running)</td></tr>
 <tr><td class="k">wall time</td><td>p50 {{ns .WallP50}} · p95 {{ns .WallP95}} · max {{ns .WallMax}}</td></tr>
 <tr><td class="k">tier mix</td><td><span class="bar"><span style="width:{{mix .CompiledShare}}%"></span></span> {{pct .CompiledShare}} compiled frames ({{.CompiledFrames}} compiled, {{.FallbackChunks}} fallback; {{.Compiled}} methods, {{.OSR}} OSR, {{.Deopts}} deopts, {{.Inlined}} inlined calls)</td></tr>
 <tr><td class="k">gc</td><td>{{if .GCPauseSamples}}{{.MinorGC}} minor, {{.MajorGC}} major, {{.Tenured}} tenured; pause cycles p50 {{printf "%.0f" .GCPauseP50}} · p95 {{printf "%.0f" .GCPauseP95}}{{else}}<span class="muted">quiet (no collections)</span>{{end}}</td></tr>
-<tr><td class="k">bench</td><td>{{if .HasBench}}interp {{ns .InterpNs}}/op, jit {{ns .JitNs}}/op ({{printf "%.2f" .Speedup}}× jit speedup){{else}}<span class="muted">no BenchmarkCampaignByFamily pair in ledger entry</span>{{end}}</td></tr>
 </table></div>
 {{end}}{{if .Process}}<div class="card"><h2>process</h2><table>
 <tr><td class="k">cache</td><td>{{.Process.CacheHits}} hits, {{.Process.CacheMisses}} misses, {{.Process.CachePuts}} puts, {{.Process.CacheDeduped}} deduped, {{.Process.CacheEvicted}} evicted, {{.Process.CacheVerified}} verified</td></tr>
@@ -215,87 +199,65 @@ td.k { color: #5a6470; white-space: nowrap; }
 {{end}}</body></html>
 `))
 
-// runDashboard is the `benchtrend dashboard` subcommand: join a -metrics
-// dump with the ledger's per-family campaign benchmarks and render text
-// (stdout or -o) and optionally HTML (-html) panels.
+// runDashboard is the `jvmsim dashboard` subcommand: render a -metrics
+// dump as per-family text panels (stdout or -o) and optionally as a
+// self-contained HTML page (-html). A missing or unreadable dump is a
+// usage error; failing to write an output is fatal.
 func runDashboard(args []string) int {
 	fs := flag.NewFlagSet("dashboard", flag.ExitOnError)
 	metricsPath := fs.String("metrics", "", "telemetry metrics dump to render (from jvmsim/jprof/tables -metrics)")
-	ledgerPath := fs.String("ledger", "BENCH_TREND.json", "trend ledger joined for per-family ns/op (missing file skips the join)")
-	entryLabel := fs.String("entry", "", "ledger entry to join (default: the newest)")
 	outPath := fs.String("o", "", "write the text dashboard to `FILE` instead of stdout")
 	htmlPath := fs.String("html", "", "also write a self-contained HTML dashboard to `FILE`")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return harness.ExitUsage
 	}
 	if *metricsPath == "" {
-		fmt.Fprintln(os.Stderr, "benchtrend dashboard: -metrics FILE is required")
-		return 2
+		fmt.Fprintln(os.Stderr, "jvmsim dashboard: -metrics FILE is required")
+		return harness.ExitUsage
 	}
 	data, err := os.ReadFile(*metricsPath)
+	var dump *telemetry.Dump
+	if err == nil {
+		dump, err = telemetry.ReadDump(data)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchtrend dashboard:", err)
-		return 2
+		fmt.Fprintln(os.Stderr, "jvmsim dashboard:", err)
+		return harness.ExitUsage
 	}
-	dump, err := telemetry.ReadDump(data)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchtrend dashboard:", err)
-		return 2
-	}
-
-	var entry *Entry
-	if ldata, err := os.ReadFile(*ledgerPath); err == nil {
-		var l Ledger
-		if err := json.Unmarshal(ldata, &l); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtrend dashboard: %s: %v\n", *ledgerPath, err)
-			return 2
-		}
-		if *entryLabel != "" {
-			if entry = findEntry(&l, *entryLabel); entry == nil {
-				fmt.Fprintf(os.Stderr, "benchtrend dashboard: no ledger entry %q\n", *entryLabel)
-				return 2
-			}
-		} else if len(l.Entries) > 0 {
-			entry = &l.Entries[len(l.Entries)-1]
-		}
-	} else if *entryLabel != "" {
-		fmt.Fprintln(os.Stderr, "benchtrend dashboard:", err)
-		return 2
-	}
-
-	db := buildDashboard(dump, entry)
+	db := buildDashboard(dump)
 	if len(db.Families) == 0 && db.Process == nil {
-		fmt.Fprintln(os.Stderr, "benchtrend dashboard: metrics dump has no families")
-		return 2
+		fmt.Fprintln(os.Stderr, "jvmsim dashboard: metrics dump has no families")
+		return harness.ExitUsage
 	}
-	sort.Slice(db.Families, func(i, j int) bool { return db.Families[i].Family < db.Families[j].Family })
+	err = writeFile(*outPath, func(w io.Writer) error {
+		renderText(w, db)
+		return nil
+	})
+	if err == nil && *htmlPath != "" {
+		if err = writeFile(*htmlPath, func(w io.Writer) error { return htmlTmpl.Execute(w, db) }); err == nil {
+			fmt.Fprintf(os.Stderr, "jvmsim dashboard: HTML -> %s\n", *htmlPath)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "jvmsim dashboard:", err)
+		return harness.ExitFatal
+	}
+	return harness.ExitComplete
+}
 
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtrend dashboard:", err)
-			return 2
-		}
-		defer f.Close()
-		out = f
+// writeFile runs render against path, or against stdout when path is
+// empty, and reports the first render or close error.
+func writeFile(path string, render func(io.Writer) error) error {
+	if path == "" {
+		return render(os.Stdout)
 	}
-	renderText(out, db)
-	if *htmlPath != "" {
-		f, err := os.Create(*htmlPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtrend dashboard:", err)
-			return 2
-		}
-		err = htmlTmpl.Execute(f, db)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtrend dashboard:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "benchtrend dashboard: HTML -> %s\n", *htmlPath)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return 0
+	err = render(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -32,14 +32,14 @@ type check struct {
 // runDoctor is the `jvmsim doctor` subcommand: a fast, side-effect-free
 // audit of everything a campaign run depends on — toolchain, scenario
 // registry, heap specs, the result cache (the crash-resume store) and
-// the benchmark baseline — reporting every failure rather than stopping
-// at the first. Returns the process exit code.
+// the telemetry outputs — reporting every failure rather than stopping
+// at the first. It reads nothing relative to the working directory, so
+// it gives the same verdict from any directory. Returns the process
+// exit code.
 func runDoctor(args []string) int {
 	fs := flag.NewFlagSet("doctor", flag.ExitOnError)
 	format := fs.String("format", "text", "output format: text or json")
 	cacheDir := fs.String("cache-dir", os.Getenv(resultcache.EnvVar), "result cache directory to audit (default $"+resultcache.EnvVar+"; empty skips the check)")
-	ledger := fs.String("ledger", "BENCH_TREND.json", "benchmark ledger to verify")
-	baseline := fs.String("baseline", "pr17", "ledger entry the perf gate compares against")
 	tracePath := fs.String("trace", "", "intended -trace output path to audit (empty checks the clock only)")
 	metricsPath := fs.String("metrics", "", "intended -metrics output path to audit")
 	if err := fs.Parse(args); err != nil {
@@ -55,7 +55,6 @@ func runDoctor(args []string) int {
 		checkRegistry(),
 		checkHeapSpecs(),
 		checkCache(*cacheDir),
-		checkBaseline(*ledger, *baseline),
 		checkTelemetry(*tracePath, *metricsPath, *cacheDir),
 	}
 	ok := true
@@ -275,34 +274,5 @@ func checkTelemetry(tracePath, metricsPath, cacheDir string) check {
 	} else {
 		c.Detail = fmt.Sprintf("monotonic clock ok, %d output path(s) writable", probed)
 	}
-	return c
-}
-
-// checkBaseline verifies the benchmark ledger parses and contains the
-// baseline entry the perf gate (`benchtrend -check`) compares against.
-func checkBaseline(path, label string) check {
-	c := check{Name: "bench-baseline"}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		c.Detail = err.Error()
-		return c
-	}
-	var ledger struct {
-		Entries []struct {
-			Label string `json:"label"`
-		} `json:"entries"`
-	}
-	if err := json.Unmarshal(data, &ledger); err != nil {
-		c.Detail = fmt.Sprintf("%s: %v", path, err)
-		return c
-	}
-	for _, e := range ledger.Entries {
-		if e.Label == label {
-			c.OK = true
-			c.Detail = fmt.Sprintf("%s holds baseline %q (%d entries)", path, label, len(ledger.Entries))
-			return c
-		}
-	}
-	c.Detail = fmt.Sprintf("%s has no entry labelled %q (%d entries)", path, label, len(ledger.Entries))
 	return c
 }

@@ -14,6 +14,7 @@
 //	       <scenario|family>... | all
 //	jvmsim doctor [-format text|json] [-cache-dir DIR]
 //	              [-trace FILE] [-metrics FILE]
+//	jvmsim dashboard -metrics FILE [-o FILE] [-html FILE]
 //	jvmsim search [-budget N] [-seed S] [-oracle NAME] [-stop N]
 //	              [-format text|json] [-out DIR] [-scenario FILE]
 //	jvmsim search -record ziptool|jdkapp [-o FILE]
@@ -54,7 +55,10 @@
 // -cache-verify N re-executes a deterministic 1-in-N sample of hits and
 // fails loudly on mismatch. The `doctor` subcommand checks the
 // installation (toolchain, registry, heap specs, cache-dir health,
-// benchmark baseline) and exits non-zero on failure.
+// telemetry output paths) and exits non-zero on failure. The
+// `dashboard` subcommand renders a -metrics dump as per-family text
+// panels and, with -html, a self-contained HTML page (see
+// docs/observability.md).
 //
 // The `search` subcommand is the adversarial differential scenario
 // search (see docs/scenario-search.md): it mutates phase workloads under
@@ -108,6 +112,9 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "search" {
 		os.Exit(runSearch(os.Args[2:]))
+	}
+	if len(os.Args) > 1 && os.Args[1] == "dashboard" {
+		os.Exit(runDashboard(os.Args[2:]))
 	}
 	agentName := registry.AddFlag(flag.CommandLine, "none")
 	engineName := jit.AddEngineFlag(flag.CommandLine)

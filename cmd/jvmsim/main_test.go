@@ -84,6 +84,20 @@ func TestDoctorCountsStrayTempFiles(t *testing.T) {
 	}
 }
 
+// TestDoctorOutsideRepoRoot: doctor reads nothing relative to the
+// working directory, so it passes from an empty directory.
+func TestDoctorOutsideRepoRoot(t *testing.T) {
+	for _, format := range []string{"text", "json"} {
+		cmd := exec.Command(binPath, "doctor", "-format", format)
+		cmd.Dir = t.TempDir()
+		cmd.Env = append(os.Environ(), resultcache.EnvVar+"=")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("doctor -format %s from %s: %v\n%s", format, cmd.Dir, err, out)
+		}
+	}
+}
+
 // TestCrashResumeByteIdentical is the end-to-end crash-resume proof on
 // the real binary: a campaign killed mid-flight by the crash injector
 // (faultinject's os.Exit(137), indistinguishable from SIGKILL as far as

@@ -479,56 +479,3 @@ func TestCampaignCellStats(t *testing.T) {
 		t.Fatalf("Host leaked into the canonical Measurement payload: %s", raw)
 	}
 }
-
-// benchCacheCampaign is the ledger's cache benchmark body: the full
-// scenario catalogue under every default agent at scale 8 — the same
-// matrix cold and warm, so the pair's ratio is the cache's speedup.
-func benchCacheCampaign(b *testing.B, dir string) {
-	b.Helper()
-	scns, err := scenarios.Profile("all")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Runs = 1
-	cfg.Scale = 8
-	cfg.Parallelism = 1
-	cache, err := resultcache.Open(dir, resultcache.ModeRW)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.Cache = cache
-	camp := Campaign{Scenarios: scns, Config: cfg}
-	if _, err := camp.Run(context.Background(), nil); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkCampaignCacheCold measures the full campaign with an empty
-// cache every iteration: simulation cost plus the store's write path.
-func BenchmarkCampaignCacheCold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir, err := os.MkdirTemp("", "cachebench-*")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		benchCacheCampaign(b, dir)
-		b.StopTimer()
-		os.RemoveAll(dir)
-		b.StartTimer()
-	}
-}
-
-// BenchmarkCampaignCacheWarm measures the same campaign served entirely
-// from a pre-warmed cache; the acceptance floor is a 5x speedup over
-// BenchmarkCampaignCacheCold (gated in CI via benchtrend's ratio pairs).
-func BenchmarkCampaignCacheWarm(b *testing.B) {
-	dir := b.TempDir()
-	benchCacheCampaign(b, dir) // prewarm
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchCacheCampaign(b, dir)
-	}
-}

@@ -189,78 +189,3 @@ func TestWarmupInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// BenchmarkTableISequentialJIT and BenchmarkTableIParallelJIT are the
-// Table I campaign benchmarks on the template tier; their ratio to the
-// engine=interp variants above is the tier's end-to-end speedup at
-// byte-identical output.
-func BenchmarkTableISequentialJIT(b *testing.B) {
-	cfg := testConfig()
-	cfg.Parallelism = 1
-	cfg.Opts.Tier = jit.EngineJIT
-	for i := 0; i < b.N; i++ {
-		if _, err := TableI(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableIParallelJIT(b *testing.B) {
-	cfg := testConfig()
-	cfg.Parallelism = 0 // one worker per CPU
-	cfg.Opts.Tier = jit.EngineJIT
-	for i := 0; i < b.N; i++ {
-		if _, err := TableI(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCampaign measures the full scenario catalogue — every family,
-// every built-in scenario — under the uninstrumented agent, once per
-// engine, the campaign-scale wall-clock number the roadmap tracks.
-func BenchmarkCampaign(b *testing.B) {
-	scns, err := scenarios.Profile("all")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, engine := range []jit.Engine{jit.EngineInterp, jit.EngineJIT} {
-		b.Run("engine="+engine.String(), func(b *testing.B) {
-			cfg := testConfig()
-			cfg.Parallelism = 1
-			cfg.Opts.Tier = engine
-			camp := Campaign{Scenarios: scns, Agents: []string{"none"}, Config: cfg}
-			for i := 0; i < b.N; i++ {
-				if _, err := camp.Run(context.Background(), nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCampaignByFamily breaks the campaign number down per scenario
-// family and engine, the view that shows where the template tier pays
-// (loop-dominated families) and where it is parity (effect- and
-// invoke-dominated ones).
-func BenchmarkCampaignByFamily(b *testing.B) {
-	for _, fam := range scenarios.Families() {
-		scns, err := scenarios.Profile(fam)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, engine := range []jit.Engine{jit.EngineInterp, jit.EngineJIT} {
-			b.Run(fam+"/engine="+engine.String(), func(b *testing.B) {
-				cfg := testConfig()
-				cfg.Parallelism = 1
-				cfg.Opts.Tier = engine
-				camp := Campaign{Scenarios: scns, Agents: []string{"none"}, Config: cfg}
-				for i := 0; i < b.N; i++ {
-					if _, err := camp.Run(context.Background(), nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}

@@ -106,23 +106,3 @@ func TestGCPressureCampaignGolden(t *testing.T) {
 		t.Errorf("gcpressure campaign diverged from golden:\n--- got ---\n%s--- want ---\n%s", text, golden)
 	}
 }
-
-// BenchmarkCampaignGCPressure measures the whole gcpressure family —
-// bounded nurseries, tenure traffic, the aprof agent — end to end; the
-// heap/GC row of the PR-over-PR benchmark ledger.
-func BenchmarkCampaignGCPressure(b *testing.B) {
-	scns, err := scenarios.Profile("gcpressure")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Runs = 1
-	cfg.Scale = 8
-	camp := Campaign{Scenarios: scns, Agents: []string{"none", "aprof"}, Config: cfg}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := camp.Run(context.Background(), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -206,27 +206,3 @@ func TestMeasureParallelismIndependence(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkTableIParallel and BenchmarkTableISequential measure the
-// wall-clock effect of the worker pool on the Table I campaign; on
-// multi-core hardware the parallel variant should be several times
-// faster at identical output.
-func BenchmarkTableIParallel(b *testing.B) {
-	cfg := testConfig()
-	cfg.Parallelism = 0 // one worker per CPU
-	for i := 0; i < b.N; i++ {
-		if _, err := TableI(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableISequential(b *testing.B) {
-	cfg := testConfig()
-	cfg.Parallelism = 1
-	for i := 0; i < b.N; i++ {
-		if _, err := TableI(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/jit"
@@ -100,39 +101,68 @@ func TestTelemetryCampaignOnOffIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkCampaignTelemetryOff and BenchmarkCampaignTelemetryOn are the
-// overhead pair benchtrend gates: the same full-catalogue campaign with
-// the recorder nil vs fully live (spans + metrics). CI fails when the
-// on/off wall-time ratio exceeds 1.05x.
-func BenchmarkCampaignTelemetryOff(b *testing.B) {
-	benchmarkCampaignTelemetry(b, false)
-}
+// maxTelemetryAllocsPerCell and maxTelemetryBytesPerCell bound what a
+// live recorder adds to one campaign cell: its spans, their args and the
+// registry's counters and histograms. A campaign of 23 cells measured
+// about 19 extra allocations per cell, stable to ±2 across runs, and
+// 2.2–2.6 KB.
+const (
+	maxTelemetryAllocsPerCell = 32
+	maxTelemetryBytesPerCell  = 8 << 10
+)
 
-func BenchmarkCampaignTelemetryOn(b *testing.B) {
-	benchmarkCampaignTelemetry(b, true)
-}
-
-func benchmarkCampaignTelemetry(b *testing.B, on bool) {
+// TestTelemetryAllocCost is the deterministic telemetry-cost gate: the
+// all-family campaign (scale 100, agent none, one worker) with the
+// recorder nil and fully live (spans + metrics) may differ by fewer than
+// maxTelemetryAllocsPerCell allocations and maxTelemetryBytesPerCell
+// bytes per cell. Instrumentation that records per instruction, per
+// block or per call instead of per cell multiplies that difference by
+// the work and fails here: a new counter key per call shows in the
+// allocation count, a buffered trace event per call in the bytes (the
+// event buffer grows by doubling, so its allocation count barely moves).
+func TestTelemetryAllocCost(t *testing.T) {
 	scns, err := scenarios.Profile("all")
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	cfg := testConfig()
-	// Scale down the simulated work (span count is per cell, not per
-	// instruction): the op stays short enough that CI's reduced benchtime
-	// still gets a statistically stable iteration count, and the smaller
-	// denominator makes the on/off ratio MORE sensitive to real per-cell
-	// instrumentation cost, not less.
 	cfg.Scale = 100
 	cfg.Parallelism = 1
 	camp := Campaign{Scenarios: scns, Agents: []string{"none"}, Config: cfg}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if on {
-			camp.Config.Telemetry = telemetry.New(true)
+	run := func(tel *telemetry.Recorder) {
+		c := camp
+		c.Config.Telemetry = tel
+		if _, err := c.Run(context.Background(), nil); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := camp.Run(context.Background(), nil); err != nil {
-			b.Fatal(err)
-		}
+	}
+	run(nil) // fill the process's one-time caches before either leg
+	const runs = 3
+	cost := func(on bool) (allocs, bytes float64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() {
+			var tel *telemetry.Recorder
+			if on {
+				tel = telemetry.New(true)
+			}
+			run(tel)
+		})
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call before its timed runs.
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	}
+	offAllocs, offBytes := cost(false)
+	onAllocs, onBytes := cost(true)
+	cells := float64(len(scns) * len(camp.Agents))
+	allocsPerCell := (onAllocs - offAllocs) / cells
+	bytesPerCell := (onBytes - offBytes) / cells
+	t.Logf("per campaign of %.0f cells: %.0f allocs / %.0f B off, %.0f allocs / %.0f B on; extra per cell %.1f allocs, %.0f B",
+		cells, offAllocs, offBytes, onAllocs, onBytes, allocsPerCell, bytesPerCell)
+	if allocsPerCell >= maxTelemetryAllocsPerCell {
+		t.Errorf("telemetry adds %.1f allocations per cell, want < %d", allocsPerCell, maxTelemetryAllocsPerCell)
+	}
+	if bytesPerCell >= maxTelemetryBytesPerCell {
+		t.Errorf("telemetry adds %.0f bytes per cell, want < %d", bytesPerCell, maxTelemetryBytesPerCell)
 	}
 }

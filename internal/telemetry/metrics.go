@@ -2,7 +2,7 @@ package telemetry
 
 // Canonical metric names. Every package that records into the registry
 // uses these constants so the -metrics dump, the stderr digest and the
-// benchtrend dashboard agree on spelling.
+// `jvmsim dashboard` renderer agree on spelling.
 const (
 	// Per-family counters recorded by the harness and runner.
 	MetricCells        = "cells"         // cells completed (any source)

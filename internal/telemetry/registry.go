@@ -9,9 +9,8 @@ import (
 	"sync"
 )
 
-// MetricsSchema identifies the -metrics dump format; benchtrend's
-// dashboard refuses dumps with a different schema rather than
-// misrendering them.
+// MetricsSchema identifies the -metrics dump format; `jvmsim dashboard`
+// refuses dumps with a different schema rather than misrendering them.
 const MetricsSchema = "jvmsim-telemetry-metrics/v1"
 
 // HistogramBounds is the fixed bucket ladder every histogram uses:

@@ -1,8 +1,8 @@
 // Package bench holds black-box micro-benchmarks for the interpreter fast
 // path: arithmetic dispatch, call machinery, static-field traffic,
-// exception unwinding, and the fast-vs-instrumented loop delta. They are
-// the per-subsystem counterpart to the whole-campaign benchmarks in
-// internal/harness, and scripts/bench.sh records them in BENCH_PR2.json.
+// exception unwinding, and the fast-vs-instrumented loop delta. Each
+// isolates one mechanism for profiling; whole campaigns are measured by
+// the cpubench benchmark.
 package bench
 
 import (
