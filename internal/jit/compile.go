@@ -20,7 +20,9 @@ import (
 // materialized into their canonical homes at every effect boundary,
 // branch, and block end, which keeps the frame bit-identical to the
 // interpreter's at every chunk boundary (the executors' fallback and
-// deoptimization contract).
+// deoptimization contract). A batchable block's Flat is then tidied
+// (see tidy): it runs only as a whole batch, so it keeps canonical only
+// the slots live at the block's exit.
 //
 // The lowering reads nothing but the method itself, so it is
 // link-independent: the VM lowers each method once at load time, runs it
@@ -92,6 +94,7 @@ func Lower(def *classfile.Method, ins []bytecode.Instruction) (*Unit, error) {
 			for _, ch := range lb.Chunks {
 				lb.Flat = append(lb.Flat, ch.Ops...)
 			}
+			lb.Flat = tidy(lb.Flat, int32(def.MaxLocals), lb.Term.SP)
 		}
 		u.Blocks[bi] = lb
 		u.NumInstrs += int(n)
@@ -132,13 +135,124 @@ func Lower(def *classfile.Method, ins []bytecode.Instruction) (*Unit, error) {
 }
 
 // writesSlot reports whether op writes frame slot s (KSwap writes both
-// of its operands). It never sees a trapping op: staticPlan refuses
-// blocks that hold them first.
+// of its operands, KAStore none: its Dst is read).
 func writesSlot(op *Op, s int32) bool {
-	if op.Kind == KSwap {
+	switch op.Kind {
+	case KSwap:
 		return op.A == s || op.B == s
+	case KAStore:
+		return false
 	}
 	return op.Dst == s
+}
+
+// slotReads is the number of slot operands op reads from A and B, in
+// that order: KAStore also reads Dst, and KSwap reads (and writes) both.
+func slotReads(k Kind) int {
+	switch k {
+	case KMovI:
+		return 0
+	case KMov, KNeg, KAddSI, KSubSI, KSubIS, KMulSI, KMulAddSII, KAndSI,
+		KOrSI, KXorSI, KShlSI, KShlIS, KShrSI, KShrIS, KArrayLen:
+		return 1
+	}
+	return 2
+}
+
+// trapping reports whether k is one of the trapping kinds, which the Kind
+// list declares after every pure kind.
+func trapping(k Kind) bool { return k >= KDivSS }
+
+// tidy rewrites a batchable block's concatenated op stream (ml is the
+// frame's MaxLocals, exitSP the block's Term.SP) for the batch path, in
+// place. The stream runs whole or stops at a trapping op whose handler
+// sees only the locals and a fresh stack, so canonical stack homes matter
+// only at the block's exit, below exitSP. Two passes:
+//
+//   - copy propagation: a KMov into a home is forwarded into the ops that
+//     read that home while neither the home nor the move's source is
+//     rewritten, so they read the source directly;
+//   - dead-write removal: a non-trapping op writing a home that nothing
+//     later in the block reads, and that is dead at the exit, is dropped.
+//
+// Trapping ops and their order are kept and KSwap is left as it is; the
+// chunks' own Ops stay canonical for the per-chunk path, which anchors
+// the per-instruction fallback and deopt at every chunk boundary.
+func tidy(ops []Op, ml, exitSP int32) []Op {
+	for i := range ops {
+		mv := &ops[i]
+		if mv.Kind != KMov || mv.Dst < ml || mv.A == mv.Dst {
+			continue
+		}
+		h, src := mv.Dst, mv.A
+		for j := i + 1; j < len(ops); j++ {
+			op := &ops[j]
+			if op.Kind == KSwap {
+				if op.A == h || op.B == h || op.A == src || op.B == src {
+					break
+				}
+				continue
+			}
+			switch slotReads(op.Kind) {
+			case 2:
+				if op.B == h {
+					op.B = src
+				}
+				fallthrough
+			case 1:
+				if op.A == h {
+					op.A = src
+				}
+			}
+			if op.Kind == KAStore && op.Dst == h {
+				op.Dst = src
+			}
+			if writesSlot(op, h) || writesSlot(op, src) {
+				break
+			}
+		}
+	}
+
+	// Liveness of homes [0, 64) as a bit set, walking backwards from the
+	// exit; locals and deeper homes always count as live.
+	live := ^uint64(0)
+	if exitSP < 64 {
+		live = 1<<uint(exitSP) - 1
+	}
+	bit := func(s int32) uint64 {
+		if p := s - ml; p >= 0 && p < 64 {
+			return 1 << uint(p)
+		}
+		return 0
+	}
+	k := len(ops)
+	for i := len(ops) - 1; i >= 0; i-- {
+		op := ops[i]
+		switch {
+		case op.Kind == KSwap:
+			live |= bit(op.A) | bit(op.B)
+		case op.Kind == KAStore:
+			live |= bit(op.A) | bit(op.B) | bit(op.Dst)
+		case op.Kind == KMov && op.A == op.Dst:
+			continue // forwarding turned it into a self-move
+		default:
+			if b := bit(op.Dst); b != 0 && live&b == 0 && !trapping(op.Kind) {
+				continue // a dead home write; trapping kinds must run
+			}
+			live &^= bit(op.Dst)
+			switch slotReads(op.Kind) {
+			case 2:
+				live |= bit(op.B)
+				fallthrough
+			case 1:
+				live |= bit(op.A)
+			}
+		}
+		k--
+		ops[k] = op
+	}
+	n := copy(ops, ops[k:])
+	return ops[:n]
 }
 
 // staticPlan recognizes the canonical counted-kernel unit — entry block

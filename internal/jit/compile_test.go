@@ -256,3 +256,169 @@ func TestCompileExceptionKernel(t *testing.T) {
 		t.Fatal("div not lowered as an effect")
 	}
 }
+
+// lowerAsm lowers the method a assembles.
+func lowerAsm(t *testing.T, a *bytecode.Assembler, maxLocals int) *Unit {
+	t.Helper()
+	m, err := a.FinishMethod("k", "(J)J", classfile.AccPublic|classfile.AccStatic, maxLocals, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := bytecode.Decode(m.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := Lower(m, ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// chunkOps is the number of ops in b's chunks: the canonical stream Flat
+// was tidied from.
+func chunkOps(b *Block) int {
+	n := 0
+	for _, ch := range b.Chunks {
+		n += len(ch.Ops)
+	}
+	return n
+}
+
+// TestTidyArrayKernelBodies pins the batch-stream tidy on the array
+// kernel db spends its time in: the fill body (arr[k] = x + k; k++) and
+// the fold body (x ^= arr[k]; k++) each lower to the three ops that do
+// the work, down from 5 and 6 canonical ops whose moves copy locals into
+// the stack homes the trapping op addresses. The pass leaves OpFree,
+// which counts from the chunks, as it is.
+func TestTidyArrayKernelBodies(t *testing.T) {
+	a := bytecode.NewAssembler()
+	// locals: 0=x, 1=arr, 2=k
+	a.Const(16)
+	a.NewArray()
+	a.Store(1)
+	a.Const(0)
+	a.Store(2)
+	loop := func(body func()) {
+		top, end := a.NewLabel(), a.NewLabel()
+		a.Bind(top)
+		a.Load(2)
+		a.Const(16)
+		a.IfCmpge(end)
+		body()
+		a.Inc(2, 1)
+		a.Goto(top)
+		a.Bind(end)
+	}
+	loop(func() { // fill
+		a.Load(1)
+		a.Load(2)
+		a.Load(0)
+		a.Load(2)
+		a.Add()
+		a.AStore()
+	})
+	a.Const(0)
+	a.Store(2)
+	loop(func() { // fold
+		a.Load(0)
+		a.Load(1)
+		a.Load(2)
+		a.ALoad()
+		a.Xor()
+		a.Store(0)
+	})
+	a.Load(0)
+	a.IReturn()
+	u := lowerAsm(t, a, 3)
+
+	var bodies []*Block
+	for bi := range u.Blocks {
+		if h := &u.Blocks[bi]; h.LoopBody >= 0 {
+			bodies = append(bodies, &u.Blocks[h.LoopBody])
+		}
+	}
+	if len(bodies) != 2 {
+		t.Fatalf("found %d fused loops, want fill and fold", len(bodies))
+	}
+	for i, want := range []struct {
+		canon int
+		kinds []Kind
+		trap  int // index of the array op
+	}{
+		{5, []Kind{KAddSS, KAStore, KAddSI}, 1},
+		{6, []Kind{KALoad, KXorSS, KAddSI}, 0},
+	} {
+		b := bodies[i]
+		if n := chunkOps(b); n != want.canon {
+			t.Errorf("body %d: %d canonical ops, want %d", i, n, want.canon)
+		}
+		if len(b.Flat) != len(want.kinds) {
+			t.Fatalf("body %d: Flat = %+v, want kinds %v", i, b.Flat, want.kinds)
+		}
+		for j, k := range want.kinds {
+			if b.Flat[j].Kind != k {
+				t.Fatalf("body %d: Flat = %+v, want kinds %v", i, b.Flat, want.kinds)
+			}
+		}
+		if op := b.Flat[want.trap]; op.A != 1 || op.B != 2 {
+			t.Errorf("body %d: array op reads slots %d[%d], want the locals arr[k] (1[2])", i, op.A, op.B)
+		}
+		var free int32
+		for _, ch := range b.Chunks {
+			if ch.Pure {
+				free += ch.N - int32(len(ch.Ops))
+			}
+		}
+		if b.OpFree != free {
+			t.Errorf("body %d: OpFree = %d, want %d from the chunks", i, b.OpFree, free)
+		}
+	}
+}
+
+// TestTidyKeepsLiveCopies pins the two limits of the tidy: a copy whose
+// source is rewritten before its read stays (load i; inc i; aload reads
+// the old i from its home), and a home written for a successor block
+// stays even though nothing in its own block reads it.
+func TestTidyKeepsLiveCopies(t *testing.T) {
+	a := bytecode.NewAssembler()
+	// locals: 0=arr, 1=i, 2=out
+	a.Load(0)
+	a.Load(1)
+	a.Inc(1, 1)
+	a.ALoad()
+	a.Store(2)
+	next := a.NewLabel()
+	a.Load(2)
+	a.Goto(next)
+	a.Bind(next)
+	a.IReturn()
+	u := lowerAsm(t, a, 3)
+
+	b := &u.Blocks[0]
+	home := func(p int32) int32 { return int32(u.MaxLocals) + p }
+	var keptCopy, keptExit bool
+	for i, op := range b.Flat {
+		if op.Kind == KMov && op.Dst == home(1) && op.A == 1 {
+			keptCopy = true
+			if i+1 >= len(b.Flat) || b.Flat[i+1].Kind != KAddSI {
+				t.Errorf("copy of i not ahead of its increment: %+v", b.Flat)
+			}
+		}
+		if op.Kind == KMov && op.Dst == home(0) && op.A == 2 {
+			keptExit = true
+		}
+		if op.Kind == KALoad && op.B != home(1) {
+			t.Errorf("aload index forwarded past the increment: %+v", op)
+		}
+	}
+	if !keptCopy {
+		t.Errorf("copy of i before inc dropped: %+v", b.Flat)
+	}
+	if !keptExit {
+		t.Errorf("home write live into the successor dropped: %+v", b.Flat)
+	}
+	if len(b.Flat) >= chunkOps(b) {
+		t.Errorf("nothing tidied: Flat %d ops, chunks %d", len(b.Flat), chunkOps(b))
+	}
+}

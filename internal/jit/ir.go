@@ -232,7 +232,12 @@ type Block struct {
 	// CanBatch marks blocks whose chunks are all pure or may-trap: the
 	// executor charges the whole block (terminator included) as one
 	// batch when the yield budget strictly exceeds NInstr and runs Flat
-	// — the chunks' ops concatenated — without per-chunk bookkeeping.
+	// without per-chunk bookkeeping. Flat is the chunks' ops
+	// concatenated and then tidied: copies into stack homes are
+	// forwarded to their readers and home writes dead at the exit are
+	// dropped. The frame is canonical at every chunk boundary of Chunks,
+	// but at the exit of Flat only for the live slots: the locals and the
+	// homes below Term.SP. A trap inside Flat leaves the locals exact.
 	// The guard keeps yield boundaries exact: when the budget is short,
 	// the general per-chunk path takes over with its per-instruction
 	// fallback. Because no yield can fall inside a batch, a trap needs

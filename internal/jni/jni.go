@@ -21,16 +21,16 @@ import (
 )
 
 // Families of method-invocation functions.
-var families = []string{"", "Static", "Nonvirtual"}
+var families = [...]string{"", "Static", "Nonvirtual"}
 
 // Return-type components of the function names.
-var types = []string{
+var types = [...]string{
 	"Object", "Boolean", "Byte", "Char", "Short",
 	"Int", "Long", "Float", "Double", "Void",
 }
 
 // Parameter-passing style suffixes: varargs, va_list, jvalue array.
-var styles = []string{"", "V", "A"}
+var styles = [...]string{"", "V", "A"}
 
 // typeToDesc maps a function-name type component to the descriptor return
 // characters it accepts.
@@ -47,18 +47,39 @@ var typeToDesc = map[string]string{
 	"Void":    "V",
 }
 
-// FunctionNames returns the names of all 90 JNI method-invocation
-// functions, in deterministic order.
-func FunctionNames() []string {
-	out := make([]string, 0, len(families)*len(types)*len(styles))
+// numFunctions is the number of JNI method-invocation functions.
+const numFunctions = len(families) * len(types) * len(styles)
+
+// names holds every "Call<family><type>Method<style>" string in the order
+// of the families/types/styles tables, family outermost: a function's
+// index into it is its slot in the function table, so the upcall path
+// neither builds a name nor hashes one.
+var names = func() (out [numFunctions]string) {
+	i := 0
 	for _, f := range families {
 		for _, ty := range types {
 			for _, s := range styles {
-				out = append(out, "Call"+f+ty+"Method"+s)
+				out[i] = "Call" + f + ty + "Method" + s
+				i++
 			}
 		}
 	}
 	return out
+}()
+
+// funcIndex maps a function name to its index in names.
+var funcIndex = func() map[string]int {
+	m := make(map[string]int, numFunctions)
+	for i, name := range names {
+		m[name] = i
+	}
+	return m
+}()
+
+// FunctionNames returns the names of all 90 JNI method-invocation
+// functions, in deterministic order.
+func FunctionNames() []string {
+	return append([]string(nil), names[:]...)
 }
 
 // Call carries the arguments of one JNI method-invocation function call.
@@ -72,6 +93,9 @@ type Call struct {
 	Recv int64
 	// Args are the argument words (without the receiver).
 	Args []int64
+
+	// buf is the argument storage a recycled record keeps between upcalls.
+	buf []int64
 }
 
 // Func is one entry of the JNI function table. The *Call is valid only
@@ -80,34 +104,31 @@ type Call struct {
 type Func func(env *Env, call *Call) (int64, error)
 
 // Table is the JNI function table. JVMTI's JNI-function-interception
-// feature swaps entries. The table is copy-on-write: dispatch (Get) is a
-// single atomic pointer load plus a read of an immutable map — no lock on
-// the N2J hot path — while Replace builds a fresh map under a mutex and
+// feature swaps entries. The table is copy-on-write: dispatch is a single
+// atomic pointer load plus an index into an immutable array — no lock on
+// the N2J hot path — while Replace builds a fresh array under a mutex and
 // publishes it atomically.
 type Table struct {
 	mu    sync.Mutex // serializes writers (Replace)
-	funcs atomic.Pointer[map[string]Func]
-}
-
-func newTable(funcs map[string]Func) *Table {
-	t := &Table{}
-	t.funcs.Store(&funcs)
-	return t
+	funcs atomic.Pointer[[numFunctions]Func]
 }
 
 // Get returns the current entry for name.
 func (t *Table) Get(name string) (Func, bool) {
-	f, ok := (*t.funcs.Load())[name]
-	return f, ok
+	i, ok := funcIndex[name]
+	if !ok {
+		return nil, false
+	}
+	return t.funcs.Load()[i], true
 }
 
 // Snapshot returns a copy of the table contents, the analogue of JVMTI's
 // GetJNIFunctionTable.
 func (t *Table) Snapshot() map[string]Func {
-	cur := *t.funcs.Load()
-	out := make(map[string]Func, len(cur))
-	for k, v := range cur {
-		out[k] = v
+	cur := t.funcs.Load()
+	out := make(map[string]Func, numFunctions)
+	for i, f := range cur {
+		out[names[i]] = f
 	}
 	return out
 }
@@ -117,21 +138,17 @@ func (t *Table) Snapshot() map[string]Func {
 func (t *Table) Replace(entries map[string]Func) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := *t.funcs.Load()
 	for name := range entries {
-		if _, ok := cur[name]; !ok {
+		if _, ok := funcIndex[name]; !ok {
 			return fmt.Errorf("jni: unknown function %q", name)
 		}
 	}
-	next := make(map[string]Func, len(cur))
-	for k, v := range cur {
-		next[k] = v
-	}
+	next := *t.funcs.Load()
 	for name, f := range entries {
 		if f == nil {
 			return fmt.Errorf("jni: nil entry for %q", name)
 		}
-		next[name] = f
+		next[funcIndex[name]] = f
 	}
 	t.funcs.Store(&next)
 	return nil
@@ -151,11 +168,12 @@ type JNI struct {
 // layer as the VM's Env factory. It returns the JNI instance for use by
 // the JVMTI layer.
 func Attach(v *vm.VM) *JNI {
-	funcs := make(map[string]Func)
-	for _, name := range FunctionNames() {
-		funcs[name] = defaultImpl(name)
+	funcs := new([numFunctions]Func)
+	for i, name := range names {
+		funcs[i] = defaultImpl(name)
 	}
-	j := &JNI{vm: v, table: newTable(funcs)}
+	j := &JNI{vm: v, table: &Table{}}
+	j.table.funcs.Store(funcs)
 	v.EnvFactory = func(t *vm.Thread) vm.Env { return &Env{jni: j, thread: t} }
 	return j
 }
@@ -279,9 +297,10 @@ func (e *Env) CallVirtual(class, method, desc string, recv int64, args ...int64)
 }
 
 // upcall dispatches one array-style invocation of the given family
-// through a recycled Call record.
+// through a recycled Call record. The record carries a copy of args, so
+// the caller's argument slice never escapes.
 func (e *Env) upcall(family, class, method, desc string, recv int64, args []int64) (int64, error) {
-	name, err := functionFor(family, desc, "A")
+	i, err := functionFor(family, desc, "A")
 	if err != nil {
 		return 0, err
 	}
@@ -292,9 +311,10 @@ func (e *Env) upcall(family, class, method, desc string, recv int64, args []int6
 	} else {
 		c = new(Call)
 	}
-	*c = Call{Class: class, Method: method, Desc: desc, Recv: recv, Args: args}
-	r, err := e.CallByName(name, c)
-	*c = Call{} // drop the argument references while the record idles
+	buf := append(c.buf[:0], args...)
+	*c = Call{Class: class, Method: method, Desc: desc, Recv: recv, Args: buf, buf: buf}
+	r, err := e.dispatch(i, c)
+	*c = Call{buf: buf} // drop the string references while the record idles
 	e.free = append(e.free, c)
 	return r, err
 }
@@ -302,13 +322,18 @@ func (e *Env) upcall(family, class, method, desc string, recv int64, args []int6
 // CallByName dispatches an invocation through the named function-table
 // entry, exercising any installed interception wrapper.
 func (e *Env) CallByName(name string, call *Call) (int64, error) {
-	f, ok := e.jni.table.Get(name)
+	i, ok := funcIndex[name]
 	if !ok {
 		return 0, fmt.Errorf("jni: no such function %q", name)
 	}
+	return e.dispatch(i, call)
+}
+
+// dispatch runs call through function-table entry i.
+func (e *Env) dispatch(i int, call *Call) (int64, error) {
 	e.jni.calls.Add(1)
-	call.Function = name
-	return f(e, call)
+	call.Function = names[i]
+	return e.jni.table.funcs.Load()[i](e, call)
 }
 
 // NewArray allocates an array on the simulated heap. The allocation is
@@ -329,12 +354,11 @@ func (e *Env) ArrayStore(handle, index, value int64) error {
 	return e.jni.vm.Heap.Store(handle, index, value)
 }
 
-// functionFor picks the JNI function name for a family, descriptor return
-// type and style, indexing builtNames by switch: the upcall path neither
-// builds a name nor hashes one.
-func functionFor(family, desc, style string) (string, error) {
+// functionFor picks the index in names of the JNI function for a family,
+// descriptor return type and style, by switch.
+func functionFor(family, desc, style string) (int, error) {
 	if desc == "" {
-		return "", fmt.Errorf("jni: empty descriptor")
+		return 0, fmt.Errorf("jni: empty descriptor")
 	}
 	var ti int // index into types
 	switch ret := desc[len(desc)-1]; {
@@ -359,7 +383,7 @@ func functionFor(family, desc, style string) (string, error) {
 	case ret == 'V':
 		ti = 9
 	default:
-		return "", fmt.Errorf("jni: cannot infer function for descriptor %q", desc)
+		return 0, fmt.Errorf("jni: cannot infer function for descriptor %q", desc)
 	}
 	fi, si := 0, 0 // indexes into families and styles
 	switch family {
@@ -374,19 +398,5 @@ func functionFor(family, desc, style string) (string, error) {
 	case "A":
 		si = 2
 	}
-	return builtNames[fi][ti][si], nil
+	return (fi*len(types)+ti)*len(styles) + si, nil
 }
-
-// builtNames holds every "Call<family><type>Method<style>" string, indexed
-// [family][type][style] in the order of the families/types/styles tables,
-// so the per-call dispatch path never concatenates strings.
-var builtNames = func() (out [3][10][3]string) {
-	for fi, f := range families {
-		for ti, ty := range types {
-			for si, s := range styles {
-				out[fi][ti][si] = "Call" + f + ty + "Method" + s
-			}
-		}
-	}
-	return out
-}()

@@ -1,6 +1,7 @@
 package jni
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -285,8 +286,8 @@ func TestFunctionForSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("functionFor(%q,%q,%q): %v", c.family, c.desc, c.style, err)
 		}
-		if got != c.want {
-			t.Fatalf("functionFor(%q,%q,%q) = %q, want %q", c.family, c.desc, c.style, got, c.want)
+		if names[got] != c.want {
+			t.Fatalf("functionFor(%q,%q,%q) = %q, want %q", c.family, c.desc, c.style, names[got], c.want)
 		}
 	}
 }
@@ -303,5 +304,54 @@ func TestParseFunctionName(t *testing.T) {
 	fam, ret = parseFunctionName("CallNonvirtualVoidMethodV")
 	if fam != "Nonvirtual" || ret != "V" {
 		t.Fatalf("got %q %q", fam, ret)
+	}
+}
+
+// TestUpcallResolvesClassLoadedLater: a failed by-name resolution is not
+// kept, so an upcall to a class loaded after the first attempt succeeds
+// once the class exists.
+func TestUpcallResolvesClassLoadedLater(t *testing.T) {
+	v, _ := buildTestVM(t)
+	env := v.NewDetachedThread("t").Env().(*Env)
+	if _, err := env.CallStatic("t/Late", "f", "()I"); !errors.Is(err, vm.ErrNoSuchClass) {
+		t.Fatalf("upcall before load: err = %v, want ErrNoSuchClass", err)
+	}
+	a := bytecode.NewAssembler()
+	a.Const(9)
+	a.IReturn()
+	f, err := a.FinishMethod("f", "()I", classfile.AccPublic|classfile.AccStatic, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.LoadClass(&classfile.Class{Name: "t/Late", Methods: []*classfile.Method{f}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if got, err := env.CallStatic("t/Late", "f", "()I"); err != nil || got != 9 {
+			t.Fatalf("upcall %d after load = %d, %v; want 9", i, got, err)
+		}
+	}
+}
+
+// TestUpcallKindMismatchEveryCall: a resolution the thread keeps still
+// has its static-versus-instance check applied on every call.
+func TestUpcallKindMismatchEveryCall(t *testing.T) {
+	v, _ := buildTestVM(t)
+	env := v.NewDetachedThread("t").Env().(*Env)
+	if got, err := env.CallStatic("t/C", "add", "(II)I", 2, 3); err != nil || got != 5 {
+		t.Fatalf("add = %d, %v", got, err)
+	}
+	if got, err := env.CallVirtual("t/C", "mul", "(I)I", 6, 7); err != nil || got != 42 {
+		t.Fatalf("mul = %d, %v", got, err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := env.CallVirtual("t/C", "add", "(II)I", 1, 2); err == nil ||
+			!strings.Contains(err.Error(), "is static") {
+			t.Fatalf("virtual upcall %d of a static method: err = %v", i, err)
+		}
+		if _, err := env.CallStatic("t/C", "mul", "(I)I", 6, 7); err == nil ||
+			!strings.Contains(err.Error(), "not static") {
+			t.Fatalf("static upcall %d of an instance method: err = %v", i, err)
+		}
 	}
 }

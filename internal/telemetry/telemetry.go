@@ -34,6 +34,7 @@ package telemetry
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,6 +60,10 @@ type Recorder struct {
 	lanes  []bool // lanes[i] true while lane i is held by a live root span
 
 	reg Registry
+
+	// calls counts Count, Observe, StartSpan and Event calls, so a test
+	// can pin how often the program reaches the recorder (export_test.go).
+	calls atomic.Uint64
 }
 
 // New returns an enabled Recorder. With trace set, spans and events are
@@ -94,7 +99,11 @@ func (r *Recorder) Metrics() *Registry {
 // Count adds n to the named counter under family. Nil-safe, zero-alloc
 // when disabled.
 func (r *Recorder) Count(family, name string, n uint64) {
-	if r == nil || n == 0 {
+	if r == nil {
+		return
+	}
+	r.calls.Add(1)
+	if n == 0 {
 		return
 	}
 	r.reg.Count(family, name, n)
@@ -106,6 +115,7 @@ func (r *Recorder) Observe(family, name string, v float64) {
 	if r == nil {
 		return
 	}
+	r.calls.Add(1)
 	r.reg.Observe(family, name, v)
 }
 
@@ -131,7 +141,11 @@ type Span struct {
 // metrics-only the context is returned unchanged and the span is nil —
 // no allocation happens.
 func (r *Recorder) StartSpan(ctx context.Context, cat, name string) (context.Context, *Span) {
-	if r == nil || !r.traceOn {
+	if r == nil {
+		return ctx, nil
+	}
+	r.calls.Add(1)
+	if !r.traceOn {
 		return ctx, nil
 	}
 	s := &Span{r: r, cat: cat, name: name, start: time.Now()}
@@ -190,7 +204,11 @@ func (s *Span) End() {
 // when the context carries none). Nil-safe and a no-op in metrics-only
 // mode.
 func (r *Recorder) Event(ctx context.Context, cat, name string) {
-	if r == nil || !r.traceOn {
+	if r == nil {
+		return
+	}
+	r.calls.Add(1)
+	if !r.traceOn {
 		return
 	}
 	lane := 0

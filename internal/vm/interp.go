@@ -11,9 +11,12 @@ import (
 // the entry point used by native code (through the JNI layer) and by the
 // harness.
 func (t *Thread) InvokeStatic(class, method, desc string, args ...int64) (int64, error) {
-	m, err := t.vm.lookupStatic(class, method, desc)
+	m, err := t.resolveUpcall(class, method, desc)
 	if err != nil {
 		return 0, err
+	}
+	if !m.Def.IsStatic() {
+		return 0, fmt.Errorf("vm: %s is not static", m.FullName())
 	}
 	return t.invoke(m, args)
 }
@@ -22,19 +25,50 @@ func (t *Thread) InvokeStatic(class, method, desc string, args ...int64) (int64,
 // Dynamic dispatch resolves through the declared class only (the simulator
 // has no subclass hierarchies); the receiver word travels as args[0].
 func (t *Thread) InvokeVirtual(class, method, desc string, recv int64, args ...int64) (int64, error) {
-	c, err := t.vm.Class(class)
+	m, err := t.resolveUpcall(class, method, desc)
 	if err != nil {
 		return 0, err
-	}
-	m := c.Method(method, desc)
-	if m == nil {
-		return 0, fmt.Errorf("%w: %s.%s%s", ErrNoSuchMethod, class, method, desc)
 	}
 	if m.Def.IsStatic() {
 		return 0, fmt.Errorf("vm: %s is static, expected instance method", m.FullName())
 	}
-	full := append([]int64{recv}, args...)
-	return t.invoke(m, full)
+	// The receiver+args window comes from the frame arena: invoke reads
+	// it before the callee runs, and a native callee that holds it while
+	// it calls back in gets its own window, since nested calls push above.
+	full, base := t.pushFrameRaw(len(args) + 1)
+	full[0] = recv
+	copy(full[1:], args)
+	r, err := t.invoke(m, full)
+	t.popFrame(base)
+	return r, err
+}
+
+// upcall is one cached by-name resolution (see resolveUpcall).
+type upcall struct {
+	class, method, desc string
+	m                   *Method
+}
+
+// resolveUpcall resolves a by-name call into Java once per thread, as
+// native code resolves a jmethodID once: classes are never redefined, so
+// a successful resolution holds for the VM's lifetime. Only the thread's
+// own goroutine, holding the scheduler baton, touches the cache, so a hit
+// takes no lock. Native code names its targets with the same few strings
+// call after call, so a linear scan hits on the first entries, mostly by
+// comparing string pointers. Failures are not cached: a class loaded
+// later resolves then.
+func (t *Thread) resolveUpcall(class, method, desc string) (*Method, error) {
+	for i := range t.upcalls {
+		if u := &t.upcalls[i]; u.method == method && u.class == class && u.desc == desc {
+			return u.m, nil
+		}
+	}
+	m, err := t.vm.lookup(class, method, desc)
+	if err != nil {
+		return nil, err
+	}
+	t.upcalls = append(t.upcalls, upcall{class, method, desc, m})
+	return m, nil
 }
 
 // invoke runs one method on this thread: JIT bookkeeping, method events,

@@ -79,6 +79,9 @@ type Thread struct {
 
 	env Env
 
+	// upcalls caches the thread's by-name resolutions (resolveUpcall).
+	upcalls []upcall
+
 	// jvmtiLocal is the JVMTI thread-local storage slot, owned by the
 	// jvmti layer. It lives on the thread (as in a real JVM) so agent
 	// event handlers reach it without a lock: all accesses happen on the
@@ -426,8 +429,8 @@ func (v *VM) NewDetachedThread(name string) *Thread {
 	return t
 }
 
-// lookupStatic resolves a static method by name.
-func (v *VM) lookupStatic(class, method, desc string) (*Method, error) {
+// lookup resolves a method by name.
+func (v *VM) lookup(class, method, desc string) (*Method, error) {
 	c, err := v.Class(class)
 	if err != nil {
 		return nil, err
@@ -435,6 +438,15 @@ func (v *VM) lookupStatic(class, method, desc string) (*Method, error) {
 	m := c.Method(method, desc)
 	if m == nil {
 		return nil, fmt.Errorf("%w: %s.%s%s", ErrNoSuchMethod, class, method, desc)
+	}
+	return m, nil
+}
+
+// lookupStatic resolves a static method by name.
+func (v *VM) lookupStatic(class, method, desc string) (*Method, error) {
+	m, err := v.lookup(class, method, desc)
+	if err != nil {
+		return nil, err
 	}
 	if !m.Def.IsStatic() {
 		return nil, fmt.Errorf("vm: %s is not static", m.FullName())
