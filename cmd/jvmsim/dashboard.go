@@ -28,7 +28,7 @@ type familyPanel struct {
 	WallP50, WallP95, WallMax float64 // nanoseconds
 
 	// Tier mix: how much simulated work ran compiled vs fell back.
-	Compiled, OSR, Deopts, Inlined uint64
+	Compiled, Deopts, Inlined      uint64
 	CompiledFrames, FallbackChunks uint64
 	CompiledShare                  float64 // compiled frames / (compiled+fallback)
 
@@ -93,7 +93,6 @@ func buildDashboard(d *telemetry.Dump) dashboard {
 			DedupHits:      counterOf(fd, telemetry.MetricDedupHits),
 			Verified:       counterOf(fd, telemetry.MetricVerified),
 			Compiled:       counterOf(fd, telemetry.MetricTierCompiled),
-			OSR:            counterOf(fd, telemetry.MetricTierOSR),
 			Deopts:         counterOf(fd, telemetry.MetricTierDeopts),
 			Inlined:        counterOf(fd, telemetry.MetricTierInlined),
 			CompiledFrames: counterOf(fd, telemetry.MetricTierCompiledFrm),
@@ -149,8 +148,8 @@ func renderText(w io.Writer, db dashboard) {
 			p.Runs, p.CacheHits, p.DedupHits, p.Verified, pct(p.HitRate))
 		fmt.Fprintf(w, "  wall time    p50 %s  p95 %s  max %s\n",
 			fmtNs(p.WallP50), fmtNs(p.WallP95), fmtNs(p.WallMax))
-		fmt.Fprintf(w, "  tier mix     %s compiled frames (%d compiled, %d fallback; %d methods, %d OSR, %d deopts, %d inlined calls)\n",
-			pct(p.CompiledShare), p.CompiledFrames, p.FallbackChunks, p.Compiled, p.OSR, p.Deopts, p.Inlined)
+		fmt.Fprintf(w, "  tier mix     %s compiled frames (%d compiled, %d fallback; %d methods, %d deopts, %d inlined calls)\n",
+			pct(p.CompiledShare), p.CompiledFrames, p.FallbackChunks, p.Compiled, p.Deopts, p.Inlined)
 		if p.MinorGC+p.MajorGC > 0 {
 			fmt.Fprintf(w, "  gc           %d minor, %d major, %d tenured; pause cycles p50 %.0f p95 %.0f over %d collecting cells\n",
 				p.MinorGC, p.MajorGC, p.Tenured, p.GCPauseP50, p.GCPauseP95, p.GCPauseSamples)
@@ -190,7 +189,7 @@ td.k { color: #5a6470; white-space: nowrap; }
 <tr><td class="k">cells</td><td>{{.Cells}} total, {{.Failed}} failed, {{.Retries}} retries, {{.Timeouts}} timeouts, {{.Panics}} panics</td></tr>
 <tr><td class="k">sources</td><td>{{.Runs}} run, {{.CacheHits}} cache, {{.DedupHits}} dedup, {{.Verified}} verified ({{pct .HitRate}} served without re-running)</td></tr>
 <tr><td class="k">wall time</td><td>p50 {{ns .WallP50}} · p95 {{ns .WallP95}} · max {{ns .WallMax}}</td></tr>
-<tr><td class="k">tier mix</td><td><span class="bar"><span style="width:{{mix .CompiledShare}}%"></span></span> {{pct .CompiledShare}} compiled frames ({{.CompiledFrames}} compiled, {{.FallbackChunks}} fallback; {{.Compiled}} methods, {{.OSR}} OSR, {{.Deopts}} deopts, {{.Inlined}} inlined calls)</td></tr>
+<tr><td class="k">tier mix</td><td><span class="bar"><span style="width:{{mix .CompiledShare}}%"></span></span> {{pct .CompiledShare}} compiled frames ({{.CompiledFrames}} compiled, {{.FallbackChunks}} fallback; {{.Compiled}} methods, {{.Deopts}} deopts, {{.Inlined}} inlined calls)</td></tr>
 <tr><td class="k">gc</td><td>{{if .GCPauseSamples}}{{.MinorGC}} minor, {{.MajorGC}} major, {{.Tenured}} tenured; pause cycles p50 {{printf "%.0f" .GCPauseP50}} · p95 {{printf "%.0f" .GCPauseP95}}{{else}}<span class="muted">quiet (no collections)</span>{{end}}</td></tr>
 </table></div>
 {{end}}{{if .Process}}<div class="card"><h2>process</h2><table>

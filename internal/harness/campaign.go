@@ -254,7 +254,6 @@ func (c Campaign) runCell(ctx context.Context, sc scenarios.Scenario, agent, key
 		tel.Count(fam, telemetry.MetricRuns, 1)
 	}
 	tel.Count(fam, telemetry.MetricTierCompiled, m.Tier.MethodsCompiled)
-	tel.Count(fam, telemetry.MetricTierOSR, m.Tier.OSREntries)
 	tel.Count(fam, telemetry.MetricTierDeopts, m.Tier.DeoptFrames)
 	tel.Count(fam, telemetry.MetricTierCompiledFrm, m.Tier.CompiledFrames)
 	tel.Count(fam, telemetry.MetricTierInlined, m.Tier.InlinedCalls)

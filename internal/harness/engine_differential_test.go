@@ -80,7 +80,7 @@ func TestEngineDifferentialAllFamilies(t *testing.T) {
 
 // TestEngineDifferentialScale8 re-runs the cross-engine guarantee at
 // scale 8 — several times the work of the regular test configuration, so
-// every scenario's hot loops cross the OSR threshold and every call-heavy
+// every scenario's hot loops run long and every call-heavy
 // phase runs long enough to exercise inline sites — and asserts the full
 // campaign (cycles, instruction counts, reports, check verdicts) is
 // byte-identical across -engine=interp|jit|auto, sequentially and with 8

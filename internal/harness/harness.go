@@ -333,7 +333,6 @@ func MeasureScenario(ctx context.Context, sc scenarios.Scenario, agentName strin
 			tier.FallbackChunks += res.Tier.FallbackChunks
 			tier.InlinedSites += res.Tier.InlinedSites
 			tier.InlinedCalls += res.Tier.InlinedCalls
-			tier.OSREntries += res.Tier.OSREntries
 		}
 		rspan.End()
 		if warmup {

@@ -16,14 +16,14 @@ import (
 // off a cell's Measurement, cached or not; counterValues gives their
 // values for one Measurement, in the same order.
 var payloadCounters = []string{
-	telemetry.MetricTierCompiled, telemetry.MetricTierOSR, telemetry.MetricTierDeopts,
+	telemetry.MetricTierCompiled, telemetry.MetricTierDeopts,
 	telemetry.MetricTierCompiledFrm, telemetry.MetricTierInlined, telemetry.MetricTierFallback,
 	telemetry.MetricGCMinor, telemetry.MetricGCMajor, telemetry.MetricGCTenured,
 }
 
 func counterValues(m *Measurement) []uint64 {
 	return []uint64{
-		m.Tier.MethodsCompiled, m.Tier.OSREntries, m.Tier.DeoptFrames,
+		m.Tier.MethodsCompiled, m.Tier.DeoptFrames,
 		m.Tier.CompiledFrames, m.Tier.InlinedCalls, m.Tier.FallbackChunks,
 		m.GC.MinorGCs, m.GC.MajorGCs, m.GC.TenurePromotions,
 	}

@@ -111,11 +111,12 @@ type Stats struct {
 	FallbackChunks uint64 `json:",omitempty"`
 	// Tier-2 bookkeeping. InlinedSites counts inline-expanded call sites
 	// across every unit built over the VM's lifetime; InlinedCalls the
-	// calls actually executed through an inline site; OSREntries the
-	// on-stack replacements taken (hot loops promoted mid-iteration);
-	// SuperinstrPairs the instructions interpreted frames executed in
-	// batches without an op of their own (folded into another
-	// instruction's op by the lowering). Promoted frames do not count.
+	// calls actually executed through an inline site; SuperinstrPairs the
+	// instructions interpreted frames executed in batches without an op of
+	// their own (folded into another instruction's op by the lowering).
+	// Promoted frames do not count. OSREntries is always 0: the VM has no
+	// on-stack replacement, and the field stays only because the cpubench
+	// module still reports it as jit.osr_entries.
 	InlinedSites    uint64 `json:",omitempty"`
 	InlinedCalls    uint64 `json:",omitempty"`
 	OSREntries      uint64 `json:",omitempty"`
@@ -127,8 +128,8 @@ type Stats struct {
 }
 
 // MethodStats is one method's tier-2 bookkeeping for the -tierstats
-// surfaces: where inlining happened, which loops OSR promoted, and how
-// much of the method's straight-line code the lowering folded away.
+// surfaces: where inlining happened and how much of the method's
+// straight-line code the lowering folded away.
 type MethodStats struct {
 	// Method is the full "Class.name(Desc)" name.
 	Method string
@@ -136,11 +137,9 @@ type MethodStats struct {
 	// method's current unit (0 while interpreted or invalidated).
 	InlineSites int
 	// InlinedCalls counts calls this method made through inline sites;
-	// OSREntries the on-stack replacements taken in its frames;
 	// SuperPairs the instructions its interpreted frames executed in
 	// batches without an op of their own.
 	InlinedCalls uint64
-	OSREntries   uint64
 	SuperPairs   uint64
 	// FusedPairs and StraightInstrs describe static coverage: of the
 	// StraightInstrs instructions in the lowering's pure chunks,

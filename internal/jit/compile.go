@@ -125,11 +125,6 @@ func Lower(def *classfile.Method, ins []bytecode.Instruction) (*Unit, error) {
 			h.LoopBody = nb
 		}
 	}
-	if len(u.Blocks) == 1 {
-		b := &u.Blocks[0]
-		u.Leaf = b.CanBatch && !b.Traps &&
-			(b.Term.Kind == TermReturn || b.Term.Kind == TermIreturn)
-	}
 	u.Static = staticPlan(u)
 	return u, nil
 }
@@ -632,7 +627,7 @@ func lowerBlock(def *classfile.Method, ins []bytecode.Instruction, bb bytecode.B
 	for p := range lo.st {
 		lo.st[p] = desc{kind: dHome}
 	}
-	out := Block{Start: int32(bb.Start), SPIn: int32(bb.DepthIn)}
+	out := Block{Start: int32(bb.Start)}
 
 	fallTo := func(idx int) int32 {
 		if idx >= len(ins) {

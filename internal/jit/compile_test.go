@@ -112,7 +112,7 @@ func TestCompileCoversBlocksMetadata(t *testing.T) {
 		t.Fatalf("unit has %d blocks, metadata has %d", len(u.Blocks), len(bbs))
 	}
 	for i, bb := range bbs {
-		if u.Blocks[i].Start != int32(bb.Start) || u.Blocks[i].SPIn != int32(bb.DepthIn) {
+		if u.Blocks[i].Start != int32(bb.Start) {
 			t.Fatalf("block %d = %+v, metadata %+v", i, u.Blocks[i], bb)
 		}
 		if u.BlockOf[bb.Start] != int32(i) {
@@ -225,17 +225,12 @@ func TestCompileExceptionKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var handlerBlock *Block
-	for i := range u.Blocks {
-		if u.Blocks[i].SPIn == 1 {
-			handlerBlock = &u.Blocks[i]
-		}
-	}
-	if handlerBlock == nil {
-		t.Fatal("no depth-1 handler block in the unit")
-	}
-	if u.BlockOf[handlerBlock.Start] < 0 {
+	hi, ok := bytecode.IndexAt(ins, int(handler))
+	if !ok || u.BlockOf[hi] < 0 {
 		t.Fatal("handler leader not mapped in BlockOf")
+	}
+	if sp := u.Blocks[u.BlockOf[hi]].Chunks[0].SP; sp != 1 {
+		t.Fatalf("handler block enters at depth %d, want 1", sp)
 	}
 	var sawDiv bool
 	for _, b := range u.Blocks {

@@ -5,7 +5,7 @@
 // internal/vm's block executor runs it in every interpreted frame from
 // load time on, and once a method's hotness counter crosses the promotion
 // threshold the same executor runs the promoted unit (the lowering plus
-// inline sites, entered through OSR mid-loop as well).
+// inline sites) from the method's next entry on.
 //
 // The package owns three things:
 //

@@ -225,10 +225,8 @@ type Block struct {
 	// Start is the bytecode instruction index of the leader; NInstr the
 	// total instructions the block covers, terminator included.
 	Start, NInstr int32
-	// SPIn is the operand-stack depth on entry.
-	SPIn   int32
-	Chunks []Chunk
-	Term   Term
+	Chunks        []Chunk
+	Term          Term
 	// CanBatch marks blocks whose chunks are all pure or may-trap: the
 	// executor charges the whole block (terminator included) as one
 	// batch when the yield budget strictly exceeds NInstr and runs Flat
@@ -246,7 +244,7 @@ type Block struct {
 	// as the effect path would.
 	CanBatch bool
 	// Traps marks a batchable block whose Flat holds trapping ops; the
-	// whole-activation plans (Unit.Leaf, StaticPlan) refuse such blocks.
+	// whole-activation StaticPlan refuses such blocks.
 	Traps bool
 	Flat  []Op
 	// OpFree counts the instructions of the block's pure chunks that
@@ -319,8 +317,7 @@ type StaticPlan struct {
 type Unit struct {
 	Blocks []Block
 	// BlockOf maps a bytecode instruction index to the index of the block
-	// it leads, or -1. Handler dispatch resolves through it; on-stack
-	// replacement enters through it (every loop header is a block leader).
+	// it leads, or -1. Handler dispatch resolves through it.
 	BlockOf []int32
 	// MaxLocals and NumSlots describe the frame layout: locals occupy
 	// [0, MaxLocals), stack homes [MaxLocals, NumSlots).
@@ -334,11 +331,6 @@ type Unit struct {
 	// callee frame, since inline expansion never nests.
 	Inlines      []InlineSite
 	ScratchSlots int
-	// Leaf marks a unit that is one batchable block ending in a return:
-	// no branches, no effects or traps, no yields possible mid-body when the
-	// budget covers it. The executor's inline-call fast path runs such a
-	// unit as a single fused step.
-	Leaf bool
 	// Static is the whole-activation plan for counted-kernel units, nil
 	// when the unit doesn't match the shape.
 	Static *StaticPlan

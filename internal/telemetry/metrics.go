@@ -19,7 +19,6 @@ const (
 	// Per-family counters sourced from the jit.Stats seam of each
 	// measurement (cached or executed — tier stats live in the payload).
 	MetricTierCompiled    = "tier_methods_compiled"
-	MetricTierOSR         = "tier_osr_entries"
 	MetricTierDeopts      = "tier_deopt_frames"
 	MetricTierCompiledFrm = "tier_compiled_frames"
 	MetricTierInlined     = "tier_inlined_calls"

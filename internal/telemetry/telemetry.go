@@ -11,8 +11,8 @@
 //     Recorder collects is host-side bookkeeping stamped outside the
 //     canonical cell payloads, so campaign output is byte-identical with
 //     telemetry on or off, at any parallelism, on any engine. The VM and
-//     JIT are not instrumented at all — tier promotions, OSR entries,
-//     deopts and GC pauses are read from the existing jit.Stats and
+//     JIT are not instrumented at all — tier promotions, deopts and
+//     GC pauses are read from the existing jit.Stats and
 //     vm.GCStats seams after each run.
 //
 //   - A disabled Recorder is a nil pointer, and every method is nil-safe

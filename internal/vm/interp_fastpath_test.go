@@ -539,13 +539,12 @@ func TestFastLoopMatchesInstrumentedWithoutLowering(t *testing.T) {
 				opts.Tier = tier
 				opts.Quantum = q
 				opts.CompileThreshold = 1 // the jit leg tries to promote at once
-				opts.OSRThreshold = 1
 				got, err, fv := runLoops(t, opts, cls, unlower, name, "(J)J", 25)
 				if err != nil || got != want {
 					t.Fatalf("%s %s quantum %d: %d, %v; want %d", name, tier, q, got, err, want)
 				}
 				st := fv.TierStats()
-				if st.SuperinstrPairs != 0 || st.CompiledFrames != 0 || st.OSREntries != 0 {
+				if st.SuperinstrPairs != 0 || st.CompiledFrames != 0 {
 					t.Fatalf("%s %s quantum %d: ran lowered code without a lowering: %+v", name, tier, q, st)
 				}
 				if tier == jit.EngineJIT && st.CompileFailures == 0 {

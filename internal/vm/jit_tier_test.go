@@ -292,8 +292,8 @@ func FuzzJITDifferential(f *testing.F) {
 			runEngines(t, cls, "loop", 6, seed%31)
 			runEnginesQuantum(t, 7, cls, "loop", 6, seed%31)
 		}
-		// OSR edge: one invocation of a loop hot enough that the only way
-		// into compiled code is promotion mid-iteration.
+		// One invocation of a long loop: a single interpreted frame
+		// carries every iteration.
 		if m, err := genOSRLoopProgram(seed); err == nil && bytecode.Verify(m) == nil {
 			cls := &classfile.Class{Name: "p/OSR", Methods: []*classfile.Method{m}}
 			runEngines(t, cls, "loop", 1, seed%31)

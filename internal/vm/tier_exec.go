@@ -38,19 +38,14 @@ import (
 // keeps every chunk boundary canonical), so the handoff is a pair of
 // slice views, not a state reconstruction. An interpreted frame never
 // deopts mid-frame (its lowering has no inline sites and depends on no
-// link state); it tallies its batches' op-free instructions, and under a
-// promoting engine it counts taken back-edges toward on-stack
-// replacement.
+// link state); it tallies its batches' op-free instructions instead.
 func (t *Thread) runCompiled(m *Method, u *jit.Unit, fr, locals, stack []int64, lowering bool) (int64, error) {
 	v := t.vm
 	cost := v.opts.CostInterp
 	if m.compiled {
 		cost = v.opts.CostCompiled
 	}
-	// A static plan runs the whole loop without counting its back-edges,
-	// so a frame armed for OSR runs block by block.
-	osr := lowering && v.opts.Tier != jit.EngineInterp && !v.jitDisabled
-	if p := u.Static; p != nil && !osr {
+	if p := u.Static; p != nil {
 		if budget := t.budget; int64(budget) > p.Total {
 			ret := t.runStatic(p, fr, cost, budget)
 			if lowering {
@@ -61,7 +56,7 @@ func (t *Thread) runCompiled(m *Method, u *jit.Unit, fr, locals, stack []int64, 
 			return ret, nil
 		}
 	}
-	return t.runCompiledFrom(m, u, fr, locals, stack, 0, cost, lowering, osr)
+	return t.runBlocks(m, u, fr, locals, stack, cost, lowering)
 }
 
 // runStatic executes a whole counted-kernel activation per its compile-
@@ -111,24 +106,18 @@ func runStaticBody(fr []int64, ops []jit.Op, trip int64) {
 	}
 }
 
-// runCompiledFrom is runCompiled from an arbitrary block index with the
-// frame-entry cost supplied by the caller — the entry point shared by
-// normal frame entry (block 0), on-stack replacement (the loop-header
-// block, with the cost the interpreted frame captured at entry), and
-// inline-expanded calls (block 0 of the callee's private unit). osr arms
-// an interpreted frame's back-edge counting (see runCompiled).
-func (t *Thread) runCompiledFrom(m *Method, u *jit.Unit, fr, locals, stack []int64, bi int32, cost uint64,
-	lowering, osr bool) (int64, error) {
+// runBlocks runs a unit block by block from its entry block, at the
+// frame-entry cost the caller selected — the path shared by runCompiled
+// (past the static plan) and inline-expanded calls (the callee's private
+// unit in the caller's scratch area).
+func (t *Thread) runBlocks(m *Method, u *jit.Unit, fr, locals, stack []int64, cost uint64,
+	lowering bool) (int64, error) {
 	v := t.vm
 	opts := &v.opts
 	heap := v.Heap
 	quantum := opts.Quantum
 	ml := u.MaxLocals
 	startEpoch := v.tier.Epoch()
-	var osrThresh uint64
-	if osr {
-		osrThresh = v.osrThresholdEffective()
-	}
 	if !lowering {
 		v.tierFrames++
 	}
@@ -136,7 +125,8 @@ func (t *Thread) runCompiledFrom(m *Method, u *jit.Unit, fr, locals, stack []int
 	var done uint64 // instructions executed since the last flush
 	var free uint64 // op-free instructions of the batches charged
 	budget := t.budget
-	// Every exit but a deopt or OSR handoff leaves the block loop with the
+	var bi int32
+	// Every exit but a deopt handoff leaves the block loop with the
 	// activation's outcome here, so the deferred accounting flushes in one
 	// place. A batch whose op traps leaves it with the block and the op's
 	// index instead; the handler dispatch after the loop re-enters it.
@@ -149,10 +139,8 @@ blocks:
 	for {
 		b := &u.Blocks[bi]
 		// Fused loop fast path: the canonical header/body pair iterates
-		// without per-iteration block dispatch (see fusedLoop). A frame
-		// armed for OSR runs the pair block by block instead, so every
-		// iteration's back-edge passes the taken-branch check below.
-		if b.LoopBody >= 0 && !osr {
+		// without per-iteration block dispatch (see fusedLoop).
+		if b.LoopBody >= 0 {
 			body := &u.Blocks[b.LoopBody]
 			left := budget
 			nb, rest, tb, tk := fusedLoop(heap, fr, b, body, budget)
@@ -200,28 +188,7 @@ blocks:
 						done += uint64(n)
 						budget -= n
 						free += uint64(n - len(ch.Ops))
-						// Single-op chunks — the bulk of the pure code
-						// between effects — execute inline; the kinds
-						// spelled out here cover what the lowering emits
-						// for them (moves and the add forms), everything
-						// else takes the general loop.
-						if len(ch.Ops) == 1 {
-							op := &ch.Ops[0]
-							switch op.Kind {
-							case jit.KMov:
-								fr[op.Dst] = fr[op.A]
-							case jit.KMovI:
-								fr[op.Dst] = op.Imm
-							case jit.KAddSS:
-								fr[op.Dst] = fr[op.A] + fr[op.B]
-							case jit.KAddSI:
-								fr[op.Dst] = fr[op.A] + op.Imm
-							case jit.KMulAddSII:
-								fr[op.Dst] = fr[op.A]*op.Imm + op.Imm2
-							default:
-								runOps(nil, fr, ch.Ops)
-							}
-						} else if len(ch.Ops) > 0 {
+						if len(ch.Ops) > 0 {
 							runOps(nil, fr, ch.Ops)
 						}
 					} else {
@@ -431,22 +398,6 @@ blocks:
 			continue
 		}
 		bi = tm.Target
-		// On-stack replacement: an armed frame counts its taken
-		// back-edges (every loop closes with one), and at the threshold
-		// moves into the promoted unit at this very branch target. One
-		// failed attempt disarms the frame — the JIT is disabled or an
-		// observer appeared — so the hot path never re-checks a dead end.
-		if osr && u.Blocks[bi].Start <= tm.Idx {
-			m.osrEdges++
-			if m.osrEdges >= osrThresh {
-				if pu := v.promoteForOSR(m); pu != nil {
-					t.flushInterp(done, cost, budget)
-					m.superExec += free
-					return t.enterOSR(m, pu, locals, stack, bi, int(pu.Blocks[bi].SPIn), cost)
-				}
-				osr = false
-			}
-		}
 	}
 
 	if b := trapB; b != nil {
@@ -484,52 +435,9 @@ blocks:
 // target, or the body when a yield boundary falls inside it — or -1 when
 // the budget is short at the header (the caller's general handling of h
 // fails its batch guard the same way), or the trapping op that stopped it.
-//
-// Specialized counted-loop kernels come first: a bare single-compare
-// header over a two-op body covers the canonical generated loops
-// (accumulate-and-decrement, multiply-add-and-step) with the ops
-// unrolled into straight-line Go. A short budget or an unmatched shape
-// falls through to the generic loop, whose entry guard decides from
-// there.
 func fusedLoop(heap *Heap, fr []int64, h, body *jit.Block, budget int) (next int32, left int, trapB *jit.Block, trapK int) {
 	hn, bn := int(h.NInstr), int(body.NInstr)
 	tm := &h.Term
-	if len(h.Flat) == 0 && tm.Kind == jit.TermBr1 && !tm.AImm && len(body.Flat) == 2 {
-		o1, o2 := &body.Flat[0], &body.Flat[1]
-		cnd := bytecode.Op(tm.Cond)
-		ts := tm.A
-		if o1.Kind == jit.KAddSS && o2.Kind == jit.KAddSI {
-			d1, a1, b1 := o1.Dst, o1.A, o1.B
-			d2, a2, i2 := o2.Dst, o2.A, o2.Imm
-			for budget > hn {
-				budget -= hn
-				if cond1(cnd, fr[ts]) {
-					return tm.Target, budget, nil, 0
-				}
-				if budget <= bn {
-					return tm.Next, budget, nil, 0
-				}
-				budget -= bn
-				fr[d1] = fr[a1] + fr[b1]
-				fr[d2] = fr[a2] + i2
-			}
-		} else if o1.Kind == jit.KMulAddSII && o2.Kind == jit.KAddSI {
-			d1, a1, m1, c1 := o1.Dst, o1.A, o1.Imm, o1.Imm2
-			d2, a2, i2 := o2.Dst, o2.A, o2.Imm
-			for budget > hn {
-				budget -= hn
-				if cond1(cnd, fr[ts]) {
-					return tm.Target, budget, nil, 0
-				}
-				if budget <= bn {
-					return tm.Next, budget, nil, 0
-				}
-				budget -= bn
-				fr[d1] = fr[a1]*m1 + c1
-				fr[d2] = fr[a2] + i2
-			}
-		}
-	}
 	for budget > hn {
 		budget -= hn
 		if len(h.Flat) > 0 {
@@ -633,57 +541,11 @@ func (t *Thread) invokeInline(callee *Method, site *jit.InlineSite, scr, args []
 		}
 	}
 
-	// Leaf fast path: a single batchable block ending in a return runs as
-	// one fused step when the yield budget covers it — the exact charge and
-	// strict-budget guard of the general batch path, collapsed. With no
-	// effects, no throws and no yield possible before the return, nothing
-	// can observe the activation mid-body, so the root-scan registration is
-	// skipped along with the block dispatch.
-	if u := site.U; u.Leaf {
-		b := &u.Blocks[0]
-		bn := int(b.NInstr)
-		if budget := t.budget; budget > bn {
-			if len(b.Flat) > 0 {
-				runOps(nil, scr, b.Flat)
-			}
-			var ret int64
-			if b.Term.Kind == jit.TermIreturn {
-				ret = b.Term.ImmA
-				if !b.Term.AImm {
-					ret = scr[b.Term.A]
-				}
-			}
-			t.flushInterp(uint64(bn), cost, budget-bn)
-			t.vm.tierFrames++
-			t.depth--
-			return ret, nil
-		}
-	}
-
 	t.pushFrameRef(scr, nl)
-	ret, err := t.runCompiledFrom(callee, site.U, scr, locals, stack, 0, cost, false, false)
+	ret, err := t.runBlocks(callee, site.U, scr, locals, stack, cost, false)
 	t.popFrameRef()
 	t.depth--
 	return ret, err
-}
-
-// enterOSR performs on-stack replacement: an interpreted activation that
-// crossed the OSR threshold moves into its promoted unit at a loop
-// header, mid-iteration. The interpreted frame's locals and live operand
-// stack are copied into a fresh compiled-size frame (the interpreted
-// frame was sized without inline scratch), the thread's root-scan record
-// for the frame is swapped to the new storage, and execution resumes in
-// the unit at the branch target's block with the frame-entry cost the
-// interpreted activation captured. The abandoned frame stays in the
-// arena until interpret pops its own base, which frees both at once.
-func (t *Thread) enterOSR(m *Method, u *jit.Unit, locals, stack []int64, bi int32, sp int, cost uint64) (int64, error) {
-	m.osrEntries++
-	nl := len(locals)
-	fr, _ := t.pushFrameRaw(u.NumSlots + u.ScratchSlots)
-	copy(fr[:nl], locals)
-	copy(fr[nl:nl+sp], stack[:sp])
-	t.frames[len(t.frames)-1] = frameRef{fr: fr, nl: int32(nl), sp: int32(sp)}
-	return t.runCompiledFrom(m, u, fr, fr[:nl:nl], fr[nl:], bi, cost, false, false)
 }
 
 // runOps executes a fused op sequence against the flat frame and returns

@@ -77,14 +77,6 @@ type Options struct {
 	// JITThreshold, so host compilation coincides with the simulated
 	// interp→compiled cost transition.
 	CompileThreshold uint64
-	// OSRThreshold is the taken-backward-branch count at which an
-	// interpreted frame promotes itself onto the method's
-	// compiled unit mid-iteration (on-stack replacement), instead of
-	// waiting for the next method entry. It matters for methods invoked
-	// once with long loops — thread entry points, campaign drivers. 0
-	// means the default (64). Like CompileThreshold it is host-side only:
-	// OSR changes when compiled code runs, never what it observes.
-	OSRThreshold uint64
 	// Heap sizes the generational heap simulation (nursery/tenured
 	// occupancy thresholds, tenure age, collection costs). The zero
 	// value is legacy mode: an unbounded flat store that never collects,
@@ -106,7 +98,6 @@ func DefaultOptions() Options {
 		JITThreshold:      10,
 		MaxFrames:         2048,
 		Quantum:           4096,
-		OSRThreshold:      64,
 	}
 }
 
@@ -237,13 +228,9 @@ type Method struct {
 	// Tier-2 execution counters, written by the executing thread under
 	// the scheduler baton (parallel harness runs use separate VMs, so
 	// plain fields suffice — same rule as the VM's tier counters).
-	// osrEdges counts taken backward branches in interpreted frames (the
-	// OSR trigger); osrEntries the on-stack replacements taken;
-	// inlinedCalls the calls this method made through inline sites;
-	// superExec the instructions its interpreted frames' batches
+	// inlinedCalls counts the calls this method made through inline
+	// sites; superExec the instructions its interpreted frames' batches
 	// executed without an op of their own.
-	osrEdges     uint64
-	osrEntries   uint64
 	inlinedCalls uint64
 	superExec    uint64
 
@@ -748,9 +735,13 @@ func (v *VM) needsPerInstruction() bool {
 		(v.opts.SampleInterval != 0 && v.hooks.Sample != nil)
 }
 
-// maybePromote builds a compiled trace unit for a hot bytecode method.
-// Lowering failures pin the method to the interpreter permanently —
-// compilation is a performance event, never a correctness one.
+// maybePromote builds a hot bytecode method's compiled trace unit from
+// its lowering against the current link state, recording the result (or
+// the pinning failure) in both the method and the tier cache. Call sites
+// resolve through the method's own refMethods cache, so inline expansion
+// sees exactly the resolution the executor will. Lowering failures pin
+// the method to the interpreter permanently — compilation is a
+// performance event, never a correctness one.
 func (v *VM) maybePromote(m *Method) {
 	if m.unit != nil || m.unitFailed || v.jitDisabled || len(m.instrs) == 0 {
 		return
@@ -764,51 +755,13 @@ func (v *VM) maybePromote(m *Method) {
 	if v.opts.Tier == jit.EngineAuto && v.needsPerInstruction() {
 		return
 	}
-	v.compileUnit(m)
-}
-
-// compileUnit builds m's compiled trace unit from its lowering against
-// the current link state, recording the result (or the pinning failure)
-// in both the method and the tier cache. Call sites resolve through the
-// method's own refMethods cache, so inline expansion sees exactly the
-// resolution the executor will.
-func (v *VM) compileUnit(m *Method) *jit.Unit {
 	if m.lowered == nil {
 		m.unitFailed = true
 		v.tier.NoteFailure()
-		return nil
+		return
 	}
-	u := jit.Promote(m.lowered, &vmResolver{m: m})
-	m.unit = u
-	v.tier.Put(m, u)
-	return u
-}
-
-// osrThresholdEffective is the taken-backward-branch count at which the
-// block executor attempts on-stack replacement in an interpreted frame:
-// Options.OSRThreshold, or the
-// default when unset.
-func (v *VM) osrThresholdEffective() uint64 {
-	if v.opts.OSRThreshold > 0 {
-		return v.opts.OSRThreshold
-	}
-	return 64
-}
-
-// promoteForOSR returns a compiled unit for a method whose running frame
-// crossed the OSR threshold, compiling one regardless of the invocation
-// count (the whole point of OSR: the frame is hot even if the method was
-// entered once). It returns nil when the tier must stay out — lowering
-// already failed, the JIT is disabled, or a per-instruction observer
-// appeared since the interpreted frame started.
-func (v *VM) promoteForOSR(m *Method) *jit.Unit {
-	if u := m.unit; u != nil {
-		return u
-	}
-	if m.unitFailed || v.jitDisabled || len(m.instrs) == 0 || v.needsPerInstruction() {
-		return nil
-	}
-	return v.compileUnit(m)
+	m.unit = jit.Promote(m.lowered, &vmResolver{m: m})
+	v.tier.Put(m, m.unit)
 }
 
 // vmResolver adapts one method's link-time resolved-callee cache to the
@@ -831,7 +784,7 @@ func (r *vmResolver) ResolveInvoke(ref int) (*jit.Unit, any, bool) {
 
 // TierStats returns the template tier's bookkeeping: compile and cache
 // counts from the jit cache, the VM's frame-level execution counters,
-// and the per-method tier-2 detail (inline sites, OSR entries, op-free
+// and the per-method tier-2 detail (inline sites, inlined calls, op-free
 // instructions of interpreted frames' batches) summed across every loaded method.
 func (v *VM) TierStats() jit.Stats {
 	s := v.tier.Snapshot()
@@ -843,20 +796,18 @@ func (v *VM) TierStats() jit.Stats {
 	for _, c := range v.classes {
 		for _, m := range c.methods {
 			s.InlinedCalls += m.inlinedCalls
-			s.OSREntries += m.osrEntries
 			s.SuperinstrPairs += m.superExec
 			sites := 0
 			if m.unit != nil {
 				sites = len(m.unit.Inlines)
 			}
-			if sites == 0 && m.inlinedCalls == 0 && m.osrEntries == 0 && m.superExec == 0 {
+			if sites == 0 && m.inlinedCalls == 0 && m.superExec == 0 {
 				continue
 			}
 			row := jit.MethodStats{
 				Method:       m.FullName(),
 				InlineSites:  sites,
 				InlinedCalls: m.inlinedCalls,
-				OSREntries:   m.osrEntries,
 				SuperPairs:   m.superExec,
 			}
 			if u := m.lowered; u != nil {
