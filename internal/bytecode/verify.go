@@ -22,19 +22,34 @@ import (
 //
 // Native and abstract methods verify trivially.
 func Verify(m *classfile.Method) error {
+	_, err := verifyDecoded(m)
+	return err
+}
+
+// verifyDecoded is Verify that also hands back the decoded body, nil for
+// a bodyless method.
+func verifyDecoded(m *classfile.Method) ([]Instruction, error) {
 	if m.IsNative() || m.IsAbstract() {
 		if len(m.Code) != 0 {
-			return fmt.Errorf("bytecode: %s: bodyless method has code", m.Key())
+			return nil, fmt.Errorf("bytecode: %s: bodyless method has code", m.Key())
 		}
-		return nil
+		return nil, nil
 	}
 	ins, err := Decode(m.Code)
 	if err != nil {
-		return fmt.Errorf("bytecode: %s: %w", m.Key(), err)
+		return nil, fmt.Errorf("bytecode: %s: %w", m.Key(), err)
 	}
 	if len(ins) == 0 {
-		return fmt.Errorf("bytecode: %s: concrete method has empty code", m.Key())
+		return nil, fmt.Errorf("bytecode: %s: concrete method has empty code", m.Key())
 	}
+	if err := verifyBody(m, ins); err != nil {
+		return nil, err
+	}
+	return ins, nil
+}
+
+// verifyBody runs Verify's checks on a method's decoded, non-empty body.
+func verifyBody(m *classfile.Method, ins []Instruction) error {
 	starts := make(map[int]int, len(ins)) // offset -> instruction index
 	for i, in := range ins {
 		starts[in.Offset] = i
@@ -158,13 +173,24 @@ func Verify(m *classfile.Method) error {
 
 // VerifyClass verifies every method of a class.
 func VerifyClass(c *classfile.Class) error {
+	_, err := VerifyClassDecoded(c)
+	return err
+}
+
+// VerifyClassDecoded is VerifyClass that also hands back each method's
+// decoded body, indexed like c.Methods (nil for bodyless methods), so a
+// class loader decodes every body once.
+func VerifyClassDecoded(c *classfile.Class) ([][]Instruction, error) {
 	if err := c.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	for _, m := range c.Methods {
-		if err := Verify(m); err != nil {
-			return fmt.Errorf("class %s: %w", c.Name, err)
+	bodies := make([][]Instruction, len(c.Methods))
+	for i, m := range c.Methods {
+		ins, err := verifyDecoded(m)
+		if err != nil {
+			return nil, fmt.Errorf("class %s: %w", c.Name, err)
 		}
+		bodies[i] = ins
 	}
-	return nil
+	return bodies, nil
 }

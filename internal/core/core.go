@@ -203,13 +203,13 @@ func (r *RunResult) Throughput() float64 {
 // cycle-counter registry, the JNI and JVMTI layers and (by contract) the
 // single-use agent are all constructed fresh per call, so concurrent Runs
 // on different goroutines are independent. What runs share is host
-// memory only: Run drops its VM, so it releases the VM's heap, whose
-// arena blocks the next heap in the process reuses zeroed (see
-// vm.Heap.Release).
+// memory only: Run drops its VM, so it releases it, and the next VM in
+// the process adopts its handle tables, arena blocks and frame arenas
+// (see vm.VM.Release).
 func Run(prog *Program, agent Agent, opts vm.Options) (*RunResult, error) {
 	res, v, err := run(prog, agent, opts)
 	if v != nil {
-		v.Heap.Release()
+		v.Release()
 	}
 	return res, err
 }

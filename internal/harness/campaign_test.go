@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/jit"
 	"repro/internal/scenarios"
 	"repro/internal/workloads"
@@ -138,19 +139,20 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCampaignParallelRecyclesArenaBlocks: core.Run hands every finished
-// cell's heap blocks to a process-wide free list, so concurrent cells
-// carve recycled blocks while others release theirs. A Parallelism 4
-// campaign over every family on the jit engine must still render
-// byte-identically to a sequential one (the CI test job runs this under
-// -race). The sequential pass runs first, so the parallel one starts
-// from a populated free list.
+// TestCampaignParallelRecyclesArenaBlocks: core.Run parks every finished
+// cell's host memory — handle tables, arena blocks, frame arenas — on a
+// process-wide free list as one record, so concurrent cells run on
+// recycled records while others release theirs. A Parallelism 4
+// campaign over every family on the jit engine must still give cell
+// payloads and a rendering byte-identical to a sequential one (the CI
+// test job runs this under -race). The sequential pass runs first, so
+// the parallel one starts from a populated free list.
 func TestCampaignParallelRecyclesArenaBlocks(t *testing.T) {
 	scns, err := scenarios.Profile("all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(parallelism int) string {
+	render := func(parallelism int) (string, []string) {
 		cfg := campaignTestConfig()
 		cfg.Parallelism = parallelism
 		cfg.Opts.Tier = jit.EngineJIT
@@ -163,9 +165,27 @@ func TestCampaignParallelRecyclesArenaBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return text
+		var payloads []string
+		for _, row := range res.Rows {
+			raw, err := checkpoint.CanonicalPayload(row.M)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads = append(payloads, row.Scenario.Name()+"/"+row.AgentName+" "+string(raw))
+		}
+		return text, payloads
 	}
-	if seq, par := render(1), render(4); seq != par {
+	seq, seqPayloads := render(1)
+	par, parPayloads := render(4)
+	if len(seqPayloads) != len(parPayloads) {
+		t.Fatalf("%d sequential cells, %d parallel", len(seqPayloads), len(parPayloads))
+	}
+	for i := range seqPayloads {
+		if seqPayloads[i] != parPayloads[i] {
+			t.Fatalf("cell payload differs:\n--- seq\n%s\n--- par\n%s", seqPayloads[i], parPayloads[i])
+		}
+	}
+	if seq != par {
 		t.Fatalf("parallel campaign differs from sequential:\n--- seq\n%s\n--- par\n%s", seq, par)
 	}
 }

@@ -291,6 +291,13 @@ func (e *Env) CallStatic(class, method, desc string, args ...int64) (int64, erro
 	return e.upcall("Static", class, method, desc, 0, args)
 }
 
+// CallStatic1 is CallStatic with one argument word. upcall copies the
+// argument out of the array, so the array stays on the stack.
+func (e *Env) CallStatic1(class, method, desc string, arg int64) (int64, error) {
+	args := [1]int64{arg}
+	return e.upcall("Static", class, method, desc, 0, args[:])
+}
+
 // CallVirtual invokes an instance Java method via the array-style function.
 func (e *Env) CallVirtual(class, method, desc string, recv int64, args ...int64) (int64, error) {
 	return e.upcall("", class, method, desc, recv, args)

@@ -200,3 +200,14 @@ func benchChurn(b *testing.B, opts Options) {
 		}
 	}
 }
+
+// BenchmarkHeapLifecycle measures one cell's heap host life — made,
+// 20,000 small allocations, released — on recycled host memory: after
+// the first iteration every heap adopts the record the previous one
+// parked.
+func BenchmarkHeapLifecycle(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		heapLifecycle(20000)
+	}
+}

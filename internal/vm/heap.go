@@ -43,9 +43,9 @@ import (
 // reads frames only of parked threads at canonical points) and the GC
 // statistics all run on the thread holding the baton. Concurrent VMs
 // (the parallel harness) each own a private heap; the one host state
-// they share is the mutex-guarded free list of arena blocks (see
-// Release), touched only when a heap opens a block or is released. This
-// keeps the per-element Load/Store path — one of the interpreter's
+// they share is the mutex-guarded free list of released VMs' host
+// memory (see arenaFree), touched only when a heap is made or released.
+// This keeps the per-element Load/Store path — one of the interpreter's
 // hottest leaves — free of lock traffic.
 type Heap struct {
 	arrays [][]int64
@@ -87,12 +87,18 @@ type Heap struct {
 	// allocation each keeps the host allocator and collector out of the
 	// simulation's hot path. Sub-slices are three-index sliced, so a
 	// store's cap never reaches into its neighbours. blocks lists every
-	// block the heap opened, for Release; arenaReused marks a current
-	// block taken from the free list, whose carves must be cleared (a
-	// block from make is already zero).
+	// block the heap holds, for Release: the first opened were carved
+	// (the current one last), the rest came with an adopted record and
+	// wait their turn. arenaReused marks a current block from a record,
+	// whose carves must be cleared (a block from make is already zero).
 	arena       []int64
 	blocks      [][]int64
+	opened      int
 	arenaReused bool
+
+	// frames holds the spare thread frame arenas of an adopted record
+	// (see takeFrameArena); VM.Release adds its threads' arenas.
+	frames [][]int64
 
 	// alive lists the indexes of uncollected arrays in allocation order;
 	// collections sweep this list and compact it in place, so a pause
@@ -264,7 +270,9 @@ func NewHeap() *Heap {
 // Install a root enumerator (the VM does this on construction) before the
 // first collection can trigger.
 func NewHeapWithConfig(cfg HeapConfig) *Heap {
-	return &Heap{cfg: cfg.normalized(), siteIdx: map[Site]int32{}}
+	h := &Heap{cfg: cfg.normalized(), siteIdx: map[Site]int32{}}
+	h.adopt()
+	return h
 }
 
 // Config returns the heap's (normalized) configuration.
@@ -463,28 +471,68 @@ func (h *Heap) CollectMajor() GCInfo {
 // array can never strand most of a block.
 const arenaBlockWords = 1 << 16
 
-// arenaFree is the process-wide free list of arena blocks. Release hands
-// a finished heap's blocks here and arenaAlloc takes them back before it
-// makes new ones, so a campaign's cells stop paying the host allocator
-// to zero fresh blocks. It needs no cap: it never holds more blocks than
-// were live at once. A sync.Pool would not do: the Go collector empties
-// pools, and the blocks would be made and zeroed again.
+// arenaFree is the process-wide free list of released VMs' host memory,
+// one hostRecord per VM. Release parks a finished heap's record here and
+// the next heap adopts it whole, so a campaign's cells stop growing
+// their handle tables, arena blocks and frame arenas from zero. It needs
+// no cap: a heap adopts at most one record and releases at most one, so
+// the list never holds more records than heaps were live at once — at
+// most the runner's parallelism — and each record holds no more than
+// the largest VM that used it. A sync.Pool would not do: the Go
+// collector empties pools, and the memory would be made and zeroed
+// again.
 var arenaFree struct {
 	sync.Mutex
-	blocks [][]int64
+	records []hostRecord
+}
+
+// hostRecord is one released VM's host memory. The handle tables are
+// truncated to length 0; only arrays is cleared (its slices would keep
+// dead backing stores reachable), because every appended meta, alive and
+// markBuf entry is written before it is read. Arena blocks and frame
+// arenas keep their old contents: arenaAlloc clears each carve from a
+// reused block, and a frame's slots are written before they are read.
+type hostRecord struct {
+	arrays  [][]int64
+	meta    []arrayMeta
+	alive   []int32
+	markBuf []uint32
+	blocks  [][]int64
+	frames  [][]int64
+}
+
+// adopt takes a record off the free list, if one is there, into a new
+// heap.
+func (h *Heap) adopt() {
+	arenaFree.Lock()
+	n := len(arenaFree.records)
+	if n == 0 {
+		arenaFree.Unlock()
+		return
+	}
+	r := arenaFree.records[n-1]
+	arenaFree.records[n-1] = hostRecord{}
+	arenaFree.records = arenaFree.records[:n-1]
+	arenaFree.Unlock()
+	h.arrays, h.meta, h.alive, h.markBuf = r.arrays, r.meta, r.alive, r.markBuf
+	h.blocks, h.frames = r.blocks, r.frames
 }
 
 // arenaAlloc carves a zeroed n-word backing store out of the arena,
 // opening a block when the current one runs dry (the remainder is
 // abandoned — at most one under-quarter-block sliver per block). A block
-// comes from the free list when it has one, else from make.
+// comes from the adopted record when it has one left, else from make.
 func (h *Heap) arenaAlloc(n int) []int64 {
 	if n > arenaBlockWords/4 {
 		return make([]int64, n)
 	}
 	if len(h.arena) < n {
-		h.arena, h.arenaReused = takeArenaBlock()
-		h.blocks = append(h.blocks, h.arena)
+		h.arenaReused = h.opened < len(h.blocks)
+		if !h.arenaReused {
+			h.blocks = append(h.blocks, make([]int64, arenaBlockWords))
+		}
+		h.arena = h.blocks[h.opened]
+		h.opened++
 	}
 	a := h.arena[:n:n]
 	h.arena = h.arena[n:]
@@ -494,36 +542,43 @@ func (h *Heap) arenaAlloc(n int) []int64 {
 	return a
 }
 
-// takeArenaBlock pops a block off the free list, or makes a zeroed one;
-// reused reports which.
-func takeArenaBlock() (block []int64, reused bool) {
-	arenaFree.Lock()
-	if n := len(arenaFree.blocks); n > 0 {
-		block = arenaFree.blocks[n-1]
-		arenaFree.blocks[n-1] = nil
-		arenaFree.blocks = arenaFree.blocks[:n-1]
+// takeFrameArena returns a frame arena of at least size words for a
+// thread of this heap's VM: a spare one from the adopted record if one
+// is large enough, else a new one. Its contents are stale; see
+// Thread.pushFrameRaw.
+func (h *Heap) takeFrameArena(size int) []int64 {
+	for i, a := range h.frames {
+		if len(a) >= size {
+			last := len(h.frames) - 1
+			h.frames[i] = h.frames[last]
+			h.frames[last] = nil
+			h.frames = h.frames[:last]
+			return a
+		}
 	}
-	arenaFree.Unlock()
-	if block != nil {
-		return block, true
-	}
-	return make([]int64, arenaBlockWords), false
+	return make([]int64, size)
 }
 
-// Release ends the heap's host life: its arena blocks go to the
-// process-wide free list for later heaps to carve, and every handle
-// turns invalid, so no array can alias a block another heap now owns.
-// Call it only when nothing reads the heap any more — core.Run does,
-// once its VM has finished; callers that keep a VM never do. The
-// statistics stay readable; a second Release is a no-op.
+// Release ends the heap's host life: its handle tables, arena blocks and
+// spare frame arenas go to the process-wide free list as one record for
+// the next heap to adopt, and every handle turns invalid, so no array
+// can alias memory another heap now owns. Call it only when nothing
+// reads the heap any more — core.Run does, through VM.Release, once its
+// VM has finished; callers that keep a VM never do. The statistics stay
+// readable; a second Release is a no-op.
 func (h *Heap) Release() {
-	if len(h.blocks) > 0 {
+	if cap(h.arrays) > 0 || len(h.blocks) > 0 || len(h.frames) > 0 {
+		clear(h.arrays)
+		r := hostRecord{
+			arrays: h.arrays[:0], meta: h.meta[:0], alive: h.alive[:0], markBuf: h.markBuf[:0],
+			blocks: h.blocks, frames: h.frames,
+		}
 		arenaFree.Lock()
-		arenaFree.blocks = append(arenaFree.blocks, h.blocks...)
+		arenaFree.records = append(arenaFree.records, r)
 		arenaFree.Unlock()
 	}
 	h.arrays, h.meta, h.alive, h.markBuf = nil, nil, nil, nil
-	h.arena, h.blocks = nil, nil
+	h.arena, h.blocks, h.opened, h.frames = nil, nil, 0, nil
 	h.pool = [len(h.pool)][][]int64{}
 }
 

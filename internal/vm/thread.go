@@ -226,10 +226,15 @@ const initialArenaWords = 4096
 // stack and copy them into their own locals before executing; nothing
 // else may retain a frame slice.
 //
-// Growth allocates a fresh backing array without copying: suspended
-// frames keep referencing the old array through their own slices, and the
+// Growth takes a fresh backing array without copying: suspended frames
+// keep referencing the old array through their own slices, and the
 // region below the current offset in the new array is never read before
-// being rewritten by a future frame.
+// being rewritten by a future frame. The array is a spare from a
+// released VM when the heap adopted one (Heap.takeFrameArena), so its
+// contents are stale, like the slots a popped frame leaves behind: a
+// frame's locals past its arguments are cleared on push, operand-stack
+// slots are written before they are read, and the collector's root scan
+// reads only each frame's canonical prefix.
 func (t *Thread) pushFrameRaw(need int) (frame []int64, base int) {
 	base = t.arenaOff
 	if base+need > len(t.arena) {
@@ -240,7 +245,7 @@ func (t *Thread) pushFrameRaw(need int) (frame []int64, base int) {
 		if size < initialArenaWords {
 			size = initialArenaWords
 		}
-		t.arena = make([]int64, size)
+		t.arena = t.vm.Heap.takeFrameArena(size)
 	}
 	frame = t.arena[base : base+need : base+need]
 	t.arenaOff = base + need

@@ -171,6 +171,10 @@ type Env interface {
 	// "CallStaticLongMethodA"); the jni layer dispatches through the
 	// (possibly intercepted) function table.
 	CallStatic(class, method, desc string, args ...int64) (int64, error)
+	// CallStatic1 is CallStatic with exactly one argument word. Its fixed
+	// arity lets a call through this interface allocate nothing, where
+	// CallStatic's variadic slice escapes.
+	CallStatic1(class, method, desc string, arg int64) (int64, error)
 	// CallVirtual invokes an instance Java method from native code.
 	CallVirtual(class, method, desc string, recv int64, args ...int64) (int64, error)
 	// NewArray allocates an array on the simulated heap.
@@ -368,6 +372,21 @@ func New(opts Options) *VM {
 	return v
 }
 
+// Release ends the VM's host life once nothing runs on it any more: its
+// threads' frame arenas join its heap's tables and arena blocks, and
+// Heap.Release parks them as one record on the process-wide free list
+// for the next VM to adopt. The VM's handles turn invalid; its
+// statistics stay readable. core.Run calls it; a second call is a no-op.
+func (v *VM) Release() {
+	for _, t := range v.threadsEver {
+		if t.arena != nil {
+			v.Heap.frames = append(v.Heap.frames, t.arena)
+			t.arena, t.arenaOff = nil, 0
+		}
+	}
+	v.Heap.Release()
+}
+
 // Options returns the VM's option set.
 func (v *VM) Options() Options { return v.opts }
 
@@ -477,7 +496,8 @@ func (v *VM) LoadClass(def *classfile.Class) (*Class, error) {
 			def = replaced
 		}
 	}
-	if err := bytecode.VerifyClass(def); err != nil {
+	bodies, err := bytecode.VerifyClassDecoded(def)
+	if err != nil {
 		return nil, err
 	}
 	v.mu.Lock()
@@ -496,7 +516,7 @@ func (v *VM) LoadClass(def *classfile.Class) (*Class, error) {
 			c.statics[f.Name] = &val
 		}
 	}
-	for _, md := range def.Methods {
+	for i, md := range def.Methods {
 		m := &Method{Class: c, Def: md}
 		args, err := md.ArgWords()
 		if err != nil {
@@ -504,12 +524,8 @@ func (v *VM) LoadClass(def *classfile.Class) (*Class, error) {
 		}
 		m.argWords = args
 		m.returns, _ = md.ReturnsValue()
-		if !md.IsNative() && !md.IsAbstract() {
-			ins, err := bytecode.Decode(md.Code)
-			if err != nil {
-				return nil, err
-			}
-			m.instrs = ins
+		if bodies[i] != nil {
+			m.instrs = bodies[i]
 			m.linkDispatch()
 		}
 		c.methods[md.Key()] = m
@@ -844,6 +860,16 @@ func (e *plainEnv) Work(n uint64)   { e.t.chargeNative(n) }
 
 func (e *plainEnv) CallStatic(class, method, desc string, args ...int64) (int64, error) {
 	return e.t.InvokeStatic(class, method, desc, args...)
+}
+
+// CallStatic1 passes its argument in a frame-arena window, as
+// InvokeVirtual passes a receiver, so nothing escapes.
+func (e *plainEnv) CallStatic1(class, method, desc string, arg int64) (int64, error) {
+	w, base := e.t.pushFrameRaw(1)
+	w[0] = arg
+	r, err := e.t.InvokeStatic(class, method, desc, w...)
+	e.t.popFrame(base)
+	return r, err
 }
 
 func (e *plainEnv) CallVirtual(class, method, desc string, recv int64, args ...int64) (int64, error) {

@@ -211,7 +211,7 @@ func (g *generator) addNative(p Phase, ordinal int) error {
 			r := args[0]
 			for k := 0; k < per; k++ {
 				var err error
-				r, err = env.CallStatic(cls, cbName, "(J)J", r)
+				r, err = env.CallStatic1(cls, cbName, "(J)J", r)
 				if err != nil {
 					return 0, err
 				}
