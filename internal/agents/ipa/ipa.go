@@ -117,7 +117,7 @@ func (c Config) withDefaults() Config {
 type Agent struct {
 	cfg      Config
 	env      *jvmti.Env
-	comp     *cycles.Compensator
+	comp     cycles.Compensator
 	registry *instrument.Registry
 
 	monitor *jvmti.RawMonitor
@@ -185,12 +185,11 @@ func (a *Agent) OnLoad(env *jvmti.Env) error {
 		// overheads of the transition-signal call and of the renamed
 		// native method inside the wrapper. This mirrors the paper's
 		// calibration of "the average execution time of the
-		// corresponding wrapper".
+		// corresponding wrapper". Without Compensate the zero
+		// compensator subtracts nothing.
 		opts := env.VM().Options()
 		a.comp = cycles.NewFixedCompensator(
 			a.cfg.WrapperCost + opts.CostNativeCall + 2*opts.CostInvoke)
-	} else {
-		a.comp = cycles.NewFixedCompensator(0)
 	}
 
 	env.AddCapabilities(jvmti.Capabilities{
@@ -281,14 +280,16 @@ func (a *Agent) interceptJNI(env *jvmti.Env) error {
 			return fmt.Errorf("ipa: function table misses %s", name)
 		}
 		oo := o
+		// N2J_Begin, the call and N2J_End on one thread context.
 		entries[name] = func(jenv *jni.Env, call *jni.Call) (int64, error) {
 			t := jenv.Thread()
 			t.AdvanceCycles(a.cfg.WrapperCost)
-			a.n2jBegin(t)
-			a.countJNICall(t)
+			tc := a.getContext(t)
+			a.closeNativeInterval(t, tc)
+			tc.jniCalls++
 			r, err := oo(jenv, call)
 			t.AdvanceCycles(a.cfg.WrapperCost)
-			a.n2jEnd(t)
+			a.closeBytecodeInterval(t, tc)
 			return r, err
 		}
 	}
@@ -375,11 +376,17 @@ func (a *Agent) classFileLoad(env *jvmti.Env, c *classfile.Class) *classfile.Cla
 // bytecode execution.
 func (a *Agent) j2nBegin(t *vm.Thread) {
 	tc := a.getContext(t)
+	a.closeBytecodeInterval(t, tc)
+	tc.nativeCalls++
+}
+
+// closeBytecodeInterval books the elapsed bytecode interval; the thread
+// is entering (or returning to) native code.
+func (a *Agent) closeBytecodeInterval(t *vm.Thread, tc *threadContext) {
 	now := a.env.Timestamp(t)
 	tc.timeBytecode += a.comp.Compensate(now - tc.timestamp)
 	tc.timestamp = now
 	tc.inNative = true
-	tc.nativeCalls++
 }
 
 // closeNativeInterval books the elapsed native interval, attributing it
@@ -442,16 +449,7 @@ func (a *Agent) j2nEndM(t *vm.Thread, id int64) {
 // n2jEnd: the Java method returned to native code; the elapsed interval
 // was bytecode execution.
 func (a *Agent) n2jEnd(t *vm.Thread) {
-	tc := a.getContext(t)
-	now := a.env.Timestamp(t)
-	tc.timeBytecode += a.comp.Compensate(now - tc.timestamp)
-	tc.timestamp = now
-	tc.inNative = true
-}
-
-func (a *Agent) countJNICall(t *vm.Thread) {
-	tc := a.getContext(t)
-	tc.jniCalls++
+	a.closeBytecodeInterval(t, a.getContext(t))
 }
 
 // Report implements core.Agent.

@@ -62,7 +62,10 @@ type Report struct {
 	JNICalls uint64
 	// NativeMethodCalls counts bytecode-to-native invocations.
 	NativeMethodCalls uint64
-	PerThread         []ThreadStats
+	// PerThread is one row per finished thread. A merged report
+	// (stats.MergeReports) carries none, so a cell payload that encodes
+	// one omits the key.
+	PerThread []ThreadStats `json:",omitempty"`
 }
 
 // TotalCycles returns the sum of attributed cycles.

@@ -105,66 +105,28 @@ func (r *Registry) Live() int {
 	return len(r.counters)
 }
 
-// Compensator maintains a running estimate of the average cost of a
-// profiling wrapper, used by the improved agent to exclude wrapper execution
-// time from the reported statistics (Section IV, last paragraph: "we adjust
-// the timestamp obtained from PCL in order to compensate for the average
-// execution time of the corresponding wrapper").
+// Compensator is the average cost of a profiling wrapper, which the
+// improved agent subtracts from each measured interval to exclude wrapper
+// execution time from the reported statistics (Section IV, last
+// paragraph: "we adjust the timestamp obtained from PCL in order to
+// compensate for the average execution time of the corresponding
+// wrapper"). The agent calibrates it once, from the cost model, before
+// the first transition; it is an immutable value, so reading it on a
+// transition takes no lock.
 type Compensator struct {
-	mu      sync.Mutex
-	total   uint64
-	samples uint64
-	fixed   uint64
-	useFix  bool
+	avg uint64
 }
 
-// NewCompensator returns a compensator with no calibration data.
-func NewCompensator() *Compensator {
-	return &Compensator{}
-}
-
-// NewFixedCompensator returns a compensator that always reports cost,
-// bypassing online estimation. Used by tests and by agents that calibrate
-// once at startup.
-func NewFixedCompensator(cost uint64) *Compensator {
-	return &Compensator{fixed: cost, useFix: true}
-}
-
-// Observe records one measured wrapper execution cost.
-func (k *Compensator) Observe(cost uint64) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.total += cost
-	k.samples++
-}
-
-// Average returns the current average wrapper cost estimate. With no
-// observations and no fixed cost it returns zero (no compensation).
-func (k *Compensator) Average() uint64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.useFix {
-		return k.fixed
-	}
-	if k.samples == 0 {
-		return 0
-	}
-	return k.total / k.samples
-}
-
-// Samples returns the number of observations recorded.
-func (k *Compensator) Samples() uint64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.samples
+// NewFixedCompensator returns a compensator that always subtracts cost.
+func NewFixedCompensator(cost uint64) Compensator {
+	return Compensator{avg: cost}
 }
 
 // Compensate subtracts the average wrapper cost from delta, saturating at
 // zero so perturbation correction can never produce negative intervals.
-func (k *Compensator) Compensate(delta uint64) uint64 {
-	avg := k.Average()
-	if delta <= avg {
+func (k Compensator) Compensate(delta uint64) uint64 {
+	if delta <= k.avg {
 		return 0
 	}
-	return delta - avg
+	return delta - k.avg
 }

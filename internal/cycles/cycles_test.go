@@ -77,29 +77,15 @@ func TestRegistryLive(t *testing.T) {
 	}
 }
 
-func TestCompensatorAverage(t *testing.T) {
-	k := NewCompensator()
-	if k.Average() != 0 {
-		t.Fatal("fresh compensator should average 0")
-	}
-	k.Observe(10)
-	k.Observe(20)
-	if k.Average() != 15 {
-		t.Fatalf("Average = %d, want 15", k.Average())
-	}
-	if k.Samples() != 2 {
-		t.Fatalf("Samples = %d, want 2", k.Samples())
-	}
-}
-
+// TestFixedCompensator: a compensator subtracts exactly its fixed cost,
+// and the zero value (IPA without Compensate) subtracts nothing.
 func TestFixedCompensator(t *testing.T) {
-	k := NewFixedCompensator(7)
-	if k.Average() != 7 {
-		t.Fatalf("Average = %d, want 7", k.Average())
+	if got := NewFixedCompensator(7).Compensate(100); got != 93 {
+		t.Fatalf("Compensate(100) = %d, want 93", got)
 	}
-	k.Observe(1000) // observations do not disturb a fixed compensator
-	if k.Average() != 7 {
-		t.Fatalf("Average after Observe = %d, want 7", k.Average())
+	var zero Compensator
+	if got := zero.Compensate(100); got != 100 {
+		t.Fatalf("zero Compensate(100) = %d, want 100", got)
 	}
 }
 
@@ -144,21 +130,6 @@ func TestCompensateBoundsProperty(t *testing.T) {
 	}
 }
 
-// Property: average of n identical observations is that value.
-func TestCompensatorConstantProperty(t *testing.T) {
-	f := func(v uint16, n uint8) bool {
-		k := NewCompensator()
-		count := int(n%32) + 1
-		for i := 0; i < count; i++ {
-			k.Observe(uint64(v))
-		}
-		return k.Average() == uint64(v)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRegistryManyThreadsIndependent(t *testing.T) {
 	r := NewRegistry()
 	const n = 64
@@ -195,29 +166,5 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 	}
 	if r.Live() != 0 {
 		t.Fatalf("Live = %d after teardown", r.Live())
-	}
-}
-
-func TestCompensatorConcurrentObserve(t *testing.T) {
-	k := NewCompensator()
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 500; i++ {
-				k.Observe(10)
-				_ = k.Average()
-				_ = k.Compensate(100)
-			}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if k.Samples() != 4000 {
-		t.Fatalf("Samples = %d, want 4000", k.Samples())
-	}
-	if k.Average() != 10 {
-		t.Fatalf("Average = %d, want 10", k.Average())
 	}
 }

@@ -79,21 +79,26 @@ type CellIdentity struct {
 	Warmup int        `json:"warmup"`
 }
 
-// cellKey content-addresses the (scenario, agent) cell under cfg. The
-// heap precedence (scenario spec applies only when the flags left the
-// heap unset) is baked in by applying it to a copy of the options, so
-// two campaigns with the same effective heap share keys.
-func cellKey(sc scenarios.Scenario, agent string, cfg Config) (string, error) {
+// cellIdentity is the identity of the (scenario, agent) cell under cfg.
+// The heap precedence (scenario spec applies only when the flags left
+// the heap unset) is baked in by applying it to a copy of the options,
+// so two campaigns with the same effective heap share keys.
+func cellIdentity(sc scenarios.Scenario, agent string, cfg Config) CellIdentity {
 	opts := cfg.Opts
 	sc.ApplyHeap(&opts)
-	return checkpoint.CellKey(CellIdentity{
+	return CellIdentity{
 		Identity: sc.Identity(),
 		Agent:    agent,
 		Opts:     opts,
 		Scale:    cfg.Scale,
 		Runs:     cfg.Runs,
 		Warmup:   cfg.Warmup,
-	})
+	}
+}
+
+// cellKey content-addresses the (scenario, agent) cell under cfg.
+func cellKey(sc scenarios.Scenario, agent string, cfg Config) (string, error) {
+	return checkpoint.CellKey(cellIdentity(sc, agent, cfg))
 }
 
 // Run executes the campaign. emit, when non-nil, receives rows in matrix

@@ -123,14 +123,14 @@ func TestMergeReportsEdgeCases(t *testing.T) {
 	if stats.MergeReports(nil, nil) != nil {
 		t.Fatal("MergeReports(nil, nil) != nil")
 	}
-	// Single report: merged copy, not an alias.
+	// Single report: merged copy of the totals, not an alias.
 	single := &core.Report{AgentName: "IPA", TotalBytecodeCycles: 7,
 		PerThread: []core.ThreadStats{{ThreadID: 1, Name: "main"}}}
 	got := stats.MergeReports(nil, single)
 	if got == single {
 		t.Fatal("MergeReports(nil, r) aliased the input")
 	}
-	if got.TotalBytecodeCycles != 7 || len(got.PerThread) != 1 {
+	if got.TotalBytecodeCycles != 7 || got.AgentName != "IPA" || got.PerThread != nil {
 		t.Fatalf("single merge = %+v", got)
 	}
 	// Zero-cycle reports merge to a zero report with a defined fraction.
@@ -138,11 +138,11 @@ func TestMergeReportsEdgeCases(t *testing.T) {
 	if zero.TotalCycles() != 0 || zero.NativeFraction() != 0 {
 		t.Fatalf("zero merge = %+v", zero)
 	}
-	// Single-thread reports accumulate per-thread slices.
+	// Single-thread reports sum their totals and keep no per-thread rows.
 	a := &core.Report{PerThread: []core.ThreadStats{{ThreadID: 1}}}
 	b := &core.Report{TotalNativeCycles: 3, PerThread: []core.ThreadStats{{ThreadID: 1}}}
 	merged := stats.MergeReports(a, b)
-	if len(merged.PerThread) != 2 || merged.TotalNativeCycles != 3 {
+	if merged.PerThread != nil || merged.TotalNativeCycles != 3 {
 		t.Fatalf("two single-thread merges = %+v", merged)
 	}
 }

@@ -3,10 +3,14 @@ package harness
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/jit"
 	"repro/internal/scenarios"
 	"repro/internal/telemetry"
@@ -129,5 +133,90 @@ func TestMeasurementPayloadContract(t *testing.T) {
 				t.Fatalf("cold campaign made %d major collections and compiled %d methods: the counters were never exercised", collections, compiled)
 			}
 		})
+	}
+}
+
+// keyUnder is checkpoint.CellKey's derivation under an explicit payload
+// format: the hex sha256 of the format and the identity's JSON line.
+func keyUnder(t *testing.T, format string, id CellIdentity) string {
+	t.Helper()
+	h := sha256.New()
+	io.WriteString(h, format)
+	if err := json.NewEncoder(h).Encode(id); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestLeanPayloadV3 pins payload format v3: a jbb2005 IPA cell's payload
+// carries the report totals but no per-thread rows, the cell's key is
+// checkpoint.CellKey of its CellIdentity under "jvmsim-payload-v3", and
+// a cache warmed with v2 entries (keyed under "jvmsim-payload-v2", their
+// reports carrying per-thread rows) serves no hit and fails no verify
+// under -cache-verify 1: every cell misses, runs and is stored anew.
+func TestLeanPayloadV3(t *testing.T) {
+	var jbb scenarios.Scenario
+	paper, err := scenarios.Profile("paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range paper {
+		if sc.Name() == "jbb2005" {
+			jbb = sc
+		}
+	}
+	if len(jbb.WarehouseSequence) == 0 {
+		t.Fatal("the paper profile has no jbb2005 warehouse sequence")
+	}
+	cfg := testConfig()
+	m, err := MeasureScenario(context.Background(), jbb, "ipa", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := checkpoint.CanonicalPayload(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"PerThread"`)) || !bytes.Contains(raw, []byte(`"JNICalls":`)) {
+		t.Fatalf("jbb2005/ipa payload: want the report totals without per-thread rows, got %s", raw)
+	}
+	key, err := cellKey(jbb, "ipa", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := keyUnder(t, "jvmsim-payload-v3", cellIdentity(jbb, "ipa", cfg)); key != want {
+		t.Fatalf("cell key %s, want %s (CellKey of the CellIdentity under jvmsim-payload-v3)", key, want)
+	}
+
+	dir := t.TempDir()
+	cache := openTestCache(t, dir)
+	agents := []string{"none", "ipa"}
+	for _, agent := range agents {
+		v2, err := MeasureScenario(context.Background(), jbb, agent, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v2.Report != nil {
+			v2.Report.PerThread = []core.ThreadStats{{ThreadID: 1, Name: "main", JNICalls: 1}}
+		}
+		payload, err := checkpoint.CanonicalPayload(v2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cache.Put(keyUnder(t, "jvmsim-payload-v2", cellIdentity(jbb, agent, cfg)), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.Cache = cache
+	cfg.CacheVerify = 1
+	res, err := Campaign{Scenarios: []scenarios.Scenario{jbb}, Agents: agents, Config: cfg}.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed > 0 {
+		t.Fatalf("%d cells failed over a v2-warmed cache: %v", res.Failed, res.Rows)
+	}
+	if s := cache.Stats(); s.Hits != 0 || s.Misses != 2 || s.Verified != 0 || s.Puts != 4 {
+		t.Fatalf("v2-warmed cache: %+v, want 0 hits, 2 misses, 0 verified, 4 puts", s)
 	}
 }

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workloads"
 )
 
@@ -67,10 +69,26 @@ func TestJBBWarehouseSequenceAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1+2+3+4 = 10 worker threads plus 3 spawn natives... per-thread
-	// report entries: each run contributes Threads entries.
-	if len(m.Report.PerThread) != 10 {
-		t.Fatalf("per-thread entries = %d, want 10 (warehouse sequence)", len(m.Report.PerThread))
+	// The sequence's report is the sum of the four warehouse runs'
+	// reports, each measured on its own.
+	var sum core.Report
+	for _, warehouses := range b.WarehouseSequence {
+		one := b
+		one.WarehouseSequence = []int{warehouses}
+		mw, err := Measure(one, AgentIPA, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.TotalBytecodeCycles += mw.Report.TotalBytecodeCycles
+		sum.TotalNativeCycles += mw.Report.TotalNativeCycles
+		sum.JNICalls += mw.Report.JNICalls
+		sum.NativeMethodCalls += mw.Report.NativeMethodCalls
+	}
+	got := *m.Report
+	sum.AgentName = got.AgentName
+	if len(b.WarehouseSequence) != 4 || sum.JNICalls == 0 || !reflect.DeepEqual(got, sum) {
+		t.Fatalf("sequence report over %v = %+v, want the warehouse runs' summed totals %+v",
+			b.WarehouseSequence, got, sum)
 	}
 	single := b
 	single.WarehouseSequence = nil

@@ -96,6 +96,10 @@ type Call struct {
 
 	// buf is the argument storage a recycled record keeps between upcalls.
 	buf []int64
+	// typed marks a record whose function upcall chose from Desc, so
+	// the default implementation need not check Desc's return type
+	// against the function again.
+	typed bool
 }
 
 // Func is one entry of the JNI function table. The *Call is valid only
@@ -164,16 +168,23 @@ type JNI struct {
 	calls atomic.Uint64
 }
 
-// Attach builds the default function table for v and installs this JNI
-// layer as the VM's Env factory. It returns the JNI instance for use by
-// the JVMTI layer.
-func Attach(v *vm.VM) *JNI {
+// defaultFuncs is the default function table every VM starts from. It
+// is built once per process and shared: the table is copy-on-write, so
+// Replace copies it and never writes the shared array.
+var defaultFuncs = func() *[numFunctions]Func {
 	funcs := new([numFunctions]Func)
 	for i, name := range names {
 		funcs[i] = defaultImpl(name)
 	}
+	return funcs
+}()
+
+// Attach installs the default function table for v and this JNI layer
+// as the VM's Env factory. It returns the JNI instance for use by the
+// JVMTI layer.
+func Attach(v *vm.VM) *JNI {
 	j := &JNI{vm: v, table: &Table{}}
-	j.table.funcs.Store(funcs)
+	j.table.funcs.Store(defaultFuncs)
 	v.EnvFactory = func(t *vm.Thread) vm.Env { return &Env{jni: j, thread: t} }
 	return j
 }
@@ -190,12 +201,15 @@ func (j *JNI) CallCount() uint64 { return j.calls.Load() }
 
 // defaultImpl builds the standard implementation of one JNI invocation
 // function: validate the descriptor's return type against the function
-// name, then enter the interpreter.
+// name (unless upcall chose the function from that descriptor), then
+// enter the interpreter.
 func defaultImpl(name string) Func {
 	family, retChars := parseFunctionName(name)
 	return func(env *Env, call *Call) (int64, error) {
-		if err := checkReturn(call.Desc, retChars); err != nil {
-			return 0, fmt.Errorf("jni: %s: %w", name, err)
+		if !call.typed {
+			if err := checkReturn(call.Desc, retChars); err != nil {
+				return 0, fmt.Errorf("jni: %s: %w", name, err)
+			}
 		}
 		t := env.thread
 		if family == "Static" {
@@ -318,21 +332,25 @@ func (e *Env) upcall(family, class, method, desc string, recv int64, args []int6
 	} else {
 		c = new(Call)
 	}
-	buf := append(c.buf[:0], args...)
-	*c = Call{Class: class, Method: method, Desc: desc, Recv: recv, Args: buf, buf: buf}
+	c.buf = append(c.buf[:0], args...)
+	c.Class, c.Method, c.Desc, c.Recv, c.Args, c.typed = class, method, desc, recv, c.buf, true
 	r, err := e.dispatch(i, c)
-	*c = Call{buf: buf} // drop the string references while the record idles
+	// Drop the string references while the record idles.
+	c.Function, c.Class, c.Method, c.Desc, c.Args = "", "", "", "", nil
 	e.free = append(e.free, c)
 	return r, err
 }
 
 // CallByName dispatches an invocation through the named function-table
-// entry, exercising any installed interception wrapper.
+// entry, exercising any installed interception wrapper. The caller chose
+// the function, so the default implementation checks the descriptor's
+// return type against it.
 func (e *Env) CallByName(name string, call *Call) (int64, error) {
 	i, ok := funcIndex[name]
 	if !ok {
 		return 0, fmt.Errorf("jni: no such function %q", name)
 	}
+	call.typed = false
 	return e.dispatch(i, call)
 }
 

@@ -188,6 +188,48 @@ func TestTableInterception(t *testing.T) {
 	}
 }
 
+// TestDefaultTableShared pins the process-wide default table: every VM
+// starts from the same array, and interception on one VM replaces a copy
+// that no other VM sees.
+func TestDefaultTableShared(t *testing.T) {
+	v1, j1 := buildTestVM(t)
+	_, j2 := buildTestVM(t)
+	if j1.Table().funcs.Load() != defaultFuncs || j2.Table().funcs.Load() != defaultFuncs {
+		t.Fatal("a fresh VM does not start from the shared default table")
+	}
+	want := defaultFuncs[funcIndex["CallStaticIntMethodA"]]
+	var wrapped int
+	if err := j1.Table().Replace(map[string]Func{"CallStaticIntMethodA": func(env *Env, call *Call) (int64, error) {
+		wrapped++
+		return want(env, call)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if j1.Table().funcs.Load() == defaultFuncs || j2.Table().funcs.Load() != defaultFuncs {
+		t.Fatal("Replace wrote the shared default table")
+	}
+	env := v1.NewDetachedThread("t").Env().(*Env)
+	if r, err := env.CallStatic("t/C", "add", "(II)I", 2, 3); err != nil || r != 5 || wrapped != 1 {
+		t.Fatalf("intercepted upcall = %d, %v after %d wraps", r, err, wrapped)
+	}
+}
+
+// TestCallByNameChecksUpcallRecord: upcall's record skips the return-type
+// check only for the function upcall chose; a wrapper that forwards it
+// through CallByName to a function of another return type is checked.
+func TestCallByNameChecksUpcallRecord(t *testing.T) {
+	v, j := buildTestVM(t)
+	if err := j.Table().Replace(map[string]Func{"CallStaticIntMethodA": func(env *Env, call *Call) (int64, error) {
+		return env.CallByName("CallStaticLongMethodA", call)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	env := v.NewDetachedThread("t").Env().(*Env)
+	if _, err := env.CallStatic("t/C", "add", "(II)I", 1, 2); err == nil {
+		t.Fatal("an int upcall forwarded to CallStaticLongMethodA passed the return-type check")
+	}
+}
+
 func TestTableReplaceRejectsUnknownOrNil(t *testing.T) {
 	_, j := buildTestVM(t)
 	if err := j.Table().Replace(map[string]Func{"Nope": nil}); err == nil {

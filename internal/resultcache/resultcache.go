@@ -23,9 +23,10 @@
 // place, so neither a concurrent writer (two processes sharing a cache
 // directory) nor a killed one can expose a torn entry: a writer killed
 // before the rename leaves only a ".put-*" temp file, which every reader
-// ignores and Evict sweeps once it is older than StrayGrace. Reads check
-// the exact bytes Put writes and make one JSON pass over the payload
-// (decoding it straight into the caller's value, or validating it): an
+// ignores and Evict sweeps once it is older than StrayGrace. A read is
+// one raw descriptor read into a pooled buffer; it checks the exact bytes
+// Put writes and makes one JSON pass over the payload (decoding it
+// straight into the caller's value, or validating it): an
 // unreadable, truncated, key-mismatched or non-canonical entry, or a
 // payload that does not decode into the caller's value, is a miss, never
 // a crash — a corrupted cache costs re-execution, not correctness.
@@ -48,6 +49,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/runner"
@@ -266,27 +268,35 @@ func (c *Cache) Get(key string) (json.RawMessage, bool) {
 }
 
 // GetInto looks key up and, on a hit, decodes the stored payload into v
-// (a nil v only validates it) and returns the payload bytes. A hit costs
-// one file read, one framing check and one JSON pass. Every failure mode
-// — absent entry, unreadable file, an entry that is not byte-for-byte
-// the framing Put writes for key (truncated, key-mismatched, hand-edited
-// or re-indented), or a payload that does not decode into v — is a
-// counted miss: the cache never turns its own damage into a caller's
-// crash. On a miss v may have been partly written and must be
-// discarded. An rw-mode hit touches the entry's mtime so the LRU
-// eviction pass sees recency, not just insertion order; ro mode never
-// writes, metadata included.
+// (a nil v only validates it) and returns an exactly sized copy of the
+// payload bytes. A hit costs one raw read (readEntry), one framing check
+// and one JSON pass; beyond what decoding into v allocates, it allocates
+// the payload copy and the entry's path. Every failure mode — absent
+// entry, unreadable file, an entry that is not byte-for-byte the framing
+// Put writes for key (truncated, key-mismatched, hand-edited or
+// re-indented), or a payload that does not decode into v — is a counted
+// miss: the cache never turns its own damage into a caller's crash. On a
+// miss v may have been partly written and must be discarded. An rw-mode
+// hit touches the entry's mtime so the LRU eviction pass sees recency,
+// not just insertion order; ro mode never writes, metadata included.
 func (c *Cache) GetInto(key string, v any) (json.RawMessage, bool) {
 	if c == nil {
 		return nil, false
 	}
 	path := c.entryPath(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return c.miss()
+	scratch := scratchPool.Get().(*[]byte)
+	data, err := readEntry(path, (*scratch)[:0])
+	var payload json.RawMessage // non-empty on a hit
+	if err == nil {
+		if p, ok := decodeEntry(data, key, v); ok {
+			// p aliases the scratch buffer, which goes back to the pool.
+			payload = make(json.RawMessage, len(p))
+			copy(payload, p)
+		}
 	}
-	payload, ok := decodeEntry(data, key, v)
-	if !ok {
+	*scratch = data
+	scratchPool.Put(scratch)
+	if payload == nil {
 		return c.miss()
 	}
 	if c.mode == ModeRW {
@@ -296,6 +306,41 @@ func (c *Cache) GetInto(key string, v any) (json.RawMessage, bool) {
 	c.hits.Add(1)
 	c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheHits, 1)
 	return payload, true
+}
+
+// scratchPool holds the buffers readEntry reads entries into. A buffer
+// that grew for a large entry goes back grown.
+var scratchPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4<<10)
+	return &b
+}}
+
+// readEntry appends the file at path to buf through a raw descriptor —
+// open, read until end of file, close — and returns the extended buffer.
+// Entries are a few hundred bytes, so the *os.File that os.ReadFile sets
+// up and tears down would cost more than the read itself. A directory or
+// any other unreadable path is an error.
+func readEntry(path string, buf []byte) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	if err != nil {
+		return buf, err
+	}
+	defer syscall.Close(fd)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err != nil:
+			return buf, err
+		case n <= 0:
+			return buf, nil
+		}
+		buf = buf[:len(buf)+n]
+	}
 }
 
 // miss counts one failed lookup.

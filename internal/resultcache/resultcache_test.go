@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +18,9 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/runner"
 )
+
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
 
 // testKey derives a real cell key so tests exercise the same 64-hex
 // shape production uses.
@@ -169,6 +175,125 @@ func TestNonCanonicalEntryIsMiss(t *testing.T) {
 	}
 	if _, ok := c.Get(key); !ok {
 		t.Fatal("the canonical entry missed")
+	}
+}
+
+// TestRawReadEdges covers readEntry's edges: an entry larger than the
+// pooled scratch buffer still hits with its exact bytes, and an empty
+// file or a directory at the entry path is a miss.
+func TestRawReadEdges(t *testing.T) {
+	c, err := Open(t.TempDir(), ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, "large")
+	large := json.RawMessage(`"` + strings.Repeat("0123456789abcdef", 2<<10) + `"`)
+	if err := c.Put(key, large); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // a fresh buffer, then the grown pooled one
+		got, ok := c.Get(key)
+		if !ok || string(got) != string(large) || cap(got) != len(got) {
+			t.Fatalf("read %d: %d-byte entry served ok=%v, %d bytes (cap %d)", i, len(large), ok, len(got), cap(got))
+		}
+	}
+	empty := testKey(t, "empty")
+	path := c.entryPath(empty)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(empty); ok {
+		t.Fatal("an empty entry file served a hit")
+	}
+	dir := testKey(t, "directory")
+	if err := os.MkdirAll(c.entryPath(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(dir); ok {
+		t.Fatal("a directory at the entry path served a hit")
+	}
+	if s := c.Stats(); s.Hits != 2 || s.Misses != 2 {
+		t.Fatalf("stats %+v, want 2 hits / 2 misses", s)
+	}
+}
+
+// TestWarmHitAllocation bounds what a warm hit on a ~500-byte entry
+// allocates: the exact payload copy, the decode into v, and the entry's
+// path (built once, converted for the open and, in rw mode, for the
+// touch) — never a read buffer per lookup.
+func TestWarmHitAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	type cell struct {
+		Name   string
+		Cycles []uint64
+	}
+	want := cell{Name: "jbb2005", Cycles: make([]uint64, 40)}
+	for i := range want.Cycles {
+		want.Cycles[i] = uint64(i) * 1_000_000_007
+	}
+	payload, err := checkpoint.CanonicalPayload(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(payload) < 400 || len(payload) > 600 {
+		t.Fatalf("payload is %d bytes, want about 500", len(payload))
+	}
+	bytesPerOp := func(f func()) float64 {
+		const n = 200
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	decode := bytesPerOp(func() {
+		var v cell
+		if err := json.Unmarshal(payload, &v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	dir := t.TempDir()
+	key := testKey(t, "alloc")
+	rw, err := Open(dir, ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{ModeRO, ModeRW} {
+		c, err := Open(dir, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v cell
+		if _, ok := c.GetInto(key, &v); !ok || !reflect.DeepEqual(v, want) {
+			t.Fatalf("%s: warm GetInto = %+v, %v", mode, v, ok)
+		}
+		hit := bytesPerOp(func() {
+			var v cell
+			if _, ok := c.GetInto(key, &v); !ok {
+				t.Fatalf("%s: warm GetInto missed", mode)
+			}
+		})
+		paths := 2.0 // entryPath, and its conversion for the open
+		if mode == ModeRW {
+			paths++ // and for the touch
+		}
+		// Size classes round each allocation up by at most 1/8.
+		budget := decode + 1.125*(float64(len(payload))+paths*float64(len(c.entryPath(key))+1)) + 64
+		if hit > budget {
+			t.Errorf("%s: a warm hit allocates %.0f bytes; the decode alone allocates %.0f, the budget is %.0f",
+				mode, hit, decode, budget)
+		}
 	}
 }
 

@@ -6,25 +6,25 @@ import (
 	"repro/internal/core"
 )
 
-// MergeReports sums two agent reports into one, the aggregation used for
-// warehouse sequences (SPEC JBB2005 style) where one measurement spans
-// several VM runs. A nil add leaves into unchanged; a nil into starts a
-// fresh accumulator from a copy of add, so callers never alias a report
-// owned by an agent.
+// MergeReports sums two agent reports' totals into one, the aggregation
+// used for warehouse sequences (SPEC JBB2005 style) where one measurement
+// spans several VM runs. A nil add leaves into unchanged; a nil into
+// starts a fresh accumulator, so callers never alias a report owned by an
+// agent. The merged report keeps the agent name and the totals only — no
+// per-thread rows — so a Measurement in memory and one decoded from its
+// cell payload are the same.
 func MergeReports(into, add *core.Report) *core.Report {
 	if add == nil {
 		return into
 	}
 	if into == nil {
-		c := *add
-		c.PerThread = append([]core.ThreadStats(nil), add.PerThread...)
-		return &c
+		into = &core.Report{AgentName: add.AgentName}
 	}
 	into.TotalBytecodeCycles += add.TotalBytecodeCycles
 	into.TotalNativeCycles += add.TotalNativeCycles
 	into.JNICalls += add.JNICalls
 	into.NativeMethodCalls += add.NativeMethodCalls
-	into.PerThread = append(into.PerThread, add.PerThread...)
+	into.PerThread = nil
 	return into
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -17,7 +18,8 @@ func TestMergeReportsNilAdd(t *testing.T) {
 	}
 }
 
-// MergeReports(nil, add) must copy, never alias the agent-owned report.
+// MergeReports(nil, add) must copy the totals, never alias the
+// agent-owned report, and carry no per-thread rows.
 func TestMergeReportsCopiesFirst(t *testing.T) {
 	add := &core.Report{
 		AgentName:           "IPA",
@@ -31,9 +33,13 @@ func TestMergeReportsCopiesFirst(t *testing.T) {
 	if got == add {
 		t.Fatal("MergeReports(nil, add) aliased add")
 	}
+	want := core.Report{AgentName: "IPA", TotalBytecodeCycles: 10, TotalNativeCycles: 4,
+		JNICalls: 3, NativeMethodCalls: 2}
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("MergeReports(nil, add) = %+v, want %+v", got, want)
+	}
 	got.TotalBytecodeCycles = 999
-	got.PerThread[0].Name = "mutated"
-	if add.TotalBytecodeCycles != 10 || add.PerThread[0].Name != "main" {
+	if add.TotalBytecodeCycles != 10 || len(add.PerThread) != 1 {
 		t.Fatalf("mutating the merge result changed the source: %+v", add)
 	}
 }
@@ -48,7 +54,7 @@ func TestMergeReportsSums(t *testing.T) {
 		t.Fatal("MergeReports did not accumulate into the first argument")
 	}
 	if got.TotalBytecodeCycles != 40 || got.TotalNativeCycles != 6 ||
-		got.JNICalls != 9 || got.NativeMethodCalls != 14 || len(got.PerThread) != 3 {
+		got.JNICalls != 9 || got.NativeMethodCalls != 14 || got.PerThread != nil {
 		t.Fatalf("merged = %+v", got)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
@@ -196,18 +196,10 @@ func (g *generator) addNative(p Phase, ordinal int) error {
 	if per < 1 {
 		per = 1
 	}
-	var mu sync.Mutex
-	var calls uint64
+	var calls atomic.Uint64
 	g.funcs[cls+"."+nworkName+"(J)J"] = func(env vm.Env, args []int64) (int64, error) {
 		env.Work(nativeWork)
-		doCallback := false
-		if jniEvery > 0 {
-			mu.Lock()
-			calls++
-			doCallback = calls%uint64(jniEvery) == 0
-			mu.Unlock()
-		}
-		if doCallback {
+		if jniEvery > 0 && calls.Add(1)%uint64(jniEvery) == 0 {
 			r := args[0]
 			for k := 0; k < per; k++ {
 				var err error
