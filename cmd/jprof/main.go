@@ -4,13 +4,14 @@
 //
 // Usage:
 //
-//	jprof [-agent spa|ipa|chains|sampler|bic|aprof|none] [-engine interp|jit|auto]
-//	      [-scenario FILE] [-heap-nursery W] [-heap-tenured W] [-heap-tenure-age N]
-//	      [-heap-limit W] [-scale K] [-parallel N] [-tierstats] [-list]
-//	      [-cell-timeout D] [-max-retries N] [-retry-seed S]
-//	      [-cache-dir DIR] [-cache off|ro|rw] [-cache-verify N]
-//	      [-cache-max-mb MB] [-cellstats] [-trace FILE] [-metrics FILE]
-//	      <scenario|family>... | all
+//	jprof [shared flags] [-tierstats] [-list] [-json] [-permethod]
+//	      [-cellstats] <scenario|family>... | all
+//
+// The shared flags (-agent, -engine, -heap-*, -scenario, -scale,
+// -parallel, -cell-timeout, -max-retries, the -cache* flags, -trace and
+// -metrics) are the same in jvmsim, jprof and tables; the "Shared flags"
+// table of docs/robustness.md describes them. The default agent is ipa;
+// the agents are spa, ipa, chains, sampler, bic, aprof and none.
 //
 // A cell that panics, exceeds -cell-timeout or fails is reported in
 // place without aborting the batch; the process then exits with code 3
@@ -27,62 +28,42 @@
 // Java/native call chains; the sampler agent demonstrates the
 // related-work PC-sampling baseline.
 //
-// -cache-dir (default $JVMSIM_CACHE) points at the persistent
-// content-addressed result cache (see docs/caching.md): a warm rerun
-// serves reports from disk byte-identically and prints a stats trailer
-// on stderr. -cache-verify N re-executes a deterministic 1-in-N sample
-// of hits and fails loudly on mismatch. -cellstats appends each
-// result's host-side production cost (never part of cached payloads);
-// with -json it becomes a trailing {"host":...} object after the
-// report, keeping the report itself engine-independent.
+// -cellstats appends each result's host-side production cost (never
+// part of cached payloads); with -json it becomes a trailing
+// {"host":...} object after the report, keeping the report itself
+// engine-independent.
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/agents/aprof"
 	"repro/internal/agents/bic"
 	"repro/internal/agents/chains"
 	"repro/internal/agents/ipa"
 	"repro/internal/agents/registry"
-	"repro/internal/checkpoint"
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/faultinject"
-	"repro/internal/harness"
-	"repro/internal/jit"
-	"repro/internal/resultcache"
-	"repro/internal/runner"
 	"repro/internal/scenarios"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
 func main() {
-	agentName := registry.AddFlag(flag.CommandLine, "ipa")
-	engineName := jit.AddEngineFlag(flag.CommandLine)
-	heapFlags := vm.AddHeapFlags(flag.CommandLine)
-	scale := flag.Int("scale", 1, "iteration divisor (1 = full calibrated size)")
+	f := cli.Register(flag.CommandLine, "jprof")
 	list := flag.Bool("list", false, "list available scenarios and exit")
 	asJSON := flag.Bool("json", false, "emit the results as JSON")
 	perMethod := flag.Bool("permethod", false, "with -agent ipa: per-native-method breakdown")
 	tierStats := flag.Bool("tierstats", false, "append the execution tier's host-side statistics per run")
-	scenarioFile := scenarios.AddFlag(flag.CommandLine)
-	parallel := runner.AddFlag(flag.CommandLine)
-	robust := runner.AddRobustFlags(flag.CommandLine)
-	cacheFlags := resultcache.AddFlags(flag.CommandLine)
 	cellStats := flag.Bool("cellstats", false, "append each result's host-side production cost (wall time, allocations, source); with -json a trailing {\"host\":...} object")
-	telFlags := telemetry.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := scenarios.LoadIfSet(*scenarioFile); err != nil {
+	if _, err := f.LoadScenarios(); err != nil {
 		fatal(err)
 	}
 	if *list {
@@ -92,15 +73,8 @@ func main() {
 		return
 	}
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: jprof [-agent NAME] [-engine NAME] [-scenario FILE] [-scale K] [-parallel N] [-tierstats] <scenario|family>... | all")
+		fmt.Fprintln(os.Stderr, "usage: jprof [shared flags] [-tierstats] [-json] [-permethod] [-cellstats] <scenario|family>... | all")
 		os.Exit(2)
-	}
-	if err := registry.Validate(*agentName); err != nil {
-		fatal(err)
-	}
-	engine, err := jit.ParseEngine(*engineName)
-	if err != nil {
-		fatal(err)
 	}
 	// The JSON report is a stable engine-independent serialization (the
 	// cross-engine byte-identity checks diff it); host-side tier stats
@@ -109,158 +83,66 @@ func main() {
 	if *tierStats && *asJSON {
 		fatal(fmt.Errorf("-tierstats does not apply to -json (the JSON report is engine-independent by design)"))
 	}
-
 	scns, err := scenarios.Resolve(flag.Args())
 	if err != nil {
 		fatal(err)
 	}
-
-	opts := vm.DefaultOptions()
-	opts.Tier = engine
-	if err := heapFlags.Apply(&opts); err != nil {
-		fatal(err)
-	}
-	registry.TuneOptions(*agentName, &opts)
-
-	injector, err := faultinject.FromEnv()
+	cfg, err := f.Open()
 	if err != nil {
 		fatal(err)
 	}
-	cache, err := cacheFlags.Open()
-	if err != nil {
-		fatal(err)
-	}
-	tel := telFlags.Open()
-	sum := telemetry.NewSummary("jprof", os.Stderr)
-	cache.SetTelemetry(tel)
-	memo := new(resultcache.Memo)
-	ropts := runner.Options{
-		Parallelism: *parallel,
-		EmitFailed:  true,
-		Hook:        injector.Hook(),
-		Telemetry:   tel,
-	}
-	robust.Apply(&ropts)
-	cells := make([]runner.Cell[string], len(scns))
-	for i, s := range scns {
-		s := s
-		cells[i] = runner.Cell[string]{
-			Key:   s.Name() + "/" + *agentName,
-			Group: s.Family,
-			Do: func(ctx context.Context) (string, error) {
-				return profileCell(ctx, s, *agentName, *scale, opts,
-					*asJSON, *perMethod, *tierStats, *cellStats,
-					cache, cacheFlags.VerifyN(), memo, tel)
-			},
-		}
-	}
-	results, err := runner.Run(context.Background(), ropts, cells)
-	failed := 0
-	for i, r := range results {
-		if i > 0 && !*asJSON {
-			fmt.Println()
-		}
-		tel.Count(cells[i].Group, telemetry.MetricCells, 1)
-		if r.Err != nil {
-			failed++
-			tel.Count(cells[i].Group, telemetry.MetricCellsFailed, 1)
-			fmt.Printf("benchmark %s: FAILED: %v\n", r.Key, r.Err)
-			continue
-		}
-		fmt.Print(r.Value)
-	}
-	cache.Finish(sum)
-	telFlags.Finish(tel, sum)
-	if failed > 0 {
-		// Cell failures are already reported in place; the batch error is
-		// their FirstError, so the partial exit subsumes it.
-		sum.Partial(failed, len(results))
-		os.Exit(harness.ExitPartial)
-	}
-	if err != nil {
-		fatal(err)
-	}
+	os.Exit(f.RunCells(scns, renderer(f.Agent, cfg.Scale, *asJSON, *perMethod, *tierStats, *cellStats)))
 }
 
-// profileKey derives the content-addressed cache key for one report: the
+// profileKey is the identity a jprof report's cache key hashes: the
 // scenario's full content identity under every flag that shapes the
-// rendered bytes, plus a payload-kind discriminator so jprof reports
-// never collide with other tools' payloads in a shared cache directory.
-func profileKey(s scenarios.Scenario, agentName string, scale int, opts vm.Options,
-	asJSON, perMethod, tierStats bool) (string, error) {
-	s.ApplyHeap(&opts)
-	return checkpoint.CellKey(struct {
-		scenarios.Identity
-		Agent     string     `json:"agent"`
-		Opts      vm.Options `json:"opts"`
-		Scale     int        `json:"scale"`
-		JSON      bool       `json:"json"`
-		PerMethod bool       `json:"perMethod"`
-		TierStats bool       `json:"tierStats"`
-		Kind      string     `json:"payloadKind"`
-	}{s.Identity(), agentName, opts, scale, asJSON, perMethod, tierStats, "jprof-rendered"})
+// rendered bytes, with the jprof-rendered payload kind.
+type profileKey struct {
+	scenarios.Identity
+	Agent     string     `json:"agent"`
+	Opts      vm.Options `json:"opts"`
+	Scale     int        `json:"scale"`
+	JSON      bool       `json:"json"`
+	PerMethod bool       `json:"perMethod"`
+	TierStats bool       `json:"tierStats"`
+	Kind      string     `json:"payloadKind"`
 }
 
-// profileCell resolves one report through the result cache
-// (resultcache.Cache.Resolve): a hit or an identical cell of this
-// invocation serves it, anything else runs a real profiling run. The
-// cached payload is the rendered report alone; the -cellstats host-cost
-// line (or trailing {"host":...} object with -json) is appended outside
-// it, so cold and warm report bytes stay identical and the telemetry
-// reflects how this invocation produced the result.
-func profileCell(ctx context.Context, s scenarios.Scenario, agentName string, scale int,
-	opts vm.Options, asJSON, perMethod, tierStats, cellStats bool,
-	cache *resultcache.Cache, verifyN int, memo *resultcache.Memo,
-	tel *telemetry.Recorder) (string, error) {
-	if tel != nil {
-		var span *telemetry.Span
-		ctx, span = tel.StartSpan(ctx, telemetry.CatCampaign, "cell")
-		if span != nil {
-			span.Arg("cell", s.Name()+"/"+agentName).Arg("family", s.Family)
-		}
-		start := time.Now()
-		defer func() {
-			tel.Observe(s.Family, telemetry.MetricCellWallNanos,
-				float64(time.Since(start).Nanoseconds()))
-			span.End()
-		}()
+// renderer is jprof's rendered cell: profileOne's report under a
+// profileKey. With -cellstats the host cost follows the report as a
+// "host:" line, or with -json as a trailing {"host":...} object.
+func renderer(agentName string, scale int, asJSON, perMethod, tierStats, cellStats bool) cli.Renderer {
+	r := cli.Renderer{
+		Key: func(s scenarios.Scenario, opts vm.Options) any {
+			return profileKey{s.Identity(), agentName, opts, scale, asJSON, perMethod, tierStats, "jprof-rendered"}
+		},
+		Render: func(ctx context.Context, s scenarios.Scenario, opts vm.Options) (string, error) {
+			return profileOne(ctx, s, agentName, scale, opts, asJSON, perMethod, tierStats)
+		},
+		Failed: "benchmark %s: FAILED: %v\n",
 	}
-	var doneHost func(string) core.HostStats
+	if !asJSON {
+		r.Separator = "\n"
+	}
 	if cellStats {
-		doneHost = core.StartHostMeasure()
-	}
-	key, err := profileKey(s, agentName, scale, opts, asJSON, perMethod, tierStats)
-	if err != nil {
-		return "", err
-	}
-	var text string
-	source, err := cache.Resolve(memo, key, verifyN, &text, func() (json.RawMessage, error) {
-		out, err := profileOne(ctx, s, agentName, scale, opts, asJSON, perMethod, tierStats)
-		if err != nil {
-			return nil, err
+		r.Host = func(text string, h core.HostStats) (string, error) {
+			if !asJSON {
+				return text + "host: " + h.String() + "\n", nil
+			}
+			var buf bytes.Buffer
+			buf.WriteString(text)
+			if err := core.WriteHostJSON(&buf, h); err != nil {
+				return "", err
+			}
+			return buf.String(), nil
 		}
-		return checkpoint.CanonicalPayload(out)
-	})
-	if err != nil {
-		return "", err
 	}
-	if doneHost == nil {
-		return text, nil
-	}
-	h := doneHost(source)
-	if asJSON {
-		var buf bytes.Buffer
-		buf.WriteString(text)
-		if err := core.WriteHostJSON(&buf, h); err != nil {
-			return "", err
-		}
-		return buf.String(), nil
-	}
-	return text + "host: " + h.String() + "\n", nil
+	return r
 }
 
-// profileOne runs one scenario under a fresh agent on its own VM and
-// renders the full report; rendering inside the cell keeps the output
+// profileOne runs one scenario under a fresh agent on its own VM, under
+// opts with the scenario's heap spec already applied, and renders the
+// full report; rendering inside the cell keeps the output
 // deterministic regardless of scheduling.
 func profileOne(ctx context.Context, s scenarios.Scenario, agentName string, scale int,
 	opts vm.Options, asJSON, perMethod, tierStats bool) (string, error) {
@@ -272,7 +154,6 @@ func profileOne(ctx context.Context, s scenarios.Scenario, agentName string, sca
 	if err != nil {
 		return "", err
 	}
-	s.ApplyHeap(&opts)
 	res, err := core.RunContext(ctx, prog, agent, opts)
 	if err != nil {
 		return "", err

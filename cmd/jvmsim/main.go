@@ -4,61 +4,42 @@
 //
 // Usage:
 //
-//	jvmsim [-agent NAME] [-engine interp|jit|auto] [-scenario FILE]
-//	       [-heap-nursery W] [-heap-tenured W] [-heap-tenure-age N] [-heap-limit W]
-//	       [-scale K] [-parallel N] [-tierstats]
-//	       [-cell-timeout D] [-max-retries N] [-retry-seed S]
-//	       [-cache-dir DIR] [-cache off|ro|rw] [-cache-verify N] [-cache-max-mb MB]
-//	       [-trace FILE] [-metrics FILE]
-//	       [-cpuprofile F] [-memprofile F] [-dump|-instrmix]
-//	       <scenario|family>... | all
+//	jvmsim [shared flags] [-tierstats] [-cpuprofile F] [-memprofile F]
+//	       [-dump|-instrmix] <scenario|family>... | all
 //	jvmsim doctor [-format text|json] [-cache-dir DIR]
 //	              [-trace FILE] [-metrics FILE]
 //	jvmsim dashboard -metrics FILE [-o FILE] [-html FILE]
 //	jvmsim search [-budget N] [-seed S] [-oracle NAME] [-stop N]
 //	              [-format text|json] [-out DIR] [-scenario FILE]
+//	              [-trace FILE] [-metrics FILE]
 //	jvmsim search -record ziptool|jdkapp [-o FILE]
 //	jvmsim search -replay FILE...
 //
-// Arguments name registered scenarios, scenario families ("paper",
-// "gc-heavy", ...) or the word "all"; -scenario loads a declarative JSON
-// scenario file into the registry first. Runs execute concurrently on
-// isolated VMs, -parallel at a time, with output in argument order.
-// -agent attaches a profiling agent and appends its report summary (the
-// default "none" keeps the bare-JVM behaviour). -engine selects the
-// execution tier (interp, jit, auto); every simulated statistic is
-// byte-identical across engines, and -tierstats appends the tier's
-// host-side bookkeeping (promotions, compiled frames, deopts) per run.
-// -dump and -instrmix are static analyses and always run sequentially.
+// The shared flags (-agent, -engine, -heap-*, -scenario, -scale,
+// -parallel, -cell-timeout, -max-retries, the -cache* flags, -trace and
+// -metrics) are the same in jvmsim, jprof and tables; the "Shared flags"
+// table of docs/robustness.md describes them. The default agent is none.
 //
-// -trace writes a Chrome trace_event JSON timeline of the run (loadable
-// in Perfetto) and -metrics dumps the per-family metrics registry; both
-// are host-side observability that never changes stdout — see
-// docs/observability.md.
+// Arguments name registered scenarios, scenario families ("paper",
+// "gc-heavy", ...) or the word "all". Runs execute concurrently on
+// isolated VMs, with output in argument order; a failed cell is reported
+// in place. -agent attaches a profiling agent and appends its report
+// summary (the default "none" keeps the bare-JVM behaviour). Every
+// simulated statistic is byte-identical across engines, and -tierstats
+// appends the tier's host-side bookkeeping (promotions, compiled frames,
+// deopts) per run. -dump and -instrmix are static analyses: they run
+// sequentially and reject the flags that act only on running cells.
 //
 // -cpuprofile and -memprofile write pprof profiles of the simulator
 // itself (not the simulated workload), the entry point for performance
 // work on the engine: `jvmsim -cpuprofile cpu.out all` then
 // `go tool pprof cpu.out`.
 //
-// Fault tolerance (see docs/robustness.md): a cell that panics, exceeds
-// -cell-timeout or fails does not abort the batch — its error is
-// reported in place and the process exits with code 3 (partial).
-//
-// -cache-dir (default $JVMSIM_CACHE) points at the persistent
-// content-addressed result cache (see docs/caching.md): a warm rerun
-// serves finished cells from disk byte-identically and prints a stats
-// trailer on stderr; identical cells appearing more than once in one
-// invocation execute exactly once. The cache is also the crash-resume
-// store: a killed run re-run with the same -cache-dir runs only the
-// cells it had not finished, producing byte-identical output.
-// -cache-verify N re-executes a deterministic 1-in-N sample of hits and
-// fails loudly on mismatch. The `doctor` subcommand checks the
-// installation (toolchain, registry, heap specs, cache-dir health,
-// telemetry output paths) and exits non-zero on failure. The
-// `dashboard` subcommand renders a -metrics dump as per-family text
-// panels and, with -html, a self-contained HTML page (see
-// docs/observability.md).
+// The `doctor` subcommand checks the installation (toolchain, registry,
+// heap specs, cache-dir health, telemetry output paths) and exits
+// non-zero on failure. The `dashboard` subcommand renders a -metrics
+// dump as per-family text panels and, with -html, a self-contained HTML
+// page (see docs/observability.md).
 //
 // The `search` subcommand is the adversarial differential scenario
 // search (see docs/scenario-search.md): it mutates phase workloads under
@@ -68,32 +49,25 @@
 // compiles a real-program trace into a scenario file; -replay re-checks
 // found scenarios against their pins.
 //
-// Exit codes: 0 complete, 1 fatal, 2 usage, 3 partial; `search` adds
-// 4 (divergence found).
+// Exit codes (docs/robustness.md): 0 complete, 1 fatal, 2 usage,
+// 3 partial; `search` adds 4 (divergence found).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"repro/internal/agents/registry"
 	"repro/internal/bytecode"
-	"repro/internal/checkpoint"
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/faultinject"
-	"repro/internal/harness"
 	"repro/internal/jit"
-	"repro/internal/resultcache"
-	"repro/internal/runner"
 	"repro/internal/scenarios"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -116,34 +90,19 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "dashboard" {
 		os.Exit(runDashboard(os.Args[2:]))
 	}
-	agentName := registry.AddFlag(flag.CommandLine, "none")
-	engineName := jit.AddEngineFlag(flag.CommandLine)
-	heapFlags := vm.AddHeapFlags(flag.CommandLine)
-	scale := flag.Int("scale", 1, "iteration divisor")
+	f := cli.Register(flag.CommandLine, "jvmsim")
 	tierStats := flag.Bool("tierstats", false, "append the execution tier's host-side statistics per run")
 	dump := flag.Bool("dump", false, "disassemble the generated classes instead of running")
 	instrmix := flag.Bool("instrmix", false, "print static instruction-mix metrics instead of running")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulator to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile of the simulator to `file`")
-	scenarioFile := scenarios.AddFlag(flag.CommandLine)
-	parallel := runner.AddFlag(flag.CommandLine)
-	robust := runner.AddRobustFlags(flag.CommandLine)
-	cacheFlags := resultcache.AddFlags(flag.CommandLine)
-	telFlags := telemetry.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() < 1 {
 		// Before profile setup: os.Exit skips the deferred profile writers.
-		fmt.Fprintln(os.Stderr, "usage: jvmsim [-agent NAME] [-engine NAME] [-scenario FILE] [-scale K] [-parallel N] [-tierstats] [-trace F] [-metrics F] [-cpuprofile F] [-memprofile F] [-dump|-instrmix] <scenario|family>... | all")
+		fmt.Fprintln(os.Stderr, "usage: jvmsim [shared flags] [-tierstats] [-cpuprofile F] [-memprofile F] [-dump|-instrmix] <scenario|family>... | all")
 		os.Exit(2)
 	}
-	if err := scenarios.LoadIfSet(*scenarioFile); err != nil {
-		fatal(err)
-	}
-	if err := registry.Validate(*agentName); err != nil {
-		fatal(err)
-	}
-	engine, err := jit.ParseEngine(*engineName)
-	if err != nil {
+	if _, err := f.LoadScenarios(); err != nil {
 		fatal(err)
 	}
 	scns, err := scenarios.Resolve(flag.Args())
@@ -151,12 +110,12 @@ func main() {
 		fatal(err)
 	}
 	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+		out, err := os.Create(*cpuprofile)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
+		defer out.Close()
+		if err := pprof.StartCPUProfile(out); err != nil {
 			fatal(err)
 		}
 		defer pprof.StopCPUProfile()
@@ -167,17 +126,22 @@ func main() {
 	}
 
 	if *instrmix || *dump {
-		// Static analyses never run the program, so an agent, engine or
-		// tier-stats selection would be dropped silently — reject them
-		// like tables rejects inapplicable flag combinations.
-		if *agentName != "none" {
+		// Static analyses never run the program, so an agent, engine,
+		// tier-stats or run-only selection would be dropped silently —
+		// reject them like tables rejects inapplicable flag combinations.
+		// The cache is never opened, so these modes never create or stamp
+		// a cache directory.
+		if f.Agent != "none" {
 			fatal(fmt.Errorf("-agent does not apply to -dump/-instrmix (static analyses never run the program)"))
 		}
-		if engine != jit.EngineInterp || *tierStats {
+		if f.Engine != "interp" || *tierStats {
 			fatal(fmt.Errorf("-engine/-tierstats do not apply to -dump/-instrmix (static analyses never run the program)"))
 		}
+		if err := f.RejectRunFlags("-dump/-instrmix"); err != nil {
+			fatal(err)
+		}
 		for _, s := range scns {
-			prog, err := workloads.BuildWorkload(s.Workload.Scale(*scale))
+			prog, err := workloads.BuildWorkload(s.Workload.Scale(f.Scale))
 			if err != nil {
 				fatal(err)
 			}
@@ -194,130 +158,39 @@ func main() {
 		return
 	}
 
-	opts := vm.DefaultOptions()
-	opts.Tier = engine
-	if err := heapFlags.Apply(&opts); err != nil {
-		fatal(err)
-	}
-	registry.TuneOptions(*agentName, &opts)
-
-	injector, err := faultinject.FromEnv()
+	cfg, err := f.Open()
 	if err != nil {
 		fatal(err)
 	}
-	tel := telFlags.Open()
-	sum := telemetry.NewSummary("jvmsim", os.Stderr)
-	// Opened after the static-analysis paths so -dump/-instrmix never
-	// create or stamp a cache directory they will not use.
-	cache, err := cacheFlags.Open()
-	if err != nil {
-		fatal(err)
-	}
-	cache.SetTelemetry(tel)
-	memo := new(resultcache.Memo)
-
-	ropts := runner.Options{
-		Parallelism: *parallel,
-		EmitFailed:  true,
-		Hook:        injector.Hook(),
-		Telemetry:   tel,
-	}
-	robust.Apply(&ropts)
-	cells := make([]runner.Cell[string], len(scns))
-	for i, s := range scns {
-		s := s
-		cells[i] = runner.Cell[string]{
-			Key:   s.Name() + "/" + *agentName,
-			Group: s.Family,
-			Do: func(ctx context.Context) (string, error) {
-				return runCell(ctx, s, *agentName, *scale, opts, *tierStats,
-					cache, cacheFlags.VerifyN(), memo, tel)
-			},
-		}
-	}
-	results, err := runner.Run(context.Background(), ropts, cells)
-	failed := 0
-	for i, r := range results {
-		if i > 0 {
-			fmt.Println()
-		}
-		tel.Count(cells[i].Group, telemetry.MetricCells, 1)
-		if r.Err != nil {
-			failed++
-			tel.Count(cells[i].Group, telemetry.MetricCellsFailed, 1)
-			fmt.Printf("benchmark %s\n  FAILED: %v\n", r.Key, r.Err)
-			continue
-		}
-		fmt.Print(r.Value)
-	}
-	cache.Finish(sum)
-	telFlags.Finish(tel, sum)
-	if failed > 0 {
-		// Cell failures are already reported in place; the batch error is
-		// their FirstError, so the partial exit subsumes it.
-		sum.Partial(failed, len(results))
-		exit(harness.ExitPartial)
-	}
-	if err != nil {
-		fatal(err)
-	}
+	exit(f.RunCells(scns, renderer(f.Agent, cfg.Scale, *tierStats)))
 }
 
-// runCell resolves one scenario cell through the result cache: a hit
-// (or an identical cell of this invocation) serves the canonical
-// rendered text, anything else runs it. Every source serves the same
-// payload, so the rendered output is byte-identical however the cell
-// was resolved.
-func runCell(ctx context.Context, s scenarios.Scenario, agentName string, scale int,
-	opts vm.Options, tierStats bool, cache *resultcache.Cache, verifyN int,
-	memo *resultcache.Memo, tel *telemetry.Recorder) (string, error) {
-	if tel != nil {
-		var span *telemetry.Span
-		ctx, span = tel.StartSpan(ctx, telemetry.CatCampaign, "cell")
-		if span != nil {
-			span.Arg("cell", s.Name()+"/"+agentName).Arg("family", s.Family)
-		}
-		start := time.Now()
-		defer func() {
-			tel.Observe(s.Family, telemetry.MetricCellWallNanos,
-				float64(time.Since(start).Nanoseconds()))
-			span.End()
-		}()
-	}
-	key, err := cellKey(s, agentName, scale, opts, tierStats)
-	if err != nil {
-		return "", err
-	}
-	var text string
-	_, err = cache.Resolve(memo, key, verifyN, &text, func() (json.RawMessage, error) {
-		out, err := runOne(ctx, s, agentName, scale, opts, tierStats)
-		if err != nil {
-			return nil, err
-		}
-		return checkpoint.CanonicalPayload(out)
-	})
-	if err != nil {
-		return "", err
-	}
-	return text, nil
+// cellKey is the identity a jvmsim cell's cache key hashes: the
+// scenario's full content identity (not just its name, so a re-edited
+// -scenario file can never alias a stale entry) under everything that
+// shapes the output, with the jvmsim-rendered payload kind.
+type cellKey struct {
+	scenarios.Identity
+	Agent     string     `json:"agent"`
+	Opts      vm.Options `json:"opts"`
+	Scale     int        `json:"scale"`
+	TierStats bool       `json:"tierStats"`
+	Kind      string     `json:"payloadKind"`
 }
 
-// cellKey derives the content-addressed key for one cell: the scenario's
-// full content identity (not just its name, so a re-edited -scenario
-// file can never alias a stale entry) under everything that shapes the
-// output. The payload-kind discriminator keeps jvmsim's rendered-text
-// payloads from ever colliding with the harness's Measurement payloads
-// in a shared cache directory.
-func cellKey(s scenarios.Scenario, agentName string, scale int, opts vm.Options, tierStats bool) (string, error) {
-	s.ApplyHeap(&opts)
-	return checkpoint.CellKey(struct {
-		scenarios.Identity
-		Agent     string     `json:"agent"`
-		Opts      vm.Options `json:"opts"`
-		Scale     int        `json:"scale"`
-		TierStats bool       `json:"tierStats"`
-		Kind      string     `json:"payloadKind"`
-	}{s.Identity(), agentName, opts, scale, tierStats, "jvmsim-rendered"})
+// renderer is jvmsim's rendered cell: runOne's statistics text under
+// a cellKey.
+func renderer(agentName string, scale int, tierStats bool) cli.Renderer {
+	return cli.Renderer{
+		Key: func(s scenarios.Scenario, opts vm.Options) any {
+			return cellKey{s.Identity(), agentName, opts, scale, tierStats, "jvmsim-rendered"}
+		},
+		Render: func(ctx context.Context, s scenarios.Scenario, opts vm.Options) (string, error) {
+			return runOne(ctx, s, agentName, scale, opts, tierStats)
+		},
+		Failed:    "benchmark %s\n  FAILED: %v\n",
+		Separator: "\n",
+	}
 }
 
 // exit flushes the deferred profile writers before terminating with the
@@ -328,9 +201,10 @@ func exit(code int) {
 	os.Exit(code)
 }
 
-// runOne executes one scenario on its own VM and renders its statistics,
-// with the agent's report summary appended when one is attached and the
-// tier's host-side bookkeeping when -tierstats asked for it.
+// runOne executes one scenario on its own VM under opts (the scenario's
+// heap spec already applied) and renders its statistics, with the
+// agent's report summary appended when one is attached and the tier's
+// host-side bookkeeping when -tierstats asked for it.
 func runOne(ctx context.Context, s scenarios.Scenario, agentName string, scale int, opts vm.Options, tierStats bool) (string, error) {
 	prog, err := workloads.BuildWorkload(s.Workload.Scale(scale))
 	if err != nil {
@@ -340,7 +214,6 @@ func runOne(ctx context.Context, s scenarios.Scenario, agentName string, scale i
 	if err != nil {
 		return "", err
 	}
-	s.ApplyHeap(&opts)
 	res, err := core.RunContext(ctx, prog, agent, opts)
 	if err != nil {
 		return "", err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -10,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
+	"repro/internal/cli"
 	"repro/internal/faultinject"
 	"repro/internal/resultcache"
+	"repro/internal/scenarios"
 )
 
 // binPath is the jvmsim binary TestMain builds once for every
@@ -183,5 +187,97 @@ func TestKillMidCampaignResume(t *testing.T) {
 	}
 	if resumed != clean {
 		t.Fatalf("resumed output differs from uninterrupted run:\n--- clean ---\n%s\n--- resumed ---\n%s", clean, resumed)
+	}
+}
+
+// TestStdoutGolden pins jvmsim's stdout byte for byte: the statistics
+// of the paper scenarios on the jit engine.
+func TestStdoutGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/jit_paper_scale8.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, code := runBin(t, []string{resultcache.EnvVar + "="}, "-scale", "8", "-engine", "jit", "paper")
+	if code != 0 || out != string(golden) {
+		t.Fatalf("exit %d, stdout differs from the golden:\n%s", code, out)
+	}
+}
+
+// TestExitCodes pins the exit-code contract of docs/robustness.md.
+func TestExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		env  string
+		args []string
+		want int
+	}{
+		{"", []string{"-scale", "8", "compress"}, 0},
+		{"", []string{"-scale", "8", "-bogus", "compress"}, 2},
+		{"", nil, 2},
+		{"", []string{"-scale", "8", "-engine", "bogus", "compress"}, 1},
+		{faultinject.EnvVar + "=panic=compress", []string{"-scale", "8", "paper"}, 3},
+		// Flags that a static analysis would drop silently.
+		{"", []string{"-scale", "8", "-dump", "-trace", "t.json", "compress"}, 1},
+		{"", []string{"-scale", "8", "-dump", "-cache-verify", "-3", "compress"}, 1},
+		{"", []string{"-scale", "8", "-instrmix", "-parallel", "2", "compress"}, 1},
+	} {
+		if _, code := runBin(t, []string{resultcache.EnvVar + "=", tc.env}, tc.args...); code != tc.want {
+			t.Errorf("%s jvmsim %v: exit %d, want %d", tc.env, tc.args, code, tc.want)
+		}
+	}
+}
+
+// TestUnwritableTraceExitsFatal: a -trace file that cannot be written is
+// a fatal exit, and stdout is what it would have been.
+func TestUnwritableTraceExitsFatal(t *testing.T) {
+	args := []string{"-scale", "8", "paper"}
+	clean, _ := runBin(t, []string{resultcache.EnvVar + "="}, args...)
+	trace := filepath.Join(t.TempDir(), "missing", "trace.json")
+	out, code := runBin(t, []string{resultcache.EnvVar + "="}, append([]string{"-trace", trace}, args...)...)
+	if code != 1 || out != clean {
+		t.Fatalf("exit %d (want 1), stdout unchanged %v", code, out == clean)
+	}
+}
+
+// TestDumpNeverOpensCache: -dump and -instrmix never create or stamp a
+// cache directory, even with $JVMSIM_CACHE set.
+func TestDumpNeverOpensCache(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	for _, mode := range []string{"-dump", "-instrmix"} {
+		if _, code := runBin(t, []string{resultcache.EnvVar + "=" + dir}, "-scale", "8", mode, "compress"); code != 0 {
+			t.Fatalf("%s exited %d", mode, code)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("%s touched the cache directory (stat: %v)", mode, err)
+		}
+	}
+}
+
+// TestCellKeyPinned pins the jvmsim-rendered cell key of one scenario
+// under the default flags, so a refactor of the flag or cell path
+// cannot orphan existing caches.
+func TestCellKeyPinned(t *testing.T) {
+	t.Setenv(resultcache.EnvVar, "")
+	t.Setenv(faultinject.EnvVar, "")
+	fs := flag.NewFlagSet("jvmsim", flag.ContinueOnError)
+	f := cli.Register(fs, "jvmsim")
+	if err := fs.Parse([]string{"-scale", "8"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := f.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scns, err := scenarios.Resolve([]string{"compress"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := cfg.Opts
+	scns[0].ApplyHeap(&opts)
+	key, err := checkpoint.CellKey(renderer(f.Agent, cfg.Scale, false).Key(scns[0], opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "fa3b72ad8bb849250c3256a4989450c5b5e96731b8ba668f49afdcd269f4e38b"; key != want {
+		t.Fatalf("cell key %s, want %s", key, want)
 	}
 }

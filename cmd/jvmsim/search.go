@@ -7,12 +7,12 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/cli"
 	"repro/internal/difftest"
 	"repro/internal/harness"
 	"repro/internal/scenarios"
 	"repro/internal/scenarios/trace"
 	"repro/internal/scensearch"
-	"repro/internal/telemetry"
 )
 
 // searchOutput is the -format=json document of one search run, the
@@ -53,11 +53,10 @@ func runSearch(args []string) int {
 	format := fs.String("format", "text", "output format: text or json")
 	outDir := fs.String("out", "examples/scenarios/found",
 		"directory minimized findings are written to as scenario JSON (empty disables)")
-	scenarioFile := scenarios.AddFlag(fs)
+	shared := cli.Register(fs, "jvmsim search")
 	record := fs.String("record", "", "record/compile mode: trace this mini-JDK app (ziptool, jdkapp) instead of searching")
 	recordOut := fs.String("o", "", "with -record: write the compiled scenario file here (default stdout)")
 	replay := fs.Bool("replay", false, "replay mode: re-check the argument scenario files against their pins and every oracle")
-	telFlags := telemetry.AddFlags(fs)
 	fs.Parse(args)
 	if *format != "text" && *format != "json" {
 		fmt.Fprintln(os.Stderr, "jvmsim search: -format must be text or json")
@@ -84,26 +83,24 @@ func runSearch(args []string) int {
 
 	// A -scenario file's entries join the seed pool (and are judged
 	// unmutated first), so a regression corpus can be attacked directly.
-	var extra []scenarios.Scenario
-	if *scenarioFile != "" {
-		list, err := scenarios.LoadFile(*scenarioFile)
-		if err != nil {
-			return searchFatal(err)
-		}
-		extra = list
+	extra, err := shared.LoadScenarios()
+	if err != nil {
+		return searchFatal(err)
 	}
-	tel := telFlags.Open()
-	sum := telemetry.NewSummary("jvmsim search", os.Stderr)
+	cfg, err := shared.Open()
+	if err != nil {
+		return searchFatal(err)
+	}
 	res, err := scensearch.Search(scensearch.Config{
 		Seed:   *seed,
 		Budget: *budget,
 		Oracle: *oracleName,
 		Extra:  extra,
 		Stop:   *stop,
-		Tel:    tel,
+		Tel:    cfg.Telemetry,
 	})
 	if err != nil {
-		telFlags.Finish(tel, sum)
+		shared.Finish()
 		return searchFatal(err)
 	}
 
@@ -124,7 +121,7 @@ func runSearch(args []string) int {
 		if *outDir != "" {
 			path := filepath.Join(*outDir, f.Scenario.Name()+".json")
 			if err := writeScenarioFile(path, f.Scenario); err != nil {
-				telFlags.Finish(tel, sum)
+				shared.Finish()
 				return searchFatal(err)
 			}
 			sf.File = path
@@ -152,7 +149,10 @@ func runSearch(args []string) int {
 			}
 		}
 	}
-	telFlags.Finish(tel, sum)
+	if shared.Finish() != nil {
+		// A -trace or -metrics file the user asked for is missing.
+		return harness.ExitFatal
+	}
 	if len(res.Findings) > 0 {
 		return harness.ExitFound
 	}

@@ -14,6 +14,7 @@ package registry
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/agents/aprof"
 	"repro/internal/agents/bic"
@@ -112,4 +113,37 @@ func TuneOptions(name string, opts *vm.Options) {
 	if e, ok := agents[name]; ok && e.tune != nil {
 		e.tune(opts)
 	}
+}
+
+// Validate reports whether name is a registered agent.
+func Validate(name string) error {
+	if _, ok := agents[name]; !ok {
+		return fmt.Errorf("registry: unknown agent %q (known: %v)", name, Names())
+	}
+	return nil
+}
+
+// ParseList splits a comma-separated agent list ("none,spa,ipa"),
+// validates every entry and rejects duplicates and empty lists.
+func ParseList(s string) ([]string, error) {
+	var out []string
+	seen := map[string]bool{}
+	for _, part := range strings.Split(s, ",") {
+		name := strings.TrimSpace(part)
+		if name == "" {
+			continue
+		}
+		if err := Validate(name); err != nil {
+			return nil, err
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("registry: agent %q listed twice", name)
+		}
+		seen[name] = true
+		out = append(out, name)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("registry: empty agent list")
+	}
+	return out, nil
 }

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"flag"
 	"testing"
 
 	"repro/internal/agents/ipa"
@@ -84,32 +83,6 @@ func TestTuneOptions(t *testing.T) {
 	}
 }
 
-func TestAddFlagAndValidate(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	agent := AddFlag(fs, "ipa")
-	if err := fs.Parse([]string{"-agent", "sampler"}); err != nil {
-		t.Fatal(err)
-	}
-	if *agent != "sampler" {
-		t.Fatalf("agent = %q", *agent)
-	}
-	if err := Validate(*agent); err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate("warp"); err == nil {
-		t.Fatal("unknown agent validated")
-	}
-	// Default applies when the flag is absent.
-	fs2 := flag.NewFlagSet("t2", flag.ContinueOnError)
-	def := AddFlag(fs2, "none")
-	if err := fs2.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if *def != "none" {
-		t.Fatalf("default = %q", *def)
-	}
-}
-
 func TestParseList(t *testing.T) {
 	got, err := ParseList("none, spa,ipa")
 	if err != nil {
@@ -122,20 +95,5 @@ func TestParseList(t *testing.T) {
 		if _, err := ParseList(bad); err == nil {
 			t.Errorf("ParseList(%q) succeeded", bad)
 		}
-	}
-}
-
-func TestAddListFlag(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	list := AddListFlag(fs, "none,spa,ipa")
-	if err := fs.Parse([]string{"-agents", "ipa,bic"}); err != nil {
-		t.Fatal(err)
-	}
-	agents, err := ParseList(*list)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(agents) != 2 || agents[1] != "bic" {
-		t.Fatalf("agents = %v", agents)
 	}
 }

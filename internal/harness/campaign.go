@@ -173,7 +173,7 @@ func (c Campaign) Run(ctx context.Context, emit func(CampaignRow) error) (*Campa
 			return nil
 		}
 	}
-	results, err := runner.Stream(ctx, cfg.runnerOptions(), cells, streamEmit)
+	results, err := runner.Stream(ctx, cfg.RunnerOptions(), cells, streamEmit)
 	if emitErr != nil {
 		return nil, emitErr
 	}

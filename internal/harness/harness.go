@@ -121,8 +121,6 @@ type Config struct {
 	// MaxRetries grants extra attempts to cells failing with a transient
 	// error. See runner.Options.MaxRetries.
 	MaxRetries int
-	// RetrySeed seeds the deterministic retry backoff jitter.
-	RetrySeed int64
 	// Hook is the runner's fault-injection seam, forwarded verbatim
 	// (internal/faultinject implements it). Nil injects nothing.
 	Hook runner.Hook
@@ -173,17 +171,16 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// runnerOptions maps the campaign configuration onto the runner. In
+// RunnerOptions maps the campaign configuration onto the runner. In
 // graceful mode (FailFast unset) failed cells are emitted in order like
 // successful ones, so a campaign can render error rows in place.
-func (c Config) runnerOptions() runner.Options {
+func (c Config) RunnerOptions() runner.Options {
 	return runner.Options{
 		Parallelism: c.Parallelism,
 		FailFast:    c.FailFast,
 		EmitFailed:  !c.FailFast,
 		CellTimeout: c.CellTimeout,
 		MaxRetries:  c.MaxRetries,
-		RetrySeed:   c.RetrySeed,
 		Hook:        c.Hook,
 		Telemetry:   c.Telemetry,
 	}

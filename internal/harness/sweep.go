@@ -42,7 +42,7 @@ func SweepTransitionFrequencyContext(ctx context.Context, callsPerIter []int, cf
 	// The sweep consumes runner.Values, which is only valid for an
 	// all-success batch; like the paper grids it fails fast.
 	cfg.FailFast = true
-	results, err := runner.Map(ctx, cfg.runnerOptions(), callsPerIter,
+	results, err := runner.Map(ctx, cfg.RunnerOptions(), callsPerIter,
 		func(n int) string { return fmt.Sprintf("sweep-%d", n) },
 		func(ctx context.Context, n int) (SweepPoint, error) {
 			return sweepPoint(ctx, n, cfg)

@@ -1,7 +1,6 @@
 package jit
 
 import (
-	"flag"
 	"strings"
 	"testing"
 
@@ -176,25 +175,6 @@ func TestParseEngine(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "interp, jit, auto") {
 			t.Fatalf("rejection must name the allowed set, got %v", err)
 		}
-	}
-}
-
-// TestAddEngineFlag: the registered flag defaults to interp and round-
-// trips through ParseEngine, the per-command validation convention.
-func TestAddEngineFlag(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	v := AddEngineFlag(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if e, err := ParseEngine(*v); err != nil || e != EngineInterp {
-		t.Fatalf("default engine = %q (%v)", *v, err)
-	}
-	if err := fs.Parse([]string{"-engine", "auto"}); err != nil {
-		t.Fatal(err)
-	}
-	if e, _ := ParseEngine(*v); e != EngineAuto {
-		t.Fatalf("parsed engine = %v", e)
 	}
 }
 

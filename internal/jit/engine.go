@@ -27,7 +27,6 @@
 package jit
 
 import (
-	"flag"
 	"fmt"
 	"strings"
 )
@@ -80,13 +79,4 @@ func ParseEngine(s string) (Engine, error) {
 	}
 	return EngineInterp, fmt.Errorf("jit: unknown engine %q (allowed: %s)",
 		s, strings.Join(Engines(), ", "))
-}
-
-// AddEngineFlag registers the shared -engine flag on fs with the
-// project-wide help text and default, so every binary exposes the same
-// tier-selection knob. Pass the value to ParseEngine after fs.Parse; the
-// returned error is the per-command rejection path.
-func AddEngineFlag(fs *flag.FlagSet) *string {
-	return fs.String("engine", "interp",
-		"execution engine: "+strings.Join(Engines(), ", "))
 }

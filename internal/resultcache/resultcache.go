@@ -76,6 +76,12 @@ const tempPrefix = ".put-"
 // the directory.
 const StrayGrace = time.Hour
 
+// EnvVar is the environment variable naming the default cache directory,
+// so a fleet of invocations shares one store without repeating
+// -cache-dir. The value "off" disables caching even when later flags
+// would not; the flags always win over the environment.
+const EnvVar = "JVMSIM_CACHE"
+
 // Mode selects how a cache participates in a run.
 type Mode int
 
@@ -613,21 +619,6 @@ func (c *Cache) Len() (count int, bytes int64, err error) {
 		bytes += e.size
 	}
 	return len(entries), bytes, nil
-}
-
-// Finish is the end-of-run cache step of every CLI: the size-capped
-// eviction pass, then the stats trailer on sum (stderr — stdout stays
-// byte-identical whether the run was cold or warm). The cache holds no
-// file handles between calls, so there is nothing else to release. A
-// nil cache writes nothing.
-func (c *Cache) Finish(sum *telemetry.Summary) {
-	if c == nil {
-		return
-	}
-	if _, err := c.Evict(); err != nil {
-		sum.Error(err)
-	}
-	sum.Stat(c.Stats())
 }
 
 // VerifyError is the loud failure of a -cache-verify re-execution: the

@@ -3,7 +3,6 @@ package resultcache
 import (
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -539,7 +538,6 @@ func TestNilCacheIsOff(t *testing.T) {
 	if _, err := c.Evict(); err != nil {
 		t.Fatal(err)
 	}
-	c.Finish(nil)
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("nil cache stats %+v", s)
 	}
@@ -708,65 +706,6 @@ func TestMemoPanicReleasesWaiters(t *testing.T) {
 	payload, shared, err := m.Do("k", func() (json.RawMessage, error) { return json.RawMessage(`3`), nil })
 	if err != nil || shared || string(payload) != `3` {
 		t.Fatalf("post-panic attempt: payload=%s shared=%v err=%v", payload, shared, err)
-	}
-}
-
-func TestFlagsPrecedence(t *testing.T) {
-	newFlags := func(args ...string) *Flags {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		f := AddFlags(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	envDir := t.TempDir()
-	flagDir := t.TempDir()
-
-	t.Setenv(EnvVar, "")
-	if c, err := newFlags().Open(); err != nil || c != nil {
-		t.Fatalf("no flags, no env: cache %v err %v, want off", c, err)
-	}
-	if _, err := newFlags("-cache", "rw").Open(); err == nil {
-		t.Fatal("-cache rw with no directory must error")
-	}
-
-	t.Setenv(EnvVar, envDir)
-	c, err := newFlags().Open()
-	if err != nil || c == nil || c.Dir() != envDir || c.Mode() != ModeRW {
-		t.Fatalf("env only: cache %v err %v, want rw at %s", c, err, envDir)
-	}
-	c, err = newFlags("-cache-dir", flagDir).Open()
-	if err != nil || c.Dir() != flagDir {
-		t.Fatalf("-cache-dir must beat $%s: got %v err %v", EnvVar, c, err)
-	}
-	c, err = newFlags("-cache", "ro").Open()
-	if err != nil || c.Mode() != ModeRO {
-		t.Fatalf("explicit -cache ro: got %v err %v", c, err)
-	}
-	if c, err := newFlags("-cache", "off").Open(); err != nil || c != nil {
-		t.Fatalf("-cache off with env dir: cache %v err %v, want off", c, err)
-	}
-
-	t.Setenv(EnvVar, "off")
-	if c, err := newFlags().Open(); err != nil || c != nil {
-		t.Fatalf("$%s=off: cache %v err %v, want off", EnvVar, c, err)
-	}
-	c, err = newFlags("-cache-dir", flagDir).Open()
-	if err != nil || c == nil || c.Mode() != ModeRW {
-		t.Fatalf("-cache-dir must override $%s=off: got %v err %v", EnvVar, c, err)
-	}
-
-	t.Setenv(EnvVar, "")
-	if _, err := newFlags("-cache-dir", flagDir, "-cache-verify", "-1").Open(); err == nil {
-		t.Fatal("negative -cache-verify accepted")
-	}
-	if _, err := newFlags("-cache-dir", flagDir, "-cache-max-mb", "-1").Open(); err == nil {
-		t.Fatal("negative -cache-max-mb accepted")
-	}
-	c, err = newFlags("-cache-dir", flagDir, "-cache-max-mb", "3").Open()
-	if err != nil || c.MaxBytes != 3<<20 {
-		t.Fatalf("-cache-max-mb 3: MaxBytes %d err %v", c.MaxBytes, err)
 	}
 }
 

@@ -98,16 +98,16 @@ const DefaultRetryBackoff = 10 * time.Millisecond
 
 // retryDelay computes the deterministic backoff before retry attempt
 // (the attempt number about to run, 2-based): base doubled per prior
-// failed attempt, plus a jitter in [0, base) derived by hashing the seed,
-// the cell key and the attempt. The delay is a pure function of its
-// inputs, so a retried campaign schedules identically run to run.
-func retryDelay(base time.Duration, seed int64, key string, attempt int) time.Duration {
+// failed attempt, plus a jitter in [0, base) derived by hashing the cell
+// key and the attempt. The delay is a pure function of its inputs, so a
+// retried campaign schedules identically run to run.
+func retryDelay(base time.Duration, key string, attempt int) time.Duration {
 	if base <= 0 {
 		base = DefaultRetryBackoff
 	}
 	d := base << (attempt - 2)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s/%d", seed, key, attempt)
+	fmt.Fprintf(h, "%s/%d", key, attempt)
 	return d + time.Duration(h.Sum64()%uint64(base))
 }
 
@@ -202,7 +202,7 @@ func runCell[T any](ctx context.Context, opts Options, cell Cell[T]) (T, error) 
 		}
 		opts.Telemetry.Count(cell.Group, telemetry.MetricRetries, 1)
 		opts.Telemetry.Event(ctx, telemetry.CatRunner, "retry")
-		delay := retryDelay(opts.RetryBackoff, opts.RetrySeed, cell.Key, attempt+1)
+		delay := retryDelay(opts.RetryBackoff, cell.Key, attempt+1)
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():

@@ -170,23 +170,22 @@ func TestNonTransientNotRetried(t *testing.T) {
 }
 
 // TestRetryDelayDeterministic proves the backoff is a pure function of
-// (seed, key, attempt) and grows exponentially.
+// (key, attempt) and grows exponentially.
 func TestRetryDelayDeterministic(t *testing.T) {
 	base := 10 * time.Millisecond
-	d2 := retryDelay(base, 7, "cell-a", 2)
-	if d2 != retryDelay(base, 7, "cell-a", 2) {
+	d2 := retryDelay(base, "cell-a", 2)
+	if d2 != retryDelay(base, "cell-a", 2) {
 		t.Fatal("same inputs must give the same delay")
 	}
 	if d2 < base || d2 >= 2*base {
 		t.Errorf("attempt-2 delay %v outside [base, 2*base)", d2)
 	}
-	d3 := retryDelay(base, 7, "cell-a", 3)
+	d3 := retryDelay(base, "cell-a", 3)
 	if d3 < 2*base || d3 >= 3*base {
 		t.Errorf("attempt-3 delay %v outside [2*base, 3*base)", d3)
 	}
-	if retryDelay(base, 7, "cell-a", 2) == retryDelay(base, 8, "cell-a", 2) &&
-		retryDelay(base, 7, "cell-b", 2) == retryDelay(base, 7, "cell-c", 2) {
-		t.Error("jitter ignores both seed and key")
+	if retryDelay(base, "cell-b", 2) == retryDelay(base, "cell-c", 2) {
+		t.Error("jitter ignores the key")
 	}
 }
 

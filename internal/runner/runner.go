@@ -78,12 +78,9 @@ type Options struct {
 	// so they would recur.
 	MaxRetries int
 	// RetryBackoff is the base delay between retry attempts, doubled per
-	// failed attempt with deterministic seeded jitter. Zero means
+	// failed attempt with deterministic jitter. Zero means
 	// DefaultRetryBackoff.
 	RetryBackoff time.Duration
-	// RetrySeed seeds the backoff jitter so a retried campaign schedules
-	// identically run to run.
-	RetrySeed int64
 	// Hook, when non-nil, is consulted around every attempt — the
 	// fault-injection seam. See Hook.
 	Hook Hook

@@ -3,7 +3,6 @@ package scenarios
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -11,24 +10,6 @@ import (
 
 	"repro/internal/workloads"
 )
-
-// AddFlag registers the shared -scenario flag on fs with the project-wide
-// help text, so every binary exposes the same scenario-file knob. The
-// returned pointer is valid after fs.Parse; pass it to LoadIfSet.
-func AddFlag(fs *flag.FlagSet) *string {
-	return fs.String("scenario", "",
-		"load scenarios from a declarative JSON `file` into the registry")
-}
-
-// LoadIfSet registers the scenarios of the -scenario flag value; an empty
-// path (flag unset) is a no-op.
-func LoadIfSet(path string) error {
-	if path == "" {
-		return nil
-	}
-	_, err := LoadFile(path)
-	return err
-}
 
 // File is the declarative scenario-file format the binaries load with
 // -scenario. A file holds any number of scenarios; each is a workload

@@ -14,6 +14,11 @@
 #      or the repo root, so deleting a type or function cannot leave the
 #      docs naming it. Names that are not Go identifiers of this module go
 #      in the allowlist below.
+#   4. Stale flags: every `-flag` inside a backticked span of README.md and
+#      docs/*.md must be registered as a string literal by a
+#      fs.X("name", ...) or flag.X("name", ...) call (or the XVar form)
+#      under cmd/ or internal/, so a deleted flag cannot linger in the
+#      docs. Flags of the go tool go in the allowlist below.
 #
 # Exits non-zero listing every violation.
 set -uo pipefail
@@ -67,6 +72,19 @@ for name in $(grep -ohE '`[A-Za-z_][A-Za-z0-9_.]*(\(\))?`' README.md docs/*.md |
   fi
 done
 rm -f "$code"
+
+# --- 4. stale flags in the docs --------------------------------------------
+goflags="-race -run -bench -benchtime -benchmem -count -cpu -fuzz -fuzztime -timeout -v"
+registered=$(grep -rhoE '\b(fs|flag)\.[A-Z][A-Za-z0-9]*\((&[A-Za-z0-9_.]+, )?"[A-Za-z0-9-]+"' \
+    --include='*.go' cmd internal | sed -E 's/.*"([^"]+)"$/-\1/' | sort -u)
+for name in $(grep -ohE '`[^`]+`' README.md docs/*.md |
+    grep -oE '(^`|[][ (|=])-[A-Za-z][A-Za-z0-9-]*' | cut -c2- | sort -u); do
+  case " $goflags " in *" $name "*) continue ;; esac
+  if ! grep -qxF -- "$name" <<< "$registered"; then
+    echo "STALE FLAG: \`$name\` is named in the docs but registered by no command"
+    fail=1
+  fi
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"
