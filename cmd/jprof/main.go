@@ -67,6 +67,9 @@ func main() {
 		fatal(err)
 	}
 	if *list {
+		if _, err := f.Validate(); err != nil {
+			fatal(err)
+		}
 		for _, n := range scenarios.Names() {
 			fmt.Println(n)
 		}
@@ -168,9 +171,9 @@ func profileOne(ctx context.Context, s scenarios.Scenario, agentName string, sca
 	out := renderRun(res, agent, perMethod)
 	if tierStats {
 		ts := res.Tier
-		out += fmt.Sprintf("\ntier %s: %d methods compiled, %d compiled frames, %d deopts, %d fallback chunks, %d invalidated, %d compile failures\n",
+		out += fmt.Sprintf("\ntier %s: %d methods compiled, %d compiled frames, %d deopts, %d fallback chunks, %d compile failures\n",
 			ts.Engine, ts.MethodsCompiled, ts.CompiledFrames, ts.DeoptFrames,
-			ts.FallbackChunks, ts.UnitsInvalidated, ts.CompileFailures)
+			ts.FallbackChunks, ts.CompileFailures)
 		out += ts.RenderTier2("")
 	}
 	return out, nil

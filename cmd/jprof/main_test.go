@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -77,21 +78,34 @@ func TestStdoutGolden(t *testing.T) {
 	}
 }
 
-// TestExitCodes pins the exit-code contract of docs/robustness.md.
+// TestExitCodes pins the exit-code contract of docs/robustness.md. -list
+// validates -agent and -engine as a run does, and otherwise prints the
+// scenario names.
 func TestExitCodes(t *testing.T) {
+	names := strings.Join(scenarios.Names(), "\n") + "\n"
 	for _, tc := range []struct {
 		env  string
 		args []string
 		want int
+		out  string // the expected stdout, when not empty
 	}{
-		{"", []string{"-scale", "8", "compress"}, 0},
-		{"", []string{"-scale", "8", "-bogus", "compress"}, 2},
-		{"", nil, 2},
-		{"", []string{"-scale", "8", "-engine", "bogus", "compress"}, 1},
-		{faultinject.EnvVar + "=panic=compress", []string{"-scale", "8", "paper"}, 3},
+		{"", []string{"-scale", "8", "compress"}, 0, ""},
+		{"", []string{"-scale", "8", "-bogus", "compress"}, 2, ""},
+		{"", nil, 2, ""},
+		{"", []string{"-scale", "8", "-engine", "bogus", "compress"}, 1, ""},
+		{faultinject.EnvVar + "=panic=compress", []string{"-scale", "8", "paper"}, 3, ""},
+		{"", []string{"-list", "-agent", "warp"}, 1, ""},
+		{"", []string{"-list", "-engine", "bogus"}, 1, ""},
+		{"", []string{"-list", "-agent", "warp", "-engine", "bogus"}, 1, ""},
+		{"", []string{"-list"}, 0, names},
+		{"", []string{"-list", "-agent", "spa", "-engine", "jit"}, 0, names},
 	} {
-		if _, code := runBin(t, []string{tc.env}, tc.args...); code != tc.want {
+		out, code := runBin(t, []string{tc.env}, tc.args...)
+		if code != tc.want {
 			t.Errorf("%s jprof %v: exit %d, want %d", tc.env, tc.args, code, tc.want)
+		}
+		if tc.out != "" && out != tc.out {
+			t.Errorf("jprof %v: stdout %q, want %q", tc.args, out, tc.out)
 		}
 	}
 }
@@ -133,7 +147,7 @@ func TestProfileKeyPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "2cb2498d7fbb72683f14f561dcadeb0e299a43acf4f217dc3fd154d493c64bd9"; key != want {
+	if want := "7ec1ea31d6c873c9a24254ac1164d6d28bc286fefc21179b849dace5cf8a79d9"; key != want {
 		t.Fatalf("cell key %s, want %s", key, want)
 	}
 }

@@ -242,9 +242,9 @@ func runOne(ctx context.Context, s scenarios.Scenario, agentName string, scale i
 	}
 	if tierStats {
 		ts := res.Tier
-		fmt.Fprintf(&out, "  tier %s: %d methods compiled, %d compiled frames, %d deopts, %d fallback chunks, %d invalidated, %d compile failures\n",
+		fmt.Fprintf(&out, "  tier %s: %d methods compiled, %d compiled frames, %d deopts, %d fallback chunks, %d compile failures\n",
 			ts.Engine, ts.MethodsCompiled, ts.CompiledFrames, ts.DeoptFrames,
-			ts.FallbackChunks, ts.UnitsInvalidated, ts.CompileFailures)
+			ts.FallbackChunks, ts.CompileFailures)
 		out.WriteString(ts.RenderTier2("  "))
 	}
 	return out.String(), nil

@@ -203,6 +203,21 @@ func TestStdoutGolden(t *testing.T) {
 	}
 }
 
+// TestTierStatsGolden pins the -tierstats view byte for byte on the jit
+// engine: two scenarios whose recursive methods run promoted (exc-storm,
+// chain-dense) and one paper benchmark (compress).
+func TestTierStatsGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/tierstats_jit_scale8.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, code := runBin(t, []string{resultcache.EnvVar + "="},
+		"-engine", "jit", "-scale", "8", "-tierstats", "exc-storm", "chain-dense", "compress")
+	if code != 0 || out != string(golden) {
+		t.Fatalf("exit %d, stdout differs from the golden:\n%s", code, out)
+	}
+}
+
 // TestExitCodes pins the exit-code contract of docs/robustness.md.
 func TestExitCodes(t *testing.T) {
 	for _, tc := range []struct {
@@ -219,6 +234,10 @@ func TestExitCodes(t *testing.T) {
 		{"", []string{"-scale", "8", "-dump", "-trace", "t.json", "compress"}, 1},
 		{"", []string{"-scale", "8", "-dump", "-cache-verify", "-3", "compress"}, 1},
 		{"", []string{"-scale", "8", "-instrmix", "-parallel", "2", "compress"}, 1},
+		{"", []string{"-scale", "8", "-dump", "-max-retries", "3", "-heap-tenured", "5", "compress"}, 1},
+		{"", []string{"-scale", "8", "-dump", "-cell-timeout", "5s", "compress"}, 1},
+		{"", []string{"-scale", "8", "-instrmix", "-heap-nursery", "64", "compress"}, 1},
+		{"", []string{"-scale", "8", "-instrmix", "-heap-limit", "100", "-heap-tenure-age", "2", "compress"}, 1},
 	} {
 		if _, code := runBin(t, []string{resultcache.EnvVar + "=", tc.env}, tc.args...); code != tc.want {
 			t.Errorf("%s jvmsim %v: exit %d, want %d", tc.env, tc.args, code, tc.want)
@@ -277,7 +296,7 @@ func TestCellKeyPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "fa3b72ad8bb849250c3256a4989450c5b5e96731b8ba668f49afdcd269f4e38b"; key != want {
+	if want := "58c47fd764e97d4302c062d6e0633294fca8f0e0f5eeaf5be2c860c7a6f65167"; key != want {
 		t.Fatalf("cell key %s, want %s", key, want)
 	}
 }

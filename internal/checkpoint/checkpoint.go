@@ -20,8 +20,9 @@ import (
 // warmed by an older binary misses instead of failing -cache-verify on
 // a byte mismatch. v1 was the unversioned key; v2 dropped the tier's
 // per-method rows, op-free count and zero counters from Measurement; v3
-// dropped the report's per-thread rows.
-const PayloadFormat = "jvmsim-payload-v3"
+// dropped the report's per-thread rows; v4 dropped the tier's relink
+// epoch, unit-cache and inline-site counters.
+const PayloadFormat = "jvmsim-payload-v4"
 
 // CellKey content-addresses a cell: the hex sha256 of PayloadFormat and
 // the canonical JSON encoding of identity. Callers put everything that

@@ -118,10 +118,15 @@ func (f *Flags) Set(name string) bool {
 }
 
 // RejectRunFlags fails when the command line set a flag that acts only
-// on running cells — -parallel, the cache flags, -trace or -metrics —
-// for a mode that runs none, so the flag is not dropped silently.
+// on running cells — -parallel, -cell-timeout, -max-retries, the heap
+// flags, the cache flags, -trace or -metrics — for a mode that runs
+// none, so the flag is not dropped silently.
 func (f *Flags) RejectRunFlags(mode string) error {
-	for _, name := range []string{"parallel", "cache-dir", "cache", "cache-verify", "cache-max-mb", "trace", "metrics"} {
+	for _, name := range []string{
+		"parallel", "cell-timeout", "max-retries",
+		"heap-nursery", "heap-tenured", "heap-tenure-age", "heap-limit",
+		"cache-dir", "cache", "cache-verify", "cache-max-mb", "trace", "metrics",
+	} {
 		if f.Set(name) {
 			return fmt.Errorf("-%s does not apply to %s (static analyses never run the program)", name, mode)
 		}
@@ -167,19 +172,12 @@ func (f *Flags) Open() (harness.Config, error) {
 // configure fills cfg from the measurement flags; the cache opens last,
 // so a rejected flag never creates or stamps a cache directory.
 func (f *Flags) configure(cfg *harness.Config) error {
-	engine, err := jit.ParseEngine(f.Engine)
+	engine, err := f.Validate()
 	if err != nil {
 		return err
 	}
 	cfg.Opts.Tier = engine
-	if f.tool == "tables" {
-		if f.Agents, err = registry.ParseList(f.Agent); err != nil {
-			return err
-		}
-	} else {
-		if err := registry.Validate(f.Agent); err != nil {
-			return err
-		}
+	if f.tool != "tables" {
 		registry.TuneOptions(f.Agent, &cfg.Opts)
 	}
 	if err := f.applyHeap(&cfg.Opts); err != nil {
@@ -197,6 +195,22 @@ func (f *Flags) configure(cfg *harness.Config) error {
 	cfg.CacheVerify = f.cacheVerify
 	cfg.Cache, err = f.openCache()
 	return err
+}
+
+// Validate checks -engine and the agent flag the way Open does and
+// returns the parsed engine, opening nothing: a mode that runs no cell,
+// such as jprof -list, still rejects a bad value. For tables it also
+// sets Agents.
+func (f *Flags) Validate() (jit.Engine, error) {
+	engine, err := jit.ParseEngine(f.Engine)
+	if err != nil {
+		return engine, err
+	}
+	if f.tool == "tables" {
+		f.Agents, err = registry.ParseList(f.Agent)
+		return engine, err
+	}
+	return engine, registry.Validate(f.Agent)
 }
 
 // applyHeap writes the -heap-* flags into o. Tenured or tenure-age flags

@@ -169,6 +169,8 @@ func TestRejectRunFlags(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-parallel", "1"}, {"-cache-dir", "d"}, {"-cache-verify", "-3"}, {"-trace", "t.json"}, {"-metrics", "m.json"},
+		{"-cell-timeout", "5s"}, {"-max-retries", "3"},
+		{"-heap-nursery", "64"}, {"-heap-tenured", "5"}, {"-heap-tenure-age", "2"}, {"-heap-limit", "100"},
 	} {
 		err := parse(t, "jvmsim", args...).RejectRunFlags("-dump")
 		if err == nil || !strings.Contains(err.Error(), args[0]) {

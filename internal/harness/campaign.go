@@ -261,7 +261,6 @@ func (c Campaign) runCell(ctx context.Context, sc scenarios.Scenario, agent, key
 	tel.Count(fam, telemetry.MetricTierCompiled, m.Tier.MethodsCompiled)
 	tel.Count(fam, telemetry.MetricTierDeopts, m.Tier.DeoptFrames)
 	tel.Count(fam, telemetry.MetricTierCompiledFrm, m.Tier.CompiledFrames)
-	tel.Count(fam, telemetry.MetricTierInlined, m.Tier.InlinedCalls)
 	tel.Count(fam, telemetry.MetricTierFallback, m.Tier.FallbackChunks)
 	tel.Count(fam, telemetry.MetricGCMinor, m.GC.MinorGCs)
 	tel.Count(fam, telemetry.MetricGCMajor, m.GC.MajorGCs)

@@ -324,12 +324,9 @@ func MeasureScenario(ctx context.Context, sc scenarios.Scenario, agentName strin
 			tier.Engine = res.Tier.Engine
 			tier.MethodsCompiled += res.Tier.MethodsCompiled
 			tier.CompileFailures += res.Tier.CompileFailures
-			tier.UnitsInvalidated += res.Tier.UnitsInvalidated
 			tier.CompiledFrames += res.Tier.CompiledFrames
 			tier.DeoptFrames += res.Tier.DeoptFrames
 			tier.FallbackChunks += res.Tier.FallbackChunks
-			tier.InlinedSites += res.Tier.InlinedSites
-			tier.InlinedCalls += res.Tier.InlinedCalls
 		}
 		rspan.End()
 		if warmup {

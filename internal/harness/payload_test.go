@@ -21,14 +21,14 @@ import (
 // values for one Measurement, in the same order.
 var payloadCounters = []string{
 	telemetry.MetricTierCompiled, telemetry.MetricTierDeopts,
-	telemetry.MetricTierCompiledFrm, telemetry.MetricTierInlined, telemetry.MetricTierFallback,
+	telemetry.MetricTierCompiledFrm, telemetry.MetricTierFallback,
 	telemetry.MetricGCMinor, telemetry.MetricGCMajor, telemetry.MetricGCTenured,
 }
 
 func counterValues(m *Measurement) []uint64 {
 	return []uint64{
 		m.Tier.MethodsCompiled, m.Tier.DeoptFrames,
-		m.Tier.CompiledFrames, m.Tier.InlinedCalls, m.Tier.FallbackChunks,
+		m.Tier.CompiledFrames, m.Tier.FallbackChunks,
 		m.GC.MinorGCs, m.GC.MajorGCs, m.GC.TenurePromotions,
 	}
 }
@@ -148,12 +148,14 @@ func keyUnder(t *testing.T, format string, id CellIdentity) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestLeanPayloadV3 pins payload format v3: a jbb2005 IPA cell's payload
-// carries the report totals but no per-thread rows, the cell's key is
-// checkpoint.CellKey of its CellIdentity under "jvmsim-payload-v3", and
-// a cache warmed with v2 entries (keyed under "jvmsim-payload-v2", their
-// reports carrying per-thread rows) serves no hit and fails no verify
-// under -cache-verify 1: every cell misses, runs and is stored anew.
+// TestLeanPayloadV3 pins the lean payload of format v3, which v4 keeps:
+// a jbb2005 IPA cell's payload carries the report totals but no
+// per-thread rows, the cell's key is checkpoint.CellKey of its
+// CellIdentity under "jvmsim-payload-v4", and a cache warmed with v2 and
+// v3 entries (keyed under "jvmsim-payload-v2" and "jvmsim-payload-v3",
+// their reports carrying per-thread rows) serves no hit and fails no
+// verify under -cache-verify 1: every cell misses, runs and is stored
+// anew.
 func TestLeanPayloadV3(t *testing.T) {
 	var jbb scenarios.Scenario
 	paper, err := scenarios.Profile("paper")
@@ -184,27 +186,29 @@ func TestLeanPayloadV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := keyUnder(t, "jvmsim-payload-v3", cellIdentity(jbb, "ipa", cfg)); key != want {
-		t.Fatalf("cell key %s, want %s (CellKey of the CellIdentity under jvmsim-payload-v3)", key, want)
+	if want := keyUnder(t, "jvmsim-payload-v4", cellIdentity(jbb, "ipa", cfg)); key != want {
+		t.Fatalf("cell key %s, want %s (CellKey of the CellIdentity under jvmsim-payload-v4)", key, want)
 	}
 
 	dir := t.TempDir()
 	cache := openTestCache(t, dir)
 	agents := []string{"none", "ipa"}
 	for _, agent := range agents {
-		v2, err := MeasureScenario(context.Background(), jbb, agent, cfg)
+		old, err := MeasureScenario(context.Background(), jbb, agent, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v2.Report != nil {
-			v2.Report.PerThread = []core.ThreadStats{{ThreadID: 1, Name: "main", JNICalls: 1}}
+		if old.Report != nil {
+			old.Report.PerThread = []core.ThreadStats{{ThreadID: 1, Name: "main", JNICalls: 1}}
 		}
-		payload, err := checkpoint.CanonicalPayload(v2)
+		payload, err := checkpoint.CanonicalPayload(old)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cache.Put(keyUnder(t, "jvmsim-payload-v2", cellIdentity(jbb, agent, cfg)), payload); err != nil {
-			t.Fatal(err)
+		for _, format := range []string{"jvmsim-payload-v2", "jvmsim-payload-v3"} {
+			if err := cache.Put(keyUnder(t, format, cellIdentity(jbb, agent, cfg)), payload); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	cfg.Cache = cache
@@ -214,9 +218,9 @@ func TestLeanPayloadV3(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Failed > 0 {
-		t.Fatalf("%d cells failed over a v2-warmed cache: %v", res.Failed, res.Rows)
+		t.Fatalf("%d cells failed over a v2/v3-warmed cache: %v", res.Failed, res.Rows)
 	}
-	if s := cache.Stats(); s.Hits != 0 || s.Misses != 2 || s.Verified != 0 || s.Puts != 4 {
-		t.Fatalf("v2-warmed cache: %+v, want 0 hits, 2 misses, 0 verified, 4 puts", s)
+	if s := cache.Stats(); s.Hits != 0 || s.Misses != 2 || s.Verified != 0 || s.Puts != 6 {
+		t.Fatalf("v2/v3-warmed cache: %+v, want 0 hits, 2 misses, 0 verified, 6 puts", s)
 	}
 }

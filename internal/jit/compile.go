@@ -25,9 +25,9 @@ import (
 // the slots live at the block's exit.
 //
 // The lowering reads nothing but the method itself, so it is
-// link-independent: the VM lowers each method once at load time, runs it
-// in every interpreted frame that needs no per-instruction observer, and
-// builds compiled units from it by attaching call-site plans (Promote).
+// link-independent: the VM lowers each method once at load time and runs
+// it in every frame, interpreted or promoted, that needs no
+// per-instruction observer.
 //
 // Methods the lowering cannot express are an error; the VM leaves such
 // methods on per-instruction interpretation, so Lower failing is a
@@ -567,7 +567,7 @@ func (lo *lowerer) effect(i int, kind EffKind, ref int32, pops, pushes int) erro
 	}
 	lo.chunks = append(lo.chunks, Chunk{
 		Start: int32(i), N: 1, SP: int32(len(lo.st)),
-		Eff: Effect{Kind: kind, Idx: int32(i), Ref: ref, SP: int32(len(lo.st)), Inline: -1},
+		Eff: Effect{Kind: kind, Idx: int32(i), Ref: ref, SP: int32(len(lo.st))},
 	})
 	lo.chunkLo = int32(i) + 1
 	lo.st = lo.st[:len(lo.st)-pops]

@@ -120,41 +120,6 @@ func TestCompileCoversBlocksMetadata(t *testing.T) {
 	}
 }
 
-// TestCacheEpochInvalidation pins the relink-epoch contract: an
-// Invalidate bump empties the cache and distinguishes stale stamps.
-func TestCacheEpochInvalidation(t *testing.T) {
-	c := NewCache()
-	if c.Epoch() != 0 {
-		t.Fatalf("fresh cache epoch = %d", c.Epoch())
-	}
-	u := &Unit{}
-	c.Put("m1", u)
-	c.Put("m2", u)
-	if c.Len() != 2 || c.Get("m1") != u {
-		t.Fatalf("cache len = %d", c.Len())
-	}
-	stamp := c.Epoch()
-	if dropped := c.Invalidate(); dropped != 2 {
-		t.Fatalf("Invalidate dropped %d, want 2", dropped)
-	}
-	if c.Len() != 0 || c.Get("m1") != nil {
-		t.Fatal("units survived invalidation")
-	}
-	if c.Epoch() == stamp {
-		t.Fatal("epoch did not advance")
-	}
-	s := c.Snapshot()
-	if s.MethodsCompiled != 2 || s.UnitsInvalidated != 2 || s.UnitsLive != 0 {
-		t.Fatalf("stats = %+v", s)
-	}
-	// Empty invalidation still bumps the epoch (a class load always
-	// changes resolution state) but records no drops.
-	e := c.Epoch()
-	if c.Invalidate() != 0 || c.Epoch() != e+1 {
-		t.Fatal("empty invalidation mishandled")
-	}
-}
-
 // TestParseEngine pins the shared flag vocabulary and its rejection path.
 func TestParseEngine(t *testing.T) {
 	for _, tc := range []struct {

@@ -2,20 +2,19 @@
 // execution engine. It lowers verified bytecode methods into pre-resolved
 // trace units — one fused three-address sequence per basic block. The
 // lowering is the VM's one code form for uninstrumented frames:
-// internal/vm's block executor runs it in every interpreted frame from
-// load time on, and once a method's hotness counter crosses the promotion
-// threshold the same executor runs the promoted unit (the lowering plus
-// inline sites) from the method's next entry on.
+// internal/vm's block executor runs it in every frame from load time on.
+// Once a method's hotness counter crosses the promotion threshold the
+// method counts as promoted: its frames run the same lowering, and move
+// the compiled-frame counters instead of the interpreted tally.
 //
 // The package owns three things:
 //
-//   - the lowering pass (compile.go) and promotion with call-site
-//     inlining (inline.go): bytecode → per-block IR with
+//   - the lowering pass (compile.go): bytecode → per-block IR with
 //     producer/consumer fusion over the verifier's static stack depths;
-//   - the compiled-method cache (cache.go): units stamped with the VM's
-//     relink epoch, so any class load invalidates every unit;
+//   - the tier's bookkeeping (stats.go): the Stats the VM assembles and
+//     the CLIs' -tierstats rendering;
 //   - the engine taxonomy (this file): the interp/jit/auto -engine knob
-//     every binary exposes, with shared parsing and flag registration.
+//     every binary exposes, with shared parsing.
 //
 // The tier is a host-level accelerator only. It never changes simulated
 // semantics: cycle accounting, ground truth, yield boundaries, reports
@@ -38,13 +37,13 @@ const (
 	// EngineInterp never promotes: every frame runs its method's
 	// lowering, or the instrumented loop — the default.
 	EngineInterp Engine = iota
-	// EngineJIT promotes hot bytecode methods to compiled trace units at
-	// the configured threshold. Frames still deoptimize to the
-	// interpreter whenever per-instruction semantics are required.
+	// EngineJIT promotes hot bytecode methods at the configured
+	// threshold. Frames still deoptimize to the interpreter whenever
+	// per-instruction semantics are required.
 	EngineJIT
 	// EngineAuto is EngineJIT except that promotion is skipped while the
 	// VM has a per-instruction observer installed (tracer, active
-	// sampling hook, or a forced instrumented loop) — compiling would be
+	// sampling hook, or a forced instrumented loop) — promoting would be
 	// pure waste since every frame would deoptimize anyway.
 	EngineAuto
 )

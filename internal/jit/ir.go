@@ -141,11 +141,6 @@ type Effect struct {
 	Ref int32
 	// SP is the operand-stack depth before the instruction executes.
 	SP int32
-	// Inline, for EffInvoke, indexes the unit's Inlines table when the
-	// call site was inline-expanded at compile time, -1 otherwise. The
-	// executor still re-validates the site's callee identity at run time
-	// before taking the inline path.
-	Inline int32
 }
 
 // Chunk is a contiguous bytecode range [Start, Start+N) lowered either to
@@ -262,28 +257,6 @@ type Block struct {
 	LoopBody int32
 }
 
-// InlineSite is one inline-expanded call site: the callee's own compiled
-// unit plus the frame geometry the executor needs to run it inside the
-// caller's scratch area. Inlining here is an execution-plan decision, not
-// a code splice: the callee unit executes as a nested activation with the
-// caller's exact per-call bookkeeping (invocation count, frame-entry cost
-// selection, CostInvoke charge, deferred-accounting flushes and yield
-// boundaries), so every simulated observable is byte-identical to the
-// out-of-line call. What inlining removes is host-side dispatch only.
-type InlineSite struct {
-	// Key is the opaque identity of the resolved callee (the VM's runtime
-	// method object). The executor compares it against the call site's
-	// current resolution on every call and falls back out-of-line on any
-	// mismatch, so a unit can never run a stale callee body.
-	Key any
-	// U is the callee's compiled unit. It is compiled without a resolver,
-	// so inline expansion never nests.
-	U *Unit
-	// NL is the callee's local count; Slots its full frame size (locals
-	// plus operand-stack homes), carved from the caller's scratch area.
-	NL, Slots int32
-}
-
 // StaticPlan is a whole-activation execution plan for the canonical
 // counted-kernel shape: an entry block that sets a loop counter to a
 // compile-time constant, a bare counted loop (empty batchable header
@@ -325,12 +298,6 @@ type Unit struct {
 	// NumInstrs is the reachable instruction count the unit covers, an
 	// invariant the compiler checks against the block accounting.
 	NumInstrs int
-	// Inlines lists the unit's inline-expanded call sites (EffInvoke
-	// effects with Inline >= 0 index it); ScratchSlots is the extra frame
-	// area the executor must reserve above NumSlots — the largest inline
-	// callee frame, since inline expansion never nests.
-	Inlines      []InlineSite
-	ScratchSlots int
 	// Static is the whole-activation plan for counted-kernel units, nil
 	// when the unit doesn't match the shape.
 	Static *StaticPlan

@@ -21,7 +21,6 @@ const (
 	MetricTierCompiled    = "tier_methods_compiled"
 	MetricTierDeopts      = "tier_deopt_frames"
 	MetricTierCompiledFrm = "tier_compiled_frames"
-	MetricTierInlined     = "tier_inlined_calls"
 	MetricTierFallback    = "tier_fallback_chunks"
 
 	// Per-family counters sourced from the vm.GCStats seam.

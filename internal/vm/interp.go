@@ -152,29 +152,21 @@ func (t *Thread) invokeNative(m *Method, args []int64) (int64, error) {
 // than two fresh allocations, and dispatch selects the executor per
 // frame: the fully observable interpretInstrumented loop whenever a
 // per-instruction observer is installed (tracer, active sampling hook,
-// ForceInstrumentedLoop — compiled code never runs then, the tier's
-// deoptimization contract) or the method's lowering failed; otherwise
-// the block executor, on the method's promoted unit when the template
-// tier has promoted it and on its load-time lowering when not. All
-// engines produce identical observable state — cycle counts, ground
-// truth, instruction counts, yield points and results — which the
-// differential tests in this package and internal/harness pin down.
+// ForceInstrumentedLoop — the tier's deoptimization contract) or the
+// method's lowering failed; otherwise the block executor on the method's
+// lowering, as a promoted frame once the template tier has promoted the
+// method and as an interpreted frame before. All engines produce
+// identical observable state — cycle counts, ground truth, instruction
+// counts, yield points and results — which the differential tests in
+// this package and internal/harness pin down.
 func (t *Thread) interpret(m *Method, args []int64) (int64, error) {
 	nl := m.Def.MaxLocals
 	v := t.vm
-	need := nl + m.Def.MaxStack
 	var u *jit.Unit
-	lowering := false
 	if !v.needsPerInstruction() {
-		if u = m.unit; u != nil && !v.jitDisabled {
-			// Compiled frames reserve the scratch area inline-expanded
-			// callees run in, above the method's own slots.
-			need = u.NumSlots + u.ScratchSlots
-		} else {
-			u, lowering = m.lowered, true
-		}
+		u = m.lowered
 	}
-	frame, base := t.pushFrameRaw(need)
+	frame, base := t.pushFrameRaw(nl + m.Def.MaxStack)
 	locals := frame[:nl:nl]
 	stack := frame[nl:]
 	n := copy(locals, args)
@@ -184,7 +176,7 @@ func (t *Thread) interpret(m *Method, args []int64) (int64, error) {
 	var ret int64
 	var err error
 	if u != nil {
-		ret, err = t.runCompiled(m, u, frame, locals, stack, lowering)
+		ret, err = t.runCompiled(m, u, frame, locals, stack, m.promoted && !v.jitDisabled)
 	} else {
 		ret, err = t.interpretInstrumented(m, locals, stack)
 	}

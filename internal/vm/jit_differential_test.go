@@ -103,7 +103,7 @@ func mustClass(t *testing.T, name string, methods ...*classfile.Method) *classfi
 // differential contract: random straight-line arithmetic programs produce
 // identical results, cycles, ground truth and instruction counts on the
 // instrumented loop, interpreted frames on the block executor, and
-// compiled units.
+// promoted frames.
 func TestJITDifferentialRandomPrograms(t *testing.T) {
 	f := func(seed int64) bool {
 		m, want, err := genProgram(seed)
@@ -433,8 +433,8 @@ func TestJITDivByZeroThroughHandler(t *testing.T) {
 }
 
 // TestJITPromotionMidLoop drives a caller loop across the compile
-// threshold: early iterations run the callee interpreted, later ones on
-// its compiled unit, within one VM run — and the run's observables match
+// threshold: early iterations run the callee interpreted, later ones as
+// promoted frames, within one VM run — and the run's observables match
 // the interpreter exactly (runEngines asserts it). The tier stats prove
 // the promotion actually happened mid-run.
 func TestJITPromotionMidLoop(t *testing.T) {

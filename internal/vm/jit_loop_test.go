@@ -10,13 +10,13 @@ import (
 	"repro/internal/jit"
 )
 
-// buildLoopDriver assembles p/O with a kernel that is inlinable AND
-// calls the native hook, plus loop(x): a 300-iteration loop calling
-// kernel each time, which main invokes exactly once. With
-// CompileThreshold 1 a loop activation runs promoted from its entry with
-// kernel inline-expanded, so the hook can perturb the VM from inside an
-// inlined callee; at a higher threshold loop stays an interpreted frame
-// calling a promoted kernel out of line. fused(x) is the fused LoopBody
+// buildLoopDriver assembles p/O with a kernel that calls the native
+// hook, plus loop(x): a 300-iteration loop calling kernel each time,
+// which main invokes exactly once. With CompileThreshold 1 a loop
+// activation runs promoted from its entry and calls a promoted kernel,
+// so the hook can perturb the VM from inside a promoted callee over a
+// promoted caller; at a higher threshold loop stays an interpreted frame
+// calling a promoted kernel. fused(x) is the fused LoopBody
 // shape instead — 50 rounds of x = x*31+7 with no call — which is also a
 // StaticPlan kernel; only TestJITLoopDriversExact runs it.
 func buildLoopDriver(t *testing.T) *classfile.Class {
@@ -155,23 +155,22 @@ func runLoopWith(t *testing.T, opts Options, entry string, fnCall int, fn func(v
 // default one. Observables and the yield budget left equal the
 // instrumented loop's at every quantum. With the default
 // CompileThreshold of 3 the loop methods, invoked once, run as
-// interpreted frames on the lowering; with 1 they run promoted: loop
-// entered directly with kernel inline-expanded, or through main, whose
-// unit runs loop's lowering inline and calls kernel out of line. The
-// tier counters are pinned per case: they count activations, so no
-// quantum moves them.
+// interpreted frames on the lowering; with 1 they run promoted, loop
+// entered directly or through main, with every kernel call a promoted
+// frame of its own. The compiled-frame count is pinned per case: it
+// counts activations, so no quantum moves it.
 func TestJITLoopDriversExact(t *testing.T) {
 	cases := []struct {
 		entry            string
 		compileThreshold uint64
-		// CompiledFrames and InlinedCalls of the jit and auto runs.
-		frames, inlined uint64
+		// CompiledFrames of the jit and auto runs.
+		frames uint64
 	}{
-		{"main", 3, 298, 0},
-		{"main", 1, 302, 1},
-		{"loop", 1, 301, 300},
-		{"fused", 3, 0, 0},
-		{"fused", 1, 1, 0},
+		{"main", 3, 298},
+		{"main", 1, 302},
+		{"loop", 1, 301},
+		{"fused", 3, 0},
+		{"fused", 1, 1},
 	}
 	for _, c := range cases {
 		opts := DefaultOptions()
@@ -202,9 +201,9 @@ func TestJITLoopDriversExact(t *testing.T) {
 						c.entry, engine, c.compileThreshold, q, b, want)
 				}
 				st := jv.TierStats()
-				if st.CompiledFrames != c.frames || st.InlinedCalls != c.inlined {
-					t.Errorf("%s %s threshold %d quantum %d: compiled frames %d, inlined calls %d; want %d, %d",
-						c.entry, engine, c.compileThreshold, q, st.CompiledFrames, st.InlinedCalls, c.frames, c.inlined)
+				if st.CompiledFrames != c.frames {
+					t.Errorf("%s %s threshold %d quantum %d: compiled frames %d, want %d",
+						c.entry, engine, c.compileThreshold, q, st.CompiledFrames, c.frames)
 				}
 			}
 		}
@@ -224,9 +223,9 @@ func budgetsLeft(v *VM) []int {
 }
 
 // TestJITOSRDeoptMidIteration: the loop runs promoted from its entry and
-// keeps iterating in compiled code, and then — on hook call 200, from
-// inside the INLINED callee, while the inlined frame is logically
-// on-stack over the promoted caller frame, mid-iteration — a tracer
+// keeps iterating, and then — on hook call 200, from inside the
+// out-of-line kernel callee, while the callee's promoted frame is
+// on-stack over the promoted loop frame, mid-iteration — a tracer
 // appears. Both activations must leave the template tier at that exact
 // boundary and finish on the instrumented interpreter, byte-identically
 // to the interpreter engines.
@@ -245,107 +244,7 @@ func TestJITOSRDeoptMidIteration(t *testing.T) {
 	if st.CompiledFrames == 0 {
 		t.Fatalf("loop never ran promoted before the deopt: %+v", st)
 	}
-	if st.InlinedCalls == 0 {
-		t.Fatalf("hook never ran from an inlined callee: %+v", st)
-	}
 	if st.DeoptFrames == 0 {
 		t.Fatalf("tracer install did not deopt the promoted frame: %+v", st)
-	}
-}
-
-// TestJITInlineTransitiveRelinkInvalidation is the regression test for
-// transitive relink invalidation: a LoadClass must not only drop the
-// redefined-world units themselves but also every CALLER unit holding an
-// inline-expanded copy of a callee, and the recompiled caller must
-// re-expand against the post-relink world. The driver's hook loads a
-// fresh class while drive — whose unit carries kernel inlined — is
-// on-stack compiled; the stale inline copy must never run again.
-func TestJITInlineTransitiveRelinkInvalidation(t *testing.T) {
-	extra := &classfile.Class{Name: "p/Extra2", Methods: []*classfile.Method{{
-		Name: "noop", Desc: "()V",
-		Flags: classfile.AccPublic | classfile.AccStatic | classfile.AccNative,
-	}}}
-	jv := assertEnginesAgree(t, func(v *VM) {
-		if _, err := v.LoadClass(extra.Clone()); err != nil {
-			t.Error(err)
-		}
-	})
-	st := jv.TierStats()
-	if st.UnitsInvalidated == 0 || st.Epoch == 0 {
-		t.Fatalf("LoadClass did not invalidate units: %+v", st)
-	}
-	// drive inlines kernel; it was hot before and after the relink, so the
-	// inline site must have been expanded once per epoch — a stale cached
-	// expansion surviving the bump would leave InlinedSites at 1.
-	if st.InlinedSites < 2 {
-		t.Fatalf("caller unit with inlined callee was not re-expanded after relink (InlinedSites=%d): %+v",
-			st.InlinedSites, st)
-	}
-	c, err := jv.Class("p/T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := c.Method("drive", "(J)J").unit
-	if u == nil || len(u.Inlines) == 0 {
-		t.Fatal("recompiled caller lost its inline site after relink")
-	}
-	// The re-expanded site must be keyed to the CURRENT resolution of the
-	// callee — the run-time guard that makes invalidation transitive even
-	// for units that somehow survive.
-	if u.Inlines[0].Key != any(c.Method("kernel", "(J)J")) {
-		t.Fatal("re-expanded inline site keyed to a stale callee resolution")
-	}
-}
-
-// TestJITInlineStaleKeyGuard pins the run-time half of transitive
-// invalidation: if a unit's inline site is keyed to anything other than
-// the call site's current resolved callee (as after a relink that
-// rebound the callee), the call must route out-of-line — same
-// observables, no use of the stale expansion — rather than run the
-// stale copy or crash.
-func TestJITInlineStaleKeyGuard(t *testing.T) {
-	// Reference run: untampered observables.
-	ref, _ := runLoopDriver(t, jit.EngineInterp, true, 0, nil)
-
-	opts := DefaultOptions()
-	opts.JITThreshold = 4
-	opts.CompileThreshold = 1
-	opts.Tier = jit.EngineJIT
-	v := New(opts)
-	if err := v.LoadClasses([]*classfile.Class{buildLoopDriver(t).Clone()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.RegisterNative("p/O", "hook", "()V", func(env Env, args []int64) (int64, error) {
-		return 0, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Warm the loop into its promoted unit, then poison the inline site's
-	// key the way a relink rebind would: the site no longer matches the
-	// call site's resolved callee.
-	if _, err := v.Run("p/O", "loop", "(J)J", 5); err != nil {
-		t.Fatal(err)
-	}
-	c, err := v.Class("p/O")
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := c.Method("loop", "(J)J").unit
-	if u == nil || len(u.Inlines) == 0 {
-		t.Fatal("warmup did not produce an inline site to poison")
-	}
-	u.Inlines[0].Key = "stale"
-	before := v.TierStats().InlinedCalls
-
-	th := v.NewDetachedThread("stale")
-	got, err := th.InvokeStatic("p/O", "loop", "(J)J", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != ref.result {
-		t.Fatalf("stale-keyed run returned %d, want %d", got, ref.result)
-	}
-	if after := v.TierStats().InlinedCalls; after != before {
-		t.Fatalf("stale-keyed inline site was still executed (%d -> %d inlined calls)", before, after)
 	}
 }

@@ -188,15 +188,13 @@ func TestJITDeoptOnStackMethodEvents(t *testing.T) {
 	if st.DeoptFrames == 0 {
 		t.Fatalf("method events did not deopt the on-stack compiled frame: %+v", st)
 	}
-	if st.UnitsLive != 0 {
-		t.Fatalf("compiled units survived method-event de-optimization: %+v", st)
-	}
 }
 
-// TestJITRelinkInvalidatesCache: a LoadClass while compiled frames run
-// bumps the relink epoch, drops every unit, deopts the on-stack frame,
-// and lets hot methods re-promote against the new epoch — all without
-// any observable divergence from the interpreter.
+// TestJITRelinkInvalidatesCache: a LoadClass while promoted frames run.
+// Every frame runs its method's link-independent lowering, so there is
+// no compiled-unit cache left to invalidate: the relink changes nothing
+// a frame runs, the on-stack promoted frame carries on without a deopt,
+// and nothing diverges from the interpreter.
 func TestJITRelinkInvalidatesCache(t *testing.T) {
 	extra := &classfile.Class{Name: "p/Extra", Methods: []*classfile.Method{{
 		Name: "noop", Desc: "()V",
@@ -208,26 +206,11 @@ func TestJITRelinkInvalidatesCache(t *testing.T) {
 		}
 	})
 	st := jv.TierStats()
-	if st.UnitsInvalidated == 0 {
-		t.Fatalf("LoadClass did not invalidate compiled units: %+v", st)
+	if st.CompiledFrames == 0 {
+		t.Fatalf("no promoted frames around the relink: %+v", st)
 	}
-	if st.DeoptFrames == 0 {
-		t.Fatalf("stale relink epoch did not deopt the on-stack frame: %+v", st)
-	}
-	// kernel was hot before and after the relink: it must have been
-	// compiled once per epoch.
-	if st.MethodsCompiled < 2 {
-		t.Fatalf("hot method did not re-promote after relink: %+v", st)
-	}
-	if st.Epoch == 0 {
-		t.Fatalf("relink epoch did not advance: %+v", st)
-	}
-	c, err := jv.Class("p/T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Method("kernel", "(J)J").unit == nil {
-		t.Fatal("kernel not recompiled against the new epoch")
+	if st.DeoptFrames != 0 {
+		t.Fatalf("a relink deopted a promoted frame: %+v", st)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"repro/internal/jit"
 )
 
-// runCompiled executes one method activation on the block executor:
-// lowering selects the method's load-time lowering (an interpreted frame)
-// over its promoted unit.
+// runCompiled executes one activation of the method's lowering u on the
+// block executor, as a promoted frame when promoted is set and as an
+// interpreted frame otherwise.
 //
 // Observational contract: the executor reproduces the instrumented
 // loop's per-instruction accounting exactly. That accounting (cycle
@@ -31,15 +31,14 @@ import (
 //
 // Interpreted and promoted frames differ only in their tier bookkeeping.
 // A promoted frame counts as a compiled frame, and after every invoke it
-// re-checks the world: if a tracer appeared, method events de-optimized
-// the VM, or a class load bumped the relink epoch, the rest of the
-// activation deopts to the instrumented loop at the exact bytecode
-// boundary — the frame layout is the interpreter's own (the lowering
-// keeps every chunk boundary canonical), so the handoff is a pair of
-// slice views, not a state reconstruction. An interpreted frame never
-// deopts mid-frame (its lowering has no inline sites and depends on no
-// link state); it tallies its batches' op-free instructions instead.
-func (t *Thread) runCompiled(m *Method, u *jit.Unit, fr, locals, stack []int64, lowering bool) (int64, error) {
+// re-checks the world: if a tracer appeared or method events
+// de-optimized the VM, the rest of the activation deopts to the
+// instrumented loop at the exact bytecode boundary — the frame layout is
+// the interpreter's own (the lowering keeps every chunk boundary
+// canonical), so the handoff is a pair of slice views, not a state
+// reconstruction. An interpreted frame never deopts mid-frame; it
+// tallies its batches' op-free instructions instead.
+func (t *Thread) runCompiled(m *Method, u *jit.Unit, fr, locals, stack []int64, promoted bool) (int64, error) {
 	v := t.vm
 	cost := v.opts.CostInterp
 	if m.compiled {
@@ -48,15 +47,15 @@ func (t *Thread) runCompiled(m *Method, u *jit.Unit, fr, locals, stack []int64, 
 	if p := u.Static; p != nil {
 		if budget := t.budget; int64(budget) > p.Total {
 			ret := t.runStatic(p, fr, cost, budget)
-			if lowering {
-				m.superExec += uint64(p.OpFree)
-			} else {
+			if promoted {
 				v.tierFrames++
+			} else {
+				m.superExec += uint64(p.OpFree)
 			}
 			return ret, nil
 		}
 	}
-	return t.runBlocks(m, u, fr, locals, stack, cost, lowering)
+	return t.runBlocks(m, u, fr, locals, stack, cost, promoted)
 }
 
 // runStatic executes a whole counted-kernel activation per its compile-
@@ -107,18 +106,15 @@ func runStaticBody(fr []int64, ops []jit.Op, trip int64) {
 }
 
 // runBlocks runs a unit block by block from its entry block, at the
-// frame-entry cost the caller selected — the path shared by runCompiled
-// (past the static plan) and inline-expanded calls (the callee's private
-// unit in the caller's scratch area).
+// frame-entry cost runCompiled selected — its path past the static plan.
 func (t *Thread) runBlocks(m *Method, u *jit.Unit, fr, locals, stack []int64, cost uint64,
-	lowering bool) (int64, error) {
+	promoted bool) (int64, error) {
 	v := t.vm
 	opts := &v.opts
 	heap := v.Heap
 	quantum := opts.Quantum
 	ml := u.MaxLocals
-	startEpoch := v.tier.Epoch()
-	if !lowering {
+	if promoted {
 		v.tierFrames++
 	}
 
@@ -149,7 +145,7 @@ blocks:
 			done += uint64(d)
 			// Only interpreted frames report their tally, and the tally's
 			// division would cost promoted frames a few percent.
-			if lowering {
+			if !promoted {
 				free += loopOpFree(b, body, d)
 			}
 			if tb != nil {
@@ -197,7 +193,7 @@ blocks:
 						// yield lands on the exact boundary. The frame is
 						// canonical at chunk entry, and per-instruction
 						// execution leaves it canonical again.
-						if !lowering {
+						if promoted {
 							v.tierFallbacks++
 						}
 						var err error
@@ -277,23 +273,7 @@ blocks:
 					}
 					argBase := base - callee.argWords
 					t.setFrameSP(int(eff.SP) - callee.argWords)
-					var r int64
-					var err error
-					// Inline fast path: promotion attached a compiled plan
-					// for this site's resolved callee. The Key re-check is
-					// the transitive half of relink invalidation — any
-					// resolution drift sends the call out of line — and an
-					// installed tracer or a de-optimized VM must take the
-					// generic invoke for its entry/exit events.
-					if si := eff.Inline; si >= 0 && v.tracer == nil && !v.jitDisabled &&
-						u.Inlines[si].Key == any(callee) {
-						site := &u.Inlines[si]
-						m.inlinedCalls++
-						r, err = t.invokeInline(callee, site,
-							fr[u.NumSlots:u.NumSlots+int(site.Slots)], fr[argBase:base])
-					} else {
-						r, err = t.invoke(callee, fr[argBase:base])
-					}
+					r, err := t.invoke(callee, fr[argBase:base])
 					budget = t.budget // the callee shares the yield budget
 					sp := int(eff.SP) - callee.argWords
 					if err != nil {
@@ -308,11 +288,10 @@ blocks:
 						sp++
 					}
 					// Mid-frame deoptimization of a promoted frame: the
-					// callee may have installed a tracer, enabled method
-					// events, or loaded a class (stale relink epoch). Hand
-					// the rest of the activation to the instrumented loop
-					// at this exact boundary.
-					if !lowering && (v.tracer != nil || v.jitDisabled || v.tier.Epoch() != startEpoch) {
+					// callee may have installed a tracer or enabled method
+					// events. Hand the rest of the activation to the
+					// instrumented loop at this exact boundary.
+					if promoted && (v.tracer != nil || v.jitDisabled) {
 						v.tierDeopts++
 						next := idx + 1
 						if thrown != nil {
@@ -420,7 +399,7 @@ blocks:
 		fail = thrown
 	}
 	t.flushInterp(done, cost, budget)
-	if lowering {
+	if !promoted {
 		m.superExec += free
 	}
 	return ret, fail
@@ -490,62 +469,6 @@ func loopOpFree(h, body *jit.Block, d int) uint64 {
 		free += uint64(h.OpFree)
 	}
 	return free
-}
-
-// invokeInline runs an inline-expanded call: the callee's private unit
-// executes in the caller's scratch frame area instead of re-entering the
-// generic invoke path. Every simulated observable is produced exactly as
-// t.invoke would — the depth check, the invocation count and JIT-model
-// promotion, the CostInvoke charge on the caller's side, the callee's
-// frame-entry cost selection and root-scan registration. What it skips is
-// host-side only: the argument-count and abstract checks (guaranteed by
-// the compile-time resolution the Key guard re-validated) and the tracer
-// and method-event callbacks (the call site's guards route those runs out
-// of line).
-func (t *Thread) invokeInline(callee *Method, site *jit.InlineSite, scr, args []int64) (int64, error) {
-	if t.depth >= t.vm.opts.MaxFrames {
-		return 0, Throw(int64(t.depth), "StackOverflowError")
-	}
-	t.depth++
-	if t.depth == reserveDepth && !t.stackReserved {
-		t.stackReserved = true
-		reserveStack(64)
-	}
-	t.vm.maybeCompile(callee)
-	if t.nativeDepth > 0 {
-		t.chargeNative(t.vm.opts.CostInvoke)
-	} else {
-		t.chargeInterp(t.vm.opts.CostInvoke)
-	}
-
-	nl := int(site.NL)
-	locals := scr[:nl:nl]
-	stack := scr[nl:]
-	n := copy(locals, args)
-	clear(locals[n:])
-
-	cost := t.vm.opts.CostInterp
-	if callee.compiled {
-		cost = t.vm.opts.CostCompiled
-	}
-
-	// Counted-kernel fast path: the callee's whole activation resolved at
-	// compile time. Pure ops only and the budget covers the total, so the
-	// root-scan registration is skipped along with all block dispatch.
-	if p := site.U.Static; p != nil {
-		if budget := t.budget; int64(budget) > p.Total {
-			ret := t.runStatic(p, scr, cost, budget)
-			t.vm.tierFrames++
-			t.depth--
-			return ret, nil
-		}
-	}
-
-	t.pushFrameRef(scr, nl)
-	ret, err := t.runBlocks(callee, site.U, scr, locals, stack, cost, false)
-	t.popFrameRef()
-	t.depth--
-	return ret, err
 }
 
 // runOps executes a fused op sequence against the flat frame and returns

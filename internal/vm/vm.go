@@ -60,17 +60,16 @@ type Options struct {
 	// installed. The block executor and the instrumented loop are
 	// observably equivalent; this switch exists so differential tests can
 	// prove it.
-	// It also pins the template tier out of the frame dispatch: compiled
-	// units are never entered while it is set.
 	ForceInstrumentedLoop bool
 	// Tier selects the execution engine. EngineInterp (the zero value)
-	// never promotes: frames run their method's lowering; EngineJIT and
-	// EngineAuto enable the internal/jit template tier, which promotes
-	// hot bytecode methods to compiled trace units and deoptimizes back
-	// to the instrumented interpreter whenever per-instruction semantics
-	// are required. The tier is a host-level accelerator: every
-	// observable simulated value (cycles, instruction counts, ground
-	// truth, reports, results) is byte-identical across engines.
+	// never promotes. EngineJIT and EngineAuto enable the internal/jit
+	// template tier, which promotes hot bytecode methods and deoptimizes
+	// their frames back to the instrumented interpreter whenever
+	// per-instruction semantics are required. Interpreted and promoted
+	// frames run the same lowering on the same executor; promotion only
+	// decides which tier counters a frame moves. Every observable
+	// simulated value (cycles, instruction counts, ground truth, reports,
+	// results) is byte-identical across engines.
 	Tier jit.Engine
 	// CompileThreshold is the invocation count at which the template
 	// tier promotes a method. 0 means "track the JIT model": promote at
@@ -197,13 +196,12 @@ type Method struct {
 	compiled    bool
 	// Template-tier state, colocated with the per-invoke hotness fields
 	// (the invocations++ write pulls this cache line in on every call,
-	// making the per-frame unit check free). unit is the method's
-	// compiled trace unit (nil while interpreted, cleared on every
-	// relink-epoch invalidation and when method events de-optimize the
-	// world); unitFailed pins methods the lowering rejected so promotion
-	// is not retried every invoke.
+	// making the per-frame check free). promoted marks a method the tier
+	// has promoted (cleared when method events de-optimize the world);
+	// unitFailed pins methods the lowering rejected so promotion is not
+	// retried every invoke.
+	promoted   bool
 	unitFailed bool
-	unit       *jit.Unit
 
 	argWords int
 	returns  bool
@@ -225,18 +223,16 @@ type Method struct {
 	handlerIdx []int32
 	// lowered is the method's one lowering (jit.Lower), nil when the
 	// lowering rejected the method. It is link-independent, so no class
-	// load ever invalidates it: interpreted frames run it on the block
-	// executor, and promotion builds every compiled unit from it.
+	// load ever invalidates it: every uninstrumented frame of the method,
+	// interpreted or promoted, runs it on the block executor.
 	lowered *jit.Unit
 
-	// Tier-2 execution counters, written by the executing thread under
-	// the scheduler baton (parallel harness runs use separate VMs, so
-	// plain fields suffice — same rule as the VM's tier counters).
-	// inlinedCalls counts the calls this method made through inline
-	// sites; superExec the instructions its interpreted frames' batches
-	// executed without an op of their own.
-	inlinedCalls uint64
-	superExec    uint64
+	// superExec counts the instructions the method's interpreted frames'
+	// batches executed without an op of their own. The executing thread
+	// writes it under the scheduler baton (parallel harness runs use
+	// separate VMs, so a plain field suffices — same rule as the VM's
+	// tier counters).
+	superExec uint64
 
 	// Call-site and static-slot resolution caches, indexed like Def.Refs.
 	// Entries are filled by (*VM).relinkLocked under the VM lock whenever
@@ -328,11 +324,11 @@ type VM struct {
 	threadsEver []*Thread
 	tracer      *Tracer
 
-	// tier is the template-compilation cache: relink epoch, compiled
-	// units and compile bookkeeping. The per-frame counters below are
-	// plain fields for the same reason nativeCalls is: only one simulated
-	// thread executes at a time under the scheduler baton.
-	tier          *jit.Cache
+	// Template-tier counters (see jit.Stats). They are plain fields for
+	// the same reason nativeCalls is: only one simulated thread executes
+	// at a time under the scheduler baton.
+	tierCompiled  uint64
+	tierFailures  uint64
 	tierFrames    uint64
 	tierDeopts    uint64
 	tierFallbacks uint64
@@ -364,7 +360,6 @@ func New(opts Options) *VM {
 		Clock:   cycles.NewRegistry(),
 		classes: make(map[string]*Class),
 		natives: make(map[string]NativeFunc),
-		tier:    jit.NewCache(),
 	}
 	v.Heap.rootScan = v.scanRoots
 	v.EnvFactory = func(t *Thread) Env { return &plainEnv{t: t} }
@@ -399,10 +394,10 @@ func (v *VM) Hooks() Hooks { return v.hooks }
 // EnableMethodEvents turns MethodEntry/MethodExit delivery on or off.
 // Enabling them disables JIT compilation and de-optimizes already compiled
 // methods, reproducing the behaviour that makes SPA's overhead excessive.
-// The template tier follows the same rule: compiled trace units are
-// dropped and the relink epoch bumped, so a compiled frame that is
-// on-stack when the events are enabled deoptimizes to the instrumented
-// interpreter at its next call boundary.
+// The template tier follows the same rule: every method loses its
+// promotion, and a promoted frame that is on-stack when the events are
+// enabled deoptimizes to the instrumented interpreter at its next call
+// boundary.
 func (v *VM) EnableMethodEvents(on bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -412,10 +407,9 @@ func (v *VM) EnableMethodEvents(on bool) {
 		for _, c := range v.classes {
 			for _, m := range c.methods {
 				m.compiled = false
-				m.unit = nil
+				m.promoted = false
 			}
 		}
-		v.tier.Invalidate()
 	}
 }
 
@@ -533,19 +527,6 @@ func (v *VM) LoadClass(def *classfile.Class) (*Class, error) {
 	v.classes[def.Name] = c
 	v.classesLoaded++
 	v.relinkLocked(c)
-	// Compiled trace units bake in the assumption that link-time
-	// resolution state is final; a class load changes it (relinkLocked
-	// just filled dangling refs), so the relink epoch bumps and every
-	// unit is dropped. Hot methods re-promote against the new epoch on
-	// their next invocation, and a compiled frame that is on-stack right
-	// now notices the stale epoch at its next call boundary and
-	// deoptimizes.
-	for _, cl := range v.classes {
-		for _, m := range cl.methods {
-			m.unit = nil
-		}
-	}
-	v.tier.Invalidate()
 	return c, nil
 }
 
@@ -745,86 +726,62 @@ func (v *VM) CompileThresholdEffective() uint64 {
 // needsPerInstruction reports whether some observer requires the
 // interpreter's per-instruction semantics right now: an installed tracer,
 // an active sampling hook, or a forced instrumented loop. Frames never
-// enter compiled code while it holds.
+// enter the block executor while it holds.
 func (v *VM) needsPerInstruction() bool {
 	return v.tracer != nil || v.opts.ForceInstrumentedLoop ||
 		(v.opts.SampleInterval != 0 && v.hooks.Sample != nil)
 }
 
-// maybePromote builds a hot bytecode method's compiled trace unit from
-// its lowering against the current link state, recording the result (or
-// the pinning failure) in both the method and the tier cache. Call sites
-// resolve through the method's own refMethods cache, so inline expansion
-// sees exactly the resolution the executor will. Lowering failures pin
-// the method to the interpreter permanently — compilation is a
-// performance event, never a correctness one.
+// maybePromote promotes a hot bytecode method: from its next entry on,
+// its frames count as compiled frames. Lowering failures pin the method
+// to the interpreter permanently — compilation is a performance event,
+// never a correctness one.
 func (v *VM) maybePromote(m *Method) {
-	if m.unit != nil || m.unitFailed || v.jitDisabled || len(m.instrs) == 0 {
+	if m.promoted || m.unitFailed || v.jitDisabled || len(m.instrs) == 0 {
 		return
 	}
 	if m.invocations < v.CompileThresholdEffective() {
 		return
 	}
-	// Auto defers to the observers: compiling while every frame would
-	// deoptimize anyway is pure waste. EngineJIT compiles regardless; the
-	// per-frame dispatch still keeps units out of observed runs.
+	// Auto defers to the observers: promoting while every frame would
+	// deoptimize anyway is pure waste. EngineJIT promotes regardless; the
+	// per-frame dispatch still keeps observed runs on the instrumented
+	// loop.
 	if v.opts.Tier == jit.EngineAuto && v.needsPerInstruction() {
 		return
 	}
 	if m.lowered == nil {
 		m.unitFailed = true
-		v.tier.NoteFailure()
+		v.tierFailures++
 		return
 	}
-	m.unit = jit.Promote(m.lowered, &vmResolver{m: m})
-	v.tier.Put(m, m.unit)
+	m.promoted = true
+	v.tierCompiled++
 }
 
-// vmResolver adapts one method's link-time resolved-callee cache to the
-// jit compiler's Resolver interface. Resolution state is frozen for the
-// unit's lifetime: relinkLocked only fills nil entries, and any class
-// load drops every unit before changing link state (the transitive
-// invalidation the inline Key re-check backstops).
-type vmResolver struct{ m *Method }
-
-func (r *vmResolver) ResolveInvoke(ref int) (*jit.Unit, any, bool) {
-	if ref < 0 || ref >= len(r.m.refMethods) {
-		return nil, nil, false
-	}
-	callee := r.m.refMethods[ref]
-	if callee == nil || callee.lowered == nil {
-		return nil, nil, false
-	}
-	return callee.lowered, callee, true
-}
-
-// TierStats returns the template tier's bookkeeping: compile and cache
-// counts from the jit cache, the VM's frame-level execution counters,
-// and the per-method tier-2 detail (inline sites, inlined calls, op-free
-// instructions of interpreted frames' batches) summed across every loaded method.
+// TierStats returns the template tier's bookkeeping: the VM's promotion
+// and frame-level execution counters, and the per-method tier-2 detail
+// (op-free instructions of interpreted frames' batches) summed across
+// every loaded method.
 func (v *VM) TierStats() jit.Stats {
-	s := v.tier.Snapshot()
-	s.Engine = v.opts.Tier
-	s.CompiledFrames = v.tierFrames
-	s.DeoptFrames = v.tierDeopts
-	s.FallbackChunks = v.tierFallbacks
+	s := jit.Stats{
+		Engine:          v.opts.Tier,
+		MethodsCompiled: v.tierCompiled,
+		CompileFailures: v.tierFailures,
+		CompiledFrames:  v.tierFrames,
+		DeoptFrames:     v.tierDeopts,
+		FallbackChunks:  v.tierFallbacks,
+	}
 	v.mu.Lock()
 	for _, c := range v.classes {
 		for _, m := range c.methods {
-			s.InlinedCalls += m.inlinedCalls
-			s.SuperinstrPairs += m.superExec
-			sites := 0
-			if m.unit != nil {
-				sites = len(m.unit.Inlines)
-			}
-			if sites == 0 && m.inlinedCalls == 0 && m.superExec == 0 {
+			if m.superExec == 0 {
 				continue
 			}
+			s.SuperinstrPairs += m.superExec
 			row := jit.MethodStats{
-				Method:       m.FullName(),
-				InlineSites:  sites,
-				InlinedCalls: m.inlinedCalls,
-				SuperPairs:   m.superExec,
+				Method:     m.FullName(),
+				SuperPairs: m.superExec,
 			}
 			if u := m.lowered; u != nil {
 				for bi := range u.Blocks {
