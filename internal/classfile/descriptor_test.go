@@ -6,6 +6,22 @@ import (
 	"testing/quick"
 )
 
+// ParamTypes splits d's parameter list into one type string per
+// parameter, e.g. "I", "[I", "Ljava/lang/String;".
+func (d Descriptor) ParamTypes() []string {
+	s := d.Raw[1:strings.IndexByte(d.Raw, ')')]
+	var out []string
+	for len(s) > 0 {
+		k, err := nextType(s)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, s[:k])
+		s = s[k:]
+	}
+	return out
+}
+
 func TestParseDescriptorSimple(t *testing.T) {
 	d, err := ParseDescriptor("(II)I")
 	if err != nil {
@@ -14,8 +30,8 @@ func TestParseDescriptorSimple(t *testing.T) {
 	if d.ParamWords != 2 || !d.ReturnsValue || d.Return != "I" {
 		t.Fatalf("got %+v", d)
 	}
-	if d.Params[0] != "I" || d.Params[1] != "I" {
-		t.Fatalf("params = %v", d.Params)
+	if p := d.ParamTypes(); p[0] != "I" || p[1] != "I" {
+		t.Fatalf("params = %v", p)
 	}
 }
 
@@ -35,12 +51,13 @@ func TestParseDescriptorArrays(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"[B", "I", "[[J"}
-	if len(d.Params) != len(want) {
-		t.Fatalf("params = %v, want %v", d.Params, want)
+	got := d.ParamTypes()
+	if len(got) != len(want) {
+		t.Fatalf("params = %v, want %v", got, want)
 	}
 	for i := range want {
-		if d.Params[i] != want[i] {
-			t.Fatalf("param %d = %q, want %q", i, d.Params[i], want[i])
+		if got[i] != want[i] {
+			t.Fatalf("param %d = %q, want %q", i, got[i], want[i])
 		}
 	}
 	if d.Return != "[I" {
@@ -53,8 +70,8 @@ func TestParseDescriptorClassTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Params[0] != "Ljava/lang/String;" || d.Params[1] != "J" {
-		t.Fatalf("params = %v", d.Params)
+	if p := d.ParamTypes(); p[0] != "Ljava/lang/String;" || p[1] != "J" {
+		t.Fatalf("params = %v", p)
 	}
 	if d.Return != "Ljava/lang/Object;" {
 		t.Fatalf("return = %q", d.Return)
@@ -83,6 +100,17 @@ func TestParseDescriptorMalformed(t *testing.T) {
 	}
 }
 
+func TestParseDescriptorAllocatesNothing(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseDescriptor("(IJ[BLjava/lang/String;[[D)Ljava/lang/Object;"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ParseDescriptor allocated %v times per call", allocs)
+	}
+}
+
 func TestParseDescriptorVoidParamRejected(t *testing.T) {
 	if _, err := ParseDescriptor("(V)V"); err == nil {
 		t.Fatal("void parameter should be rejected")
@@ -106,12 +134,13 @@ func TestBuildDescriptorRoundTrip(t *testing.T) {
 			if d.Return != ret {
 				t.Fatalf("%q: return = %q, want %q", raw, d.Return, ret)
 			}
-			if len(d.Params) != len(params) {
-				t.Fatalf("%q: params = %v, want %v", raw, d.Params, params)
+			got := d.ParamTypes()
+			if len(got) != len(params) {
+				t.Fatalf("%q: params = %v, want %v", raw, got, params)
 			}
 			for i := range params {
-				if d.Params[i] != params[i] {
-					t.Fatalf("%q: param %d = %q, want %q", raw, i, d.Params[i], params[i])
+				if got[i] != params[i] {
+					t.Fatalf("%q: param %d = %q, want %q", raw, i, got[i], params[i])
 				}
 			}
 		}
@@ -148,7 +177,7 @@ func TestParseDescriptorDeepArrayNesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Params[0] != deep {
-		t.Fatalf("param = %q", d.Params[0])
+	if d.ParamTypes()[0] != deep {
+		t.Fatalf("param = %q", d.ParamTypes()[0])
 	}
 }

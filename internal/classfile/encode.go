@@ -24,7 +24,6 @@ const (
 // Limits guarding the decoder against corrupt or hostile input.
 const (
 	maxStringLen   = 1 << 16
-	maxMembers     = 1 << 16
 	maxCodeLen     = 1 << 20
 	maxArchiveSize = 1 << 20
 )
@@ -36,40 +35,20 @@ var ErrBadMagic = errors.New("classfile: bad magic")
 // ErrBadVersion reports an unsupported format version.
 var ErrBadVersion = errors.New("classfile: unsupported format version")
 
+// encoder appends the binary encoding to buf. After the first error it
+// keeps appending, but its output is discarded.
 type encoder struct {
-	w   *bufio.Writer
+	buf []byte
 	err error
 }
 
-func (e *encoder) u8(v uint8) {
-	if e.err == nil {
-		e.err = e.w.WriteByte(v)
-	}
-}
+func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
 
-func (e *encoder) u16(v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	e.bytes(b[:])
-}
+func (e *encoder) u16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
 
-func (e *encoder) u32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	e.bytes(b[:])
-}
+func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
 
-func (e *encoder) u64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	e.bytes(b[:])
-}
-
-func (e *encoder) bytes(p []byte) {
-	if e.err == nil {
-		_, e.err = e.w.Write(p)
-	}
-}
+func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 
 func (e *encoder) str(s string) {
 	if len(s) >= maxStringLen {
@@ -79,7 +58,7 @@ func (e *encoder) str(s string) {
 		return
 	}
 	e.u16(uint16(len(s)))
-	e.bytes([]byte(s))
+	e.buf = append(e.buf, s...)
 }
 
 type decoder struct {
@@ -144,15 +123,27 @@ func (d *decoder) str() string {
 
 // WriteClass encodes a single class to w.
 func WriteClass(w io.Writer, c *Class) error {
-	bw := bufio.NewWriter(w)
-	e := &encoder{w: bw}
+	b, err := AppendClass(nil, c)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// AppendClass appends the encoding WriteClass writes for c to dst and
+// returns the extended slice. The encoding is injective: two classes that
+// encode without error have equal encodings only when every encoded field
+// is equal, so it can key a class by its content.
+func AppendClass(dst []byte, c *Class) ([]byte, error) {
+	e := &encoder{buf: dst}
 	e.u32(ClassMagic)
 	e.u16(FormatVersion)
 	writeClassBody(e, c)
 	if e.err != nil {
-		return e.err
+		return dst, e.err
 	}
-	return bw.Flush()
+	return e.buf, nil
 }
 
 func writeClassBody(e *encoder, c *Class) {
@@ -160,7 +151,7 @@ func writeClassBody(e *encoder, c *Class) {
 	e.str(c.Super)
 	e.u16(uint16(c.Flags))
 	e.str(c.SourceFile)
-	if len(c.Fields) > maxMembers || len(c.Methods) > maxMembers {
+	if len(c.Fields) > math.MaxUint16 || len(c.Methods) > math.MaxUint16 {
 		e.err = fmt.Errorf("classfile: %s: too many members", c.Name)
 		return
 	}
@@ -192,8 +183,8 @@ func writeMethod(e *encoder, m *Method) {
 		return
 	}
 	e.u32(uint32(len(m.Code)))
-	e.bytes(m.Code)
-	if len(m.Refs) > maxMembers || len(m.Consts) > maxMembers || len(m.Handlers) > maxMembers {
+	e.buf = append(e.buf, m.Code...)
+	if len(m.Refs) > math.MaxUint16 || len(m.Consts) > math.MaxUint16 || len(m.Handlers) > math.MaxUint16 {
 		e.err = fmt.Errorf("classfile: method %s: table too large", m.Name)
 		return
 	}
@@ -302,8 +293,7 @@ func WriteArchive(w io.Writer, classes []*Class) error {
 	if len(classes) > maxArchiveSize {
 		return fmt.Errorf("classfile: archive too large (%d classes)", len(classes))
 	}
-	bw := bufio.NewWriter(w)
-	e := &encoder{w: bw}
+	e := &encoder{}
 	e.u32(ArchiveMagic)
 	e.u16(FormatVersion)
 	e.u32(uint32(len(classes)))
@@ -313,7 +303,8 @@ func WriteArchive(w io.Writer, classes []*Class) error {
 	if e.err != nil {
 		return e.err
 	}
-	return bw.Flush()
+	_, err := w.Write(e.buf)
+	return err
 }
 
 // ReadArchive decodes an archive written by WriteArchive, validating every

@@ -214,3 +214,21 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A member count that does not fit its u16 field is an error, not a
+// truncated count.
+func TestWriteClassRejectsMemberCountOverflow(t *testing.T) {
+	c := testClass()
+	c.Fields = make([]*Field, 1<<16)
+	for i := range c.Fields {
+		c.Fields[i] = &Field{Name: "f"}
+	}
+	var buf bytes.Buffer
+	if err := WriteClass(&buf, c); err == nil {
+		t.Fatal("65536 fields encoded")
+	}
+	c.Fields = c.Fields[:1<<16-1]
+	if err := WriteClass(&buf, c); err != nil {
+		t.Fatalf("65535 fields: %v", err)
+	}
+}

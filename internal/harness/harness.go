@@ -279,7 +279,10 @@ func MeasureScenario(ctx context.Context, sc scenarios.Scenario, agentName strin
 	// Warmup repetitions run the identical cell and discard every sample:
 	// determinism makes them simulation-invisible, but they drive the
 	// execution tier through its whole promotion pipeline and warm the
-	// host before the measured repetitions start.
+	// host before the measured repetitions start. Every repetition builds
+	// a fresh VM, which loads the cell's classes again; after the first,
+	// those loads reuse the class images the first one stored instead of
+	// verifying and lowering again (see vm.LoadClass).
 	for i := 0; i < cfg.Warmup+cfg.Runs; i++ {
 		warmup := i < cfg.Warmup
 		// The repetition span is pure host-side observability: rctx only

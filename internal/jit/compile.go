@@ -25,9 +25,10 @@ import (
 // the slots live at the block's exit.
 //
 // The lowering reads nothing but the method itself, so it is
-// link-independent: the VM lowers each method once at load time and runs
-// it in every frame, interpreted or promoted, that needs no
-// per-instruction observer.
+// link-independent: the VM lowers each method once per distinct class
+// content per process, shares the unit read-only among every VM that
+// loads that content, and runs it in every frame, interpreted or
+// promoted, that needs no per-instruction observer.
 //
 // Methods the lowering cannot express are an error; the VM leaves such
 // methods on per-instruction interpretation, so Lower failing is a

@@ -9,7 +9,7 @@ import (
 // search's acceptance criterion: a named, guarded, deliberately wrong
 // compilation variant that the search (internal/scensearch) must find by
 // differential testing and minimize. The hook is off unless explicitly
-// armed — production paths never touch it — and lives behind an explicit
+// armed — production paths never arm it — and lives behind an explicit
 // name so a stray environment variable cannot half-enable it.
 
 // DefectEnvVar is the environment variable the binaries read to arm a
@@ -43,3 +43,12 @@ func SetTestDefect(name string) error {
 
 // defectMulAdd reports whether the fused multiply-add defect is armed.
 func defectMulAdd() bool { return activeDefect.Load() == 1 }
+
+// ArmedTestDefect returns the name of the armed defect, "" when none. A
+// lowering depends on it, so whatever reuses a lowering keys on it too.
+func ArmedTestDefect() string {
+	if defectMulAdd() {
+		return TestDefectMulAdd
+	}
+	return ""
+}

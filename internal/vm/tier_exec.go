@@ -602,7 +602,7 @@ func throwAt(m *Method, u *jit.Unit, stack []int64, idx int, thrown *Thrown) int
 //
 // It is the only straight-line stepper besides the instrumented loop's
 // own switch, and it reads the link-time dispatch arrays (including the
-// OpInc slot|delta<<16 operand packing from linkDispatch) where that
+// OpInc slot|delta<<16 operand packing from methodImage.link) where that
 // loop reads decoded instructions. The quanta tests run hostile quanta
 // (1 to 12, and 7 in TestJITYieldBoundariesMatchInterp) precisely so this
 // fallback executes constantly and any divergence from the instrumented

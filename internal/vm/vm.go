@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/bytecode"
 	"repro/internal/classfile"
 	"repro/internal/cycles"
 	"repro/internal/jit"
@@ -203,29 +202,12 @@ type Method struct {
 	promoted   bool
 	unitFailed bool
 
-	argWords int
-	returns  bool
-	instrs   []bytecode.Instruction
-
-	// Link-time dispatch metadata, computed once in LoadClass so the
-	// interpreter's hot loop never consults a map or scans a table, and
-	// reads one byte + one int32 per dispatch instead of a 32-byte
-	// Instruction.
-	//
-	// ops and operands mirror instrs index-for-index. A branch's operand
-	// is pre-resolved to the target *instruction index*; OpInc packs
-	// slot|delta<<16 (delta sign-extends); everything else keeps its
-	// decoded operand. handlerIdx is the instruction index of the
-	// innermost exception handler covering each instruction (-1 when
-	// uncovered).
-	ops        []bytecode.Op
-	operands   []int32
-	handlerIdx []int32
-	// lowered is the method's one lowering (jit.Lower), nil when the
-	// lowering rejected the method. It is link-independent, so no class
-	// load ever invalidates it: every uninstrumented frame of the method,
-	// interpreted or promoted, runs it on the block executor.
-	lowered *jit.Unit
+	// methodImage is what loading computed from the class content: the
+	// argument and result words, the decoded body, its dispatch metadata
+	// and its lowering. Every VM that loads the same class content shares
+	// the slices and the unit it points to (see classimage.go), so nothing
+	// writes through them; the fields around it are this VM's own.
+	methodImage
 
 	// superExec counts the instructions the method's interpreted frames'
 	// batches executed without an op of their own. The executing thread
@@ -483,14 +465,16 @@ func (v *VM) RegisterNative(class, name, desc string, fn NativeFunc) error {
 }
 
 // LoadClass links one class into the VM after running the ClassFileLoad
-// hook and the bytecode verifier.
+// hook and the bytecode verifier. A class whose content this process has
+// already loaded and verified reuses the stored verdict, decoded bodies,
+// dispatch metadata and lowering (see classimage.go).
 func (v *VM) LoadClass(def *classfile.Class) (*Class, error) {
 	if v.hooks.ClassFileLoad != nil {
 		if replaced := v.hooks.ClassFileLoad(def); replaced != nil {
 			def = replaced
 		}
 	}
-	bodies, err := bytecode.VerifyClassDecoded(def)
+	img, err := loadImage(def)
 	if err != nil {
 		return nil, err
 	}
@@ -510,17 +494,13 @@ func (v *VM) LoadClass(def *classfile.Class) (*Class, error) {
 			c.statics[f.Name] = &val
 		}
 	}
+	methods := make([]Method, len(def.Methods))
 	for i, md := range def.Methods {
-		m := &Method{Class: c, Def: md}
-		args, err := md.ArgWords()
-		if err != nil {
-			return nil, err
-		}
-		m.argWords = args
-		m.returns, _ = md.ReturnsValue()
-		if bodies[i] != nil {
-			m.instrs = bodies[i]
-			m.linkDispatch()
+		m := &methods[i]
+		m.Class, m.Def, m.methodImage = c, md, img[i]
+		if n := len(md.Refs); n > 0 && m.instrs != nil {
+			m.refMethods = make([]*Method, n)
+			m.refStatics = make([]*int64, n)
 		}
 		c.methods[md.Key()] = m
 	}
@@ -528,46 +508,6 @@ func (v *VM) LoadClass(def *classfile.Class) (*Class, error) {
 	v.classesLoaded++
 	v.relinkLocked(c)
 	return c, nil
-}
-
-// linkDispatch precomputes the interpreter's per-instruction dispatch
-// metadata — branch-target and exception-handler instruction indexes —
-// and lowers the method for the block executor. Missing branch or
-// handler offsets map to instruction 0, matching the historical
-// map-lookup behaviour; the verifier rejects such code before it reaches
-// the interpreter.
-func (m *Method) linkDispatch() {
-	ins := m.instrs
-	m.ops = make([]bytecode.Op, len(ins))
-	m.operands = make([]int32, len(ins))
-	m.handlerIdx = make([]int32, len(ins))
-	for i, in := range ins {
-		m.ops[i] = in.Op
-		switch info, _ := bytecode.Lookup(in.Op); {
-		case info.Branch:
-			tgt, _ := bytecode.IndexAt(ins, in.Operand)
-			m.operands[i] = int32(tgt)
-		case in.Op == bytecode.OpInc:
-			m.operands[i] = int32(in.Operand) | int32(in.Extra)<<16
-		case in.Operand >= 0:
-			m.operands[i] = int32(in.Operand)
-		}
-		m.handlerIdx[i] = -1
-		for _, h := range m.Def.Handlers {
-			if in.Offset >= int(h.StartPC) && in.Offset < int(h.EndPC) {
-				hi, _ := bytecode.IndexAt(ins, int(h.HandlerPC))
-				m.handlerIdx[i] = int32(hi)
-				break
-			}
-		}
-	}
-	if n := len(m.Def.Refs); n > 0 {
-		m.refMethods = make([]*Method, n)
-		m.refStatics = make([]*int64, n)
-	}
-	if u, err := jit.Lower(m.Def, ins); err == nil {
-		m.lowered = u
-	}
 }
 
 // relinkLocked fills call-site and static-slot caches after a class is
