@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/checkpoint/keytest"
 	"repro/internal/cli"
 	"repro/internal/faultinject"
 	"repro/internal/resultcache"
@@ -122,6 +123,12 @@ func TestUnwritableTraceExitsFatal(t *testing.T) {
 	}
 }
 
+// TestProfileKeyLeaves proves every leaf field of profileKey moves its
+// key.
+func TestProfileKeyLeaves(t *testing.T) {
+	keytest.CheckLeaves(t, profileKey{})
+}
+
 // TestProfileKeyPinned pins the jprof-rendered cell key of one scenario
 // under the default flags, so a refactor of the flag or cell path
 // cannot orphan existing caches.
@@ -147,7 +154,7 @@ func TestProfileKeyPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "7ec1ea31d6c873c9a24254ac1164d6d28bc286fefc21179b849dace5cf8a79d9"; key != want {
+	if want := "3577d30252345e294a00e789f7d0fe65c7d58fb6ab25370f614fce918f97cc34"; key != want {
 		t.Fatalf("cell key %s, want %s", key, want)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/checkpoint/keytest"
 	"repro/internal/cli"
 	"repro/internal/faultinject"
 	"repro/internal/resultcache"
@@ -271,6 +272,11 @@ func TestDumpNeverOpensCache(t *testing.T) {
 	}
 }
 
+// TestCellKeyLeaves proves every leaf field of cellKey moves its key.
+func TestCellKeyLeaves(t *testing.T) {
+	keytest.CheckLeaves(t, cellKey{})
+}
+
 // TestCellKeyPinned pins the jvmsim-rendered cell key of one scenario
 // under the default flags, so a refactor of the flag or cell path
 // cannot orphan existing caches.
@@ -296,7 +302,7 @@ func TestCellKeyPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "58c47fd764e97d4302c062d6e0633294fca8f0e0f5eeaf5be2c860c7a6f65167"; key != want {
+	if want := "f92938ffbbcaba1b1c36bcad313b7cab13789eabbec5e37e45ae375022b296c2"; key != want {
 		t.Fatalf("cell key %s, want %s", key, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/checkpoint/keytest"
 	"repro/internal/core"
 	"repro/internal/jit"
 	"repro/internal/scenarios"
@@ -136,8 +137,15 @@ func TestMeasurementPayloadContract(t *testing.T) {
 	}
 }
 
-// keyUnder is checkpoint.CellKey's derivation under an explicit payload
-// format: the hex sha256 of the format and the identity's JSON line.
+// TestCellIdentityLeaves proves every leaf field of CellIdentity moves
+// its key.
+func TestCellIdentityLeaves(t *testing.T) {
+	keytest.CheckLeaves(t, CellIdentity{})
+}
+
+// keyUnder is the key derivation of payload formats v4 and before under
+// an explicit format: the hex sha256 of the format and the identity's
+// JSON line.
 func keyUnder(t *testing.T, format string, id CellIdentity) string {
 	t.Helper()
 	h := sha256.New()
@@ -148,14 +156,14 @@ func keyUnder(t *testing.T, format string, id CellIdentity) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestLeanPayloadV3 pins the lean payload of format v3, which v4 keeps:
-// a jbb2005 IPA cell's payload carries the report totals but no
-// per-thread rows, the cell's key is checkpoint.CellKey of its
-// CellIdentity under "jvmsim-payload-v4", and a cache warmed with v2 and
-// v3 entries (keyed under "jvmsim-payload-v2" and "jvmsim-payload-v3",
-// their reports carrying per-thread rows) serves no hit and fails no
-// verify under -cache-verify 1: every cell misses, runs and is stored
-// anew.
+// TestLeanPayloadV3 pins the lean payload of format v3, which v4 and v5
+// keep: a jbb2005 IPA cell's payload carries the report totals but no
+// per-thread rows, and the cell's key is pinned. A cache warmed with v2
+// and v3 entries (keyed by the JSON derivation under
+// "jvmsim-payload-v2" and "jvmsim-payload-v3", their reports carrying
+// per-thread rows) and v4 entries (the same derivation under
+// "jvmsim-payload-v4", lean payloads) serves no hit and fails no verify
+// under -cache-verify 1: every cell misses, runs and is stored anew.
 func TestLeanPayloadV3(t *testing.T) {
 	var jbb scenarios.Scenario
 	paper, err := scenarios.Profile("paper")
@@ -186,8 +194,8 @@ func TestLeanPayloadV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := keyUnder(t, "jvmsim-payload-v4", cellIdentity(jbb, "ipa", cfg)); key != want {
-		t.Fatalf("cell key %s, want %s (CellKey of the CellIdentity under jvmsim-payload-v4)", key, want)
+	if want := "45fc361bf7c1f1d486852f6232d763a63c43bb96bd980f30b3e002d3b19e0e78"; key != want {
+		t.Fatalf("cell key %s, want %s", key, want)
 	}
 
 	dir := t.TempDir()
@@ -196,6 +204,13 @@ func TestLeanPayloadV3(t *testing.T) {
 	for _, agent := range agents {
 		old, err := MeasureScenario(context.Background(), jbb, agent, cfg)
 		if err != nil {
+			t.Fatal(err)
+		}
+		lean, err := checkpoint.CanonicalPayload(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cache.Put(keyUnder(t, "jvmsim-payload-v4", cellIdentity(jbb, agent, cfg)), lean); err != nil {
 			t.Fatal(err)
 		}
 		if old.Report != nil {
@@ -218,9 +233,9 @@ func TestLeanPayloadV3(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Failed > 0 {
-		t.Fatalf("%d cells failed over a v2/v3-warmed cache: %v", res.Failed, res.Rows)
+		t.Fatalf("%d cells failed over a v2/v3/v4-warmed cache: %v", res.Failed, res.Rows)
 	}
-	if s := cache.Stats(); s.Hits != 0 || s.Misses != 2 || s.Verified != 0 || s.Puts != 6 {
-		t.Fatalf("v2/v3-warmed cache: %+v, want 0 hits, 2 misses, 0 verified, 6 puts", s)
+	if s := cache.Stats(); s.Hits != 0 || s.Misses != 2 || s.Verified != 0 || s.Puts != 8 {
+		t.Fatalf("v2/v3/v4-warmed cache: %+v, want 0 hits, 2 misses, 0 verified, 8 puts", s)
 	}
 }

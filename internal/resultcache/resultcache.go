@@ -32,9 +32,9 @@
 // a crash — a corrupted cache costs re-execution, not correctness.
 //
 // Eviction is a size-capped LRU pass over entry mtimes (an rw-mode hit
-// touches its entry), run by Finish when a cap is configured. Failed
-// cells are never stored — Put is only reached with a complete,
-// successful payload.
+// touches an entry whose mtime is older than a minute), run by Finish
+// when a cap is configured. Failed cells are never stored — Put is only
+// reached with a complete, successful payload.
 package resultcache
 
 import (
@@ -68,6 +68,11 @@ const versionFile = "VERSION"
 // tempPrefix starts the name of every temp file Put writes in the cache
 // root.
 const tempPrefix = ".put-"
+
+// touchAfter is how stale an entry's mtime must be before an rw-mode hit
+// refreshes it: LRU recency is exact to this, and a warm rerun within it
+// writes no metadata. Linux's relatime applies the same rule to atime.
+const touchAfter = time.Minute
 
 // StrayGrace is how old a temp file in the cache root must be before
 // Evict sweeps it. A live Put holds its temp file for one write, fsync
@@ -188,6 +193,7 @@ func Open(dir string, mode Mode) (*Cache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("resultcache: mode %s needs a cache directory (set -cache-dir or JVMSIM_CACHE)", mode)
 	}
+	dir = filepath.Clean(dir)
 	if err := CheckLayout(dir); err != nil {
 		return nil, err
 	}
@@ -259,12 +265,14 @@ func (c *Cache) Mode() Mode {
 
 // entryPath shards an entry under its key's first two hex digits, the
 // fanout that keeps directory listings short at millions of entries.
+// Open cleaned the root, so one concatenation builds the path
+// filepath.Join would.
 func (c *Cache) entryPath(key string) string {
 	shard := "xx"
 	if len(key) >= 2 {
 		shard = key[:2]
 	}
-	return filepath.Join(c.dir, shard, key)
+	return c.dir + string(filepath.Separator) + shard + string(filepath.Separator) + key
 }
 
 // Get returns the stored canonical payload for key, validated as JSON;
@@ -283,15 +291,16 @@ func (c *Cache) Get(key string) (json.RawMessage, bool) {
 // re-indented), or a payload that does not decode into v — is a counted
 // miss: the cache never turns its own damage into a caller's crash. On a
 // miss v may have been partly written and must be discarded. An rw-mode
-// hit touches the entry's mtime so the LRU eviction pass sees recency,
-// not just insertion order; ro mode never writes, metadata included.
+// hit on an entry whose mtime is older than touchAfter touches it, so
+// the LRU eviction pass sees recency, not just insertion order; ro mode
+// never writes, metadata included.
 func (c *Cache) GetInto(key string, v any) (json.RawMessage, bool) {
 	if c == nil {
 		return nil, false
 	}
 	path := c.entryPath(key)
 	scratch := scratchPool.Get().(*[]byte)
-	data, err := readEntry(path, (*scratch)[:0])
+	data, mtime, err := readEntry(path, (*scratch)[:0])
 	var payload json.RawMessage // non-empty on a hit
 	if err == nil {
 		if p, ok := decodeEntry(data, key, v); ok {
@@ -306,8 +315,9 @@ func (c *Cache) GetInto(key string, v any) (json.RawMessage, bool) {
 		return c.miss()
 	}
 	if c.mode == ModeRW {
-		now := time.Now()
-		os.Chtimes(path, now, now) // best effort: LRU recency only
+		if now := time.Now(); now.Sub(mtime) >= touchAfter {
+			os.Chtimes(path, now, now) // best effort: LRU recency only
+		}
 	}
 	c.hits.Add(1)
 	c.tel.Count(telemetry.ProcessFamily, telemetry.MetricProcCacheHits, 1)
@@ -322,16 +332,18 @@ var scratchPool = sync.Pool{New: func() any {
 }}
 
 // readEntry appends the file at path to buf through a raw descriptor —
-// open, read until end of file, close — and returns the extended buffer.
-// Entries are a few hundred bytes, so the *os.File that os.ReadFile sets
-// up and tears down would cost more than the read itself. A directory or
-// any other unreadable path is an error.
-func readEntry(path string, buf []byte) ([]byte, error) {
+// open, fstat, read until end of file, close — and returns the extended
+// buffer and the file's mtime (zero where fdMtime cannot tell). Entries
+// are a few hundred bytes, so the *os.File that os.ReadFile sets up and
+// tears down would cost more than the read itself. A directory or any
+// other unreadable path is an error.
+func readEntry(path string, buf []byte) ([]byte, time.Time, error) {
 	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	if err != nil {
-		return buf, err
+		return buf, time.Time{}, err
 	}
 	defer syscall.Close(fd)
+	mtime := fdMtime(fd)
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -341,9 +353,9 @@ func readEntry(path string, buf []byte) ([]byte, error) {
 		case err == syscall.EINTR:
 			continue
 		case err != nil:
-			return buf, err
+			return buf, mtime, err
 		case n <= 0:
-			return buf, nil
+			return buf, mtime, nil
 		}
 		buf = buf[:len(buf)+n]
 	}
@@ -547,9 +559,9 @@ func (c *Cache) Strays() (int, error) {
 // Evict sweeps the temp files older than StrayGrace from the cache
 // root, then runs the size-capped LRU pass: while the summed entry size
 // exceeds MaxBytes, the least-recently-used entry (oldest mtime; an
-// rw-mode hit touches its entry) is deleted. No-op unless the mode is
-// rw; the LRU pass is skipped when MaxBytes is zero. Returns the number
-// of entries evicted.
+// rw-mode hit touches an entry older than touchAfter) is deleted. No-op
+// unless the mode is rw; the LRU pass is skipped when MaxBytes is zero.
+// Returns the number of entries evicted.
 func (c *Cache) Evict() (int, error) {
 	if c == nil || c.mode != ModeRW {
 		return 0, nil

@@ -221,8 +221,10 @@ func TestRawReadEdges(t *testing.T) {
 
 // TestWarmHitAllocation bounds what a warm hit on a ~500-byte entry
 // allocates: the exact payload copy, the decode into v, and the entry's
-// path (built once, converted for the open and, in rw mode, for the
-// touch) — never a read buffer per lookup.
+// path (built once, and converted for the open) — never a read buffer
+// per lookup. The entry was just written, so no hit here touches it: an
+// rw-mode hit converts the path again for the touch only when the
+// entry's mtime is older than touchAfter (TestHitTouchesStaleEntry).
 func TestWarmHitAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
@@ -284,9 +286,6 @@ func TestWarmHitAllocation(t *testing.T) {
 			}
 		})
 		paths := 2.0 // entryPath, and its conversion for the open
-		if mode == ModeRW {
-			paths++ // and for the touch
-		}
 		// Size classes round each allocation up by at most 1/8.
 		budget := decode + 1.125*(float64(len(payload))+paths*float64(len(c.entryPath(key))+1)) + 64
 		if hit > budget {
@@ -399,6 +398,43 @@ func TestROModeNeverWrites(t *testing.T) {
 	}
 	if _, err := os.Stat(absent); !os.IsNotExist(err) {
 		t.Fatal("ro mode created the cache directory")
+	}
+}
+
+// TestHitTouchesStaleEntry proves an rw-mode hit refreshes an entry's
+// mtime only when it is older than touchAfter: an entry last used an
+// hour ago moves to about now, one used ten seconds ago keeps its mtime.
+func TestHitTouchesStaleEntry(t *testing.T) {
+	c, err := Open(t.TempDir(), ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		age     time.Duration
+		touched bool
+	}{{time.Hour, true}, {10 * time.Second, false}} {
+		key := testKey(t, fmt.Sprintf("touch-%v", tc.age))
+		if err := c.Put(key, json.RawMessage(`1`)); err != nil {
+			t.Fatal(err)
+		}
+		then := time.Now().Add(-tc.age).Truncate(time.Second)
+		if err := os.Chtimes(c.entryPath(key), then, then); err != nil {
+			t.Fatal(err)
+		}
+		before := time.Now()
+		if _, ok := c.Get(key); !ok {
+			t.Fatal("miss on a present entry")
+		}
+		info, err := os.Stat(c.entryPath(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch mtime := info.ModTime(); {
+		case tc.touched && (mtime.Before(before.Add(-time.Second)) || mtime.After(time.Now().Add(time.Second))):
+			t.Errorf("a hit on an entry %v old left its mtime at %v, want about now", tc.age, mtime)
+		case !tc.touched && !mtime.Equal(then):
+			t.Errorf("a hit on an entry %v old moved its mtime from %v to %v", tc.age, then, mtime)
+		}
 	}
 }
 

@@ -150,8 +150,8 @@ func (s Scenario) Name() string { return s.Workload.Name }
 // two scenarios that share a name but differ in content (a re-edited
 // -scenario file, a registry change between releases) can never collide
 // in the result cache. Cell keys embed it next to the agent/options/scale
-// fragment; the JSON field names are part of the key derivation and must
-// stay stable.
+// fragment; its field names and kinds are part of the key derivation, so
+// renaming one moves every key.
 type Identity struct {
 	Scenario string             `json:"scenario"`
 	Workload workloads.Workload `json:"workload"`
