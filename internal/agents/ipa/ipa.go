@@ -220,48 +220,56 @@ func (a *Agent) OnLoad(env *jvmti.Env) error {
 	return a.interceptJNI(env)
 }
 
+// routines are the transition routines the runtime class declares as
+// "()V" natives, and routinesM the method-identified "(J)V" variants
+// that PerMethod wrappers call.
+var (
+	routines = [...]struct {
+		name string
+		fn   func(a *Agent, t *vm.Thread)
+	}{
+		{instrument.J2NBegin, (*Agent).j2nBegin},
+		{instrument.J2NEnd, (*Agent).j2nEnd},
+		{instrument.N2JBegin, (*Agent).n2jBegin},
+		{instrument.N2JEnd, (*Agent).n2jEnd},
+	}
+	routinesM = [...]struct {
+		name string
+		fn   func(a *Agent, t *vm.Thread, id int64)
+	}{
+		{instrument.J2NBeginM, (*Agent).j2nBeginM},
+		{instrument.J2NEndM, (*Agent).j2nEndM},
+	}
+)
+
 // loadRuntimeClass links the support class and registers the transition
-// routines as its native implementations.
+// routines as its native implementations. Each routine's own execution
+// cost advances the thread's counter (it perturbs measurements exactly
+// like the real agent's C code) but is attributed to profiling overhead
+// in the engine's ground truth, not to application native time.
 func (a *Agent) loadRuntimeClass(v *vm.VM) error {
 	if _, err := v.LoadClass(instrument.RuntimeClassDef(a.instrumentConfig())); err != nil {
 		return err
 	}
 	rt := a.cfg.RuntimeClass
-	regs := map[string]func(t *vm.Thread){
-		instrument.J2NBegin: a.j2nBegin,
-		instrument.J2NEnd:   a.j2nEnd,
-		"N2J_Begin":         a.n2jBegin,
-		"N2J_End":           a.n2jEnd,
-	}
-	for name, fn := range regs {
-		routine := fn
-		err := v.RegisterNative(rt, name, "()V", func(env vm.Env, args []int64) (int64, error) {
-			// The routine's own execution cost advances the thread's
-			// counter (it perturbs measurements exactly like the real
-			// agent's C code) but is attributed to profiling overhead in
-			// the engine's ground truth, not to application native time.
+	for _, r := range routines {
+		err := v.RegisterNative(rt, r.name, "()V", func(env vm.Env, args []int64) (int64, error) {
 			env.Thread().AdvanceCycles(a.cfg.WrapperCost)
-			routine(env.Thread())
+			r.fn(a, env.Thread())
 			return 0, nil
 		})
 		if err != nil {
-			return fmt.Errorf("ipa: registering %s: %w", name, err)
+			return fmt.Errorf("ipa: registering %s: %w", r.name, err)
 		}
 	}
-	// Method-identified variants, used by PerMethod wrappers.
-	regsM := map[string]func(t *vm.Thread, id int64){
-		instrument.J2NBeginM: a.j2nBeginM,
-		instrument.J2NEndM:   a.j2nEndM,
-	}
-	for name, fn := range regsM {
-		routine := fn
-		err := v.RegisterNative(rt, name, "(J)V", func(env vm.Env, args []int64) (int64, error) {
+	for _, r := range routinesM {
+		err := v.RegisterNative(rt, r.name, "(J)V", func(env vm.Env, args []int64) (int64, error) {
 			env.Thread().AdvanceCycles(a.cfg.WrapperCost)
-			routine(env.Thread(), args[0])
+			r.fn(a, env.Thread(), args[0])
 			return 0, nil
 		})
 		if err != nil {
-			return fmt.Errorf("ipa: registering %s: %w", name, err)
+			return fmt.Errorf("ipa: registering %s: %w", r.name, err)
 		}
 	}
 	return nil
@@ -269,31 +277,28 @@ func (a *Agent) loadRuntimeClass(v *vm.VM) error {
 
 // interceptJNI wraps all 90 JNI method-invocation functions (Section IV).
 func (a *Agent) interceptJNI(env *jvmti.Env) error {
-	orig, err := env.GetJNIFunctionTable()
+	table, err := env.GetJNIFunctionTable()
 	if err != nil {
 		return err
 	}
-	entries := make(map[string]jni.Func, len(orig))
-	for _, name := range jni.FunctionNames() {
-		o, ok := orig[name]
-		if !ok {
-			return fmt.Errorf("ipa: function table misses %s", name)
+	for i, orig := range table {
+		if orig == nil {
+			return fmt.Errorf("ipa: function table misses %s", jni.FunctionNames()[i])
 		}
-		oo := o
 		// N2J_Begin, the call and N2J_End on one thread context.
-		entries[name] = func(jenv *jni.Env, call *jni.Call) (int64, error) {
+		table[i] = func(jenv *jni.Env, call *jni.Call) (int64, error) {
 			t := jenv.Thread()
 			t.AdvanceCycles(a.cfg.WrapperCost)
 			tc := a.getContext(t)
 			a.closeNativeInterval(t, tc)
 			tc.jniCalls++
-			r, err := oo(jenv, call)
+			r, err := orig(jenv, call)
 			t.AdvanceCycles(a.cfg.WrapperCost)
 			a.closeBytecodeInterval(t, tc)
 			return r, err
 		}
 	}
-	return env.SetJNIFunctionTable(entries)
+	return env.SetJNIFunctionTable(table)
 }
 
 // getContext allocates the thread context on demand; the bootstrapping

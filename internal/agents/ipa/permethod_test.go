@@ -1,11 +1,14 @@
 package ipa
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
 	"repro/internal/core"
+	"repro/internal/instrument"
 	"repro/internal/vm"
 )
 
@@ -230,5 +233,57 @@ func TestPerMethodAggregateStatsStillCorrect(t *testing.T) {
 	diff := fp - fm
 	if diff < -0.02 || diff > 0.02 {
 		t.Fatalf("fractions diverge: plain %.4f permethod %.4f", fp, fm)
+	}
+}
+
+// TestPerMethodNeverServedFromStore: after plain agents have stored the
+// registry-free rewrite of a program, a PerMethod agent still rewrites
+// it afresh — its wrappers call the method-identified signals with ids
+// from its own registry, which match those of a second, fresh PerMethod
+// agent — and its run attributes every native call.
+func TestPerMethodNeverServedFromStore(t *testing.T) {
+	prog := twoNativesProgram(t)
+	plain, err := New().PrepareClasses(prog.Classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := New().PrepareClasses(prog.Classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain[0] != again[0] {
+		t.Fatal("two plain agents got two rewrites: the store is not in play")
+	}
+	var names [][]string
+	for i := 0; i < 2; i++ {
+		agent := NewWithConfig(Config{Compensate: true, PerMethod: true})
+		out, err := agent.PrepareClasses(prog.Classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[0] == plain[0] {
+			t.Fatalf("agent %d: the PerMethod agent was served the stored plain rewrite", i)
+		}
+		text, err := bytecode.Disassemble(out[0].Method("cheap", "()V"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(text, instrument.J2NBeginM) {
+			t.Fatalf("agent %d: the wrapper does not call %s:\n%s", i, instrument.J2NBeginM, text)
+		}
+		names = append(names, agent.registry.Names())
+		if _, err := core.Run(prog, agent, vm.DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		// The wrappers' ids resolve through this agent's registry to
+		// the methods that made the calls.
+		times := agent.MethodTimes()
+		if len(times) != 2 || times[0].Name != "pm/Main.dear()V" || times[0].Calls != 5 ||
+			times[1].Name != "pm/Main.cheap()V" || times[1].Calls != 30 {
+			t.Fatalf("agent %d: method rows %+v, want dear x5 and cheap x30", i, times)
+		}
+	}
+	if !reflect.DeepEqual(names[0], names[1]) || len(names[0]) != 2 {
+		t.Fatalf("registry names %v and %v, want the same two", names[0], names[1])
 	}
 }

@@ -280,9 +280,12 @@ func MeasureScenario(ctx context.Context, sc scenarios.Scenario, agentName strin
 	// determinism makes them simulation-invisible, but they drive the
 	// execution tier through its whole promotion pipeline and warm the
 	// host before the measured repetitions start. Every repetition builds
-	// a fresh VM, which loads the cell's classes again; after the first,
-	// those loads reuse the class images the first one stored instead of
-	// verifying and lowering again (see vm.LoadClass).
+	// a fresh program (with fresh native-library state), agent and VM.
+	// What they derive from content alone is made once per process and
+	// shared read-only: the program's class (workloads.BuildWorkload),
+	// IPA's verified rewrite of it (instrument.Class) and each class's
+	// verdict, decode and lowering (vm.LoadClass). After the first cell
+	// on the same content, a repetition allocates only what it owns.
 	for i := 0; i < cfg.Warmup+cfg.Runs; i++ {
 		warmup := i < cfg.Warmup
 		// The repetition span is pure host-side observability: rctx only

@@ -12,9 +12,11 @@
 package instrument
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 
+	"repro/internal/bounded"
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
 )
@@ -34,6 +36,8 @@ const DefaultRuntimeClass = "repro/ipa/Runtime"
 const (
 	J2NBegin = "J2N_Begin"
 	J2NEnd   = "J2N_End"
+	N2JBegin = "N2J_Begin"
+	N2JEnd   = "N2J_End"
 )
 
 // Config parameterizes the instrumenter.
@@ -76,21 +80,74 @@ type Stats struct {
 	Skipped int
 }
 
-// Class instruments a single class, returning a rewritten copy (the input
-// is never mutated) and the number of wrapped methods. Classes without
-// native methods, the runtime class itself, and classes that already carry
-// prefixed methods are returned unchanged.
+// Class instruments a single class, returning a rewritten class (the
+// input is never mutated) and the number of wrapped methods. Classes
+// without native methods, the runtime class itself, and classes that
+// already carry prefixed methods are returned unchanged. A rewrite that
+// fails bytecode.VerifyClass is an error.
+//
+// Without a method registry the rewrite is a pure function of the
+// prefix, the runtime class and the class content, so, like the paper's
+// rewritten rt.jar, it is made once: the process keeps every verified
+// rewrite (see rewrites) and returns the same class for every later call
+// on equal input. The result may therefore be shared, and no caller may
+// write it. Per-method wrappers embed ids from cfg.Methods, so with a
+// registry every call rewrites afresh.
 func Class(c *classfile.Class, cfg Config) (*classfile.Class, int, error) {
 	cfg = cfg.withDefaults()
-	if c.Name == cfg.RuntimeClass {
+	if c.Name == cfg.RuntimeClass || !c.HasNativeMethod() || alreadyInstrumented(c, cfg.Prefix) {
 		return c, 0, nil
 	}
-	if !c.HasNativeMethod() {
-		return c, 0, nil
+	if cfg.Methods != nil {
+		return rewriteClass(c, cfg)
 	}
-	if alreadyInstrumented(c, cfg.Prefix) {
-		return c, 0, nil
+	buf := bounded.KeyBuf()
+	defer bounded.PutKeyBuf(buf)
+	key, keyed := rewriteKey(*buf, c, cfg)
+	*buf = key
+	if keyed {
+		if r, ok := rewrites.Get(key); ok {
+			return r.class, r.wrapped, nil
+		}
 	}
+	out, wrapped, err := rewriteClass(c, cfg)
+	if err == nil && keyed {
+		rewrites.Put(key, rewrite{out, wrapped})
+	}
+	return out, wrapped, err
+}
+
+// rewriteMax bounds the rewrite store. The paper grid stores 11
+// rewrites and the all-family campaign 15; a rewrite retains about
+// 2.2 KB with its key, the input's encoding.
+const rewriteMax = 64
+
+// rewrite is a stored static rewrite: a class that passed
+// bytecode.VerifyClass, and the number of methods it wraps.
+type rewrite struct {
+	class   *classfile.Class
+	wrapped int
+}
+
+// rewrites holds the verified registry-free rewrite of each distinct
+// input, keyed by rewriteKey.
+var rewrites = bounded.New[rewrite](rewriteMax)
+
+// rewriteKey appends the store key of c's rewrite under cfg to dst: the
+// length-prefixed prefix and runtime class, then c's classfile encoding.
+// ok is false when c cannot be encoded, and so cannot be stored.
+func rewriteKey(dst []byte, c *classfile.Class, cfg Config) (key []byte, ok bool) {
+	for _, s := range [...]string{cfg.Prefix, cfg.RuntimeClass} {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
+	}
+	key, err := classfile.AppendClass(dst, c)
+	return key, err == nil
+}
+
+// rewriteClass wraps every native method of a copy of c and verifies
+// the copy.
+func rewriteClass(c *classfile.Class, cfg Config) (*classfile.Class, int, error) {
 	out := c.Clone()
 	var wrapped int
 	var newMethods []*classfile.Method
@@ -206,7 +263,7 @@ func WrapNativeMethod(className, origName string, renamed *classfile.Method, cfg
 }
 
 // Classes instruments a set of classes in place of a class path, returning
-// rewritten copies and aggregate statistics.
+// each class's result from Class and aggregate statistics.
 func Classes(classes []*classfile.Class, cfg Config) ([]*classfile.Class, Stats, error) {
 	cfg = cfg.withDefaults()
 	var out []*classfile.Class
@@ -252,19 +309,33 @@ func Archive(r io.Reader, w io.Writer, cfg Config) (Stats, error) {
 // declares the four corresponding static methods as native"). N2J signals
 // are invoked from the C-side JNI wrappers in the real system; they are
 // declared here for completeness and for the mixed-call-chain extension.
+// Under the default runtime class name every call returns the same
+// class, built once, so no caller may write it.
 func RuntimeClassDef(cfg Config) *classfile.Class {
 	cfg = cfg.withDefaults()
+	if cfg.RuntimeClass == DefaultRuntimeClass {
+		return defaultRuntimeClass
+	}
+	return runtimeClassDef(cfg.RuntimeClass)
+}
+
+// defaultRuntimeClass is the runtime class every IPA agent with the
+// default configuration loads.
+var defaultRuntimeClass = runtimeClassDef(DefaultRuntimeClass)
+
+// runtimeClassDef builds the runtime support class under name.
+func runtimeClassDef(name string) *classfile.Class {
 	natFlags := classfile.AccPublic | classfile.AccStatic | classfile.AccNative
 	return &classfile.Class{
-		Name:       cfg.RuntimeClass,
+		Name:       name,
 		SourceFile: "Runtime.java",
 		Methods: []*classfile.Method{
 			{Name: J2NBegin, Desc: "()V", Flags: natFlags},
 			{Name: J2NEnd, Desc: "()V", Flags: natFlags},
 			{Name: J2NBeginM, Desc: "(J)V", Flags: natFlags},
 			{Name: J2NEndM, Desc: "(J)V", Flags: natFlags},
-			{Name: "N2J_Begin", Desc: "()V", Flags: natFlags},
-			{Name: "N2J_End", Desc: "()V", Flags: natFlags},
+			{Name: N2JBegin, Desc: "()V", Flags: natFlags},
+			{Name: N2JEnd, Desc: "()V", Flags: natFlags},
 		},
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // nativeClass builds a class with one bytecode method and two native
 // methods (one static, one instance, one returning a value).
-func nativeClass(t *testing.T) *classfile.Class {
+func nativeClass(t testing.TB) *classfile.Class {
 	t.Helper()
 	a := bytecode.NewAssembler()
 	a.Return()

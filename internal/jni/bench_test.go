@@ -24,15 +24,13 @@ func benchEnv(b *testing.B, intercepted bool) *Env {
 	}
 	j := Attach(v)
 	if intercepted {
-		orig := j.Table().Snapshot()
-		entries := make(map[string]Func, len(orig))
-		for name, o := range orig {
-			oo := o
-			entries[name] = func(env *Env, call *Call) (int64, error) {
-				return oo(env, call)
+		table := j.Table().Snapshot()
+		for i, orig := range table {
+			table[i] = func(env *Env, call *Call) (int64, error) {
+				return orig(env, call)
 			}
 		}
-		if err := j.Table().Replace(entries); err != nil {
+		if err := j.Table().Replace(table); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,7 +14,6 @@ package jni
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/vm"
@@ -77,9 +76,16 @@ var funcIndex = func() map[string]int {
 }()
 
 // FunctionNames returns the names of all 90 JNI method-invocation
-// functions, in deterministic order.
+// functions, in deterministic order: the order of a Functions table.
 func FunctionNames() []string {
 	return append([]string(nil), names[:]...)
+}
+
+// FunctionIndex returns the index of the named function in
+// FunctionNames and in a Functions table.
+func FunctionIndex(name string) (int, bool) {
+	i, ok := funcIndex[name]
+	return i, ok
 }
 
 // Call carries the arguments of one JNI method-invocation function call.
@@ -107,14 +113,18 @@ type Call struct {
 // upcall, so a Func must copy whatever it wants to keep.
 type Func func(env *Env, call *Call) (int64, error)
 
+// Functions is the content of a JNI function table, indexed like
+// FunctionNames: the analogue of the JNINativeInterface structure that
+// JVMTI's GetJNIFunctionTable and SetJNIFunctionTable exchange.
+type Functions [numFunctions]Func
+
 // Table is the JNI function table. JVMTI's JNI-function-interception
-// feature swaps entries. The table is copy-on-write: dispatch is a single
-// atomic pointer load plus an index into an immutable array — no lock on
-// the N2J hot path — while Replace builds a fresh array under a mutex and
-// publishes it atomically.
+// feature swaps its content. The table is copy-on-write: dispatch is a
+// single atomic pointer load plus an index into an immutable array — no
+// lock on the N2J hot path — while Replace publishes a fresh array
+// atomically.
 type Table struct {
-	mu    sync.Mutex // serializes writers (Replace)
-	funcs atomic.Pointer[[numFunctions]Func]
+	funcs atomic.Pointer[Functions]
 }
 
 // Get returns the current entry for name.
@@ -128,33 +138,17 @@ func (t *Table) Get(name string) (Func, bool) {
 
 // Snapshot returns a copy of the table contents, the analogue of JVMTI's
 // GetJNIFunctionTable.
-func (t *Table) Snapshot() map[string]Func {
-	cur := t.funcs.Load()
-	out := make(map[string]Func, numFunctions)
-	for i, f := range cur {
-		out[names[i]] = f
-	}
-	return out
-}
+func (t *Table) Snapshot() Functions { return *t.funcs.Load() }
 
-// Replace installs new entries for the given names, the analogue of
-// SetJNIFunctionTable. Unknown function names are rejected.
-func (t *Table) Replace(entries map[string]Func) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for name := range entries {
-		if _, ok := funcIndex[name]; !ok {
-			return fmt.Errorf("jni: unknown function %q", name)
-		}
-	}
-	next := *t.funcs.Load()
-	for name, f := range entries {
+// Replace installs funcs as the table's content, the analogue of
+// SetJNIFunctionTable. Every entry must be set.
+func (t *Table) Replace(funcs Functions) error {
+	for i, f := range funcs {
 		if f == nil {
-			return fmt.Errorf("jni: nil entry for %q", name)
+			return fmt.Errorf("jni: nil entry for %q", names[i])
 		}
-		next[funcIndex[name]] = f
 	}
-	t.funcs.Store(&next)
+	t.funcs.Store(&funcs)
 	return nil
 }
 
@@ -170,9 +164,9 @@ type JNI struct {
 
 // defaultFuncs is the default function table every VM starts from. It
 // is built once per process and shared: the table is copy-on-write, so
-// Replace copies it and never writes the shared array.
-var defaultFuncs = func() *[numFunctions]Func {
-	funcs := new([numFunctions]Func)
+// Replace installs a copy and never writes the shared array.
+var defaultFuncs = func() *Functions {
+	funcs := new(Functions)
 	for i, name := range names {
 		funcs[i] = defaultImpl(name)
 	}

@@ -164,18 +164,16 @@ func TestCallByNameUnknownFunction(t *testing.T) {
 func TestTableInterception(t *testing.T) {
 	v, j := buildTestVM(t)
 	var began, ended int
-	orig := j.Table().Snapshot()
-	entries := make(map[string]Func)
-	for _, name := range FunctionNames() {
-		o := orig[name]
-		entries[name] = func(env *Env, call *Call) (int64, error) {
+	table := j.Table().Snapshot()
+	for i, orig := range table {
+		table[i] = func(env *Env, call *Call) (int64, error) {
 			began++
-			r, err := o(env, call)
+			r, err := orig(env, call)
 			ended++
 			return r, err
 		}
 	}
-	if err := j.Table().Replace(entries); err != nil {
+	if err := j.Table().Replace(table); err != nil {
 		t.Fatal(err)
 	}
 	th := v.NewDetachedThread("t")
@@ -197,12 +195,15 @@ func TestDefaultTableShared(t *testing.T) {
 	if j1.Table().funcs.Load() != defaultFuncs || j2.Table().funcs.Load() != defaultFuncs {
 		t.Fatal("a fresh VM does not start from the shared default table")
 	}
-	want := defaultFuncs[funcIndex["CallStaticIntMethodA"]]
+	i, _ := FunctionIndex("CallStaticIntMethodA")
+	want := defaultFuncs[i]
 	var wrapped int
-	if err := j1.Table().Replace(map[string]Func{"CallStaticIntMethodA": func(env *Env, call *Call) (int64, error) {
+	table := j1.Table().Snapshot()
+	table[i] = func(env *Env, call *Call) (int64, error) {
 		wrapped++
 		return want(env, call)
-	}}); err != nil {
+	}
+	if err := j1.Table().Replace(table); err != nil {
 		t.Fatal(err)
 	}
 	if j1.Table().funcs.Load() == defaultFuncs || j2.Table().funcs.Load() != defaultFuncs {
@@ -219,9 +220,12 @@ func TestDefaultTableShared(t *testing.T) {
 // through CallByName to a function of another return type is checked.
 func TestCallByNameChecksUpcallRecord(t *testing.T) {
 	v, j := buildTestVM(t)
-	if err := j.Table().Replace(map[string]Func{"CallStaticIntMethodA": func(env *Env, call *Call) (int64, error) {
+	i, _ := FunctionIndex("CallStaticIntMethodA")
+	table := j.Table().Snapshot()
+	table[i] = func(env *Env, call *Call) (int64, error) {
 		return env.CallByName("CallStaticLongMethodA", call)
-	}}); err != nil {
+	}
+	if err := j.Table().Replace(table); err != nil {
 		t.Fatal(err)
 	}
 	env := v.NewDetachedThread("t").Env().(*Env)
@@ -230,13 +234,28 @@ func TestCallByNameChecksUpcallRecord(t *testing.T) {
 	}
 }
 
+// TestTableReplaceRejectsUnknownOrNil: a name outside the 90 has no
+// index, and a table with an unset entry is refused whole, leaving the
+// installed table in place.
 func TestTableReplaceRejectsUnknownOrNil(t *testing.T) {
 	_, j := buildTestVM(t)
-	if err := j.Table().Replace(map[string]Func{"Nope": nil}); err == nil {
-		t.Fatal("unknown name accepted")
+	if _, ok := FunctionIndex("Nope"); ok {
+		t.Fatal("unknown name has an index")
 	}
-	if err := j.Table().Replace(map[string]Func{"CallIntMethodA": nil}); err == nil {
-		t.Fatal("nil entry accepted")
+	if _, ok := j.Table().Get("Nope"); ok {
+		t.Fatal("unknown name has an entry")
+	}
+	i, ok := FunctionIndex("CallIntMethodA")
+	if !ok || FunctionNames()[i] != "CallIntMethodA" {
+		t.Fatalf("CallIntMethodA has index %d (%v)", i, ok)
+	}
+	table := j.Table().Snapshot()
+	table[i] = nil
+	if err := j.Table().Replace(table); err == nil || !strings.Contains(err.Error(), "CallIntMethodA") {
+		t.Fatalf("nil entry: err = %v, want one naming CallIntMethodA", err)
+	}
+	if j.Table().funcs.Load() != defaultFuncs {
+		t.Fatal("a refused table was installed")
 	}
 }
 

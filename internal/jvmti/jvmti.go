@@ -321,22 +321,23 @@ func (e *Env) SetNativeMethodPrefix(prefix string) error {
 	return e.vm.SetNativeMethodPrefix(prefix)
 }
 
-// GetJNIFunctionTable returns a snapshot of the JNI function table, for
-// building interception wrappers around the original entries.
-func (e *Env) GetJNIFunctionTable() (map[string]jni.Func, error) {
+// GetJNIFunctionTable returns a copy of the JNI function table, indexed
+// like jni.FunctionNames, for building interception wrappers around the
+// original entries.
+func (e *Env) GetJNIFunctionTable() (jni.Functions, error) {
 	if e.jni == nil {
-		return nil, errors.New("jvmti: no JNI layer attached")
+		return jni.Functions{}, errors.New("jvmti: no JNI layer attached")
 	}
 	return e.jni.Table().Snapshot(), nil
 }
 
-// SetJNIFunctionTable installs replacement entries, the JNI function
-// interception feature of Section II-B-d.
-func (e *Env) SetJNIFunctionTable(entries map[string]jni.Func) error {
+// SetJNIFunctionTable installs a whole replacement table, the JNI
+// function interception feature of Section II-B-d.
+func (e *Env) SetJNIFunctionTable(funcs jni.Functions) error {
 	if e.jni == nil {
 		return errors.New("jvmti: no JNI layer attached")
 	}
-	return e.jni.Table().Replace(entries)
+	return e.jni.Table().Replace(funcs)
 }
 
 // SetThreadLocalStorage associates data with a thread, the analogue of the

@@ -235,23 +235,24 @@ func TestNativeMethodPrefixCapability(t *testing.T) {
 
 func TestJNIFunctionTableRoundTrip(t *testing.T) {
 	v, j, e := newTestVM(t)
-	orig, err := e.GetJNIFunctionTable()
+	table, err := e.GetJNIFunctionTable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(orig) != 90 {
-		t.Fatalf("table has %d entries, want 90", len(orig))
+	if len(table) != 90 {
+		t.Fatalf("table has %d entries, want 90", len(table))
 	}
 	var intercepted int
-	entries := make(map[string]jni.Func)
-	for name, o := range orig {
-		oo := o
-		entries[name] = func(env *jni.Env, call *jni.Call) (int64, error) {
+	for i, orig := range table {
+		if orig == nil {
+			t.Fatalf("entry %d (%s) unset", i, jni.FunctionNames()[i])
+		}
+		table[i] = func(env *jni.Env, call *jni.Call) (int64, error) {
 			intercepted++
-			return oo(env, call)
+			return orig(env, call)
 		}
 	}
-	if err := e.SetJNIFunctionTable(entries); err != nil {
+	if err := e.SetJNIFunctionTable(table); err != nil {
 		t.Fatal(err)
 	}
 	// Route a JNI call and observe the wrapper.
@@ -272,7 +273,7 @@ func TestJNITableWithoutJNILayer(t *testing.T) {
 	if _, err := e.GetJNIFunctionTable(); err == nil {
 		t.Fatal("expected error without JNI layer")
 	}
-	if err := e.SetJNIFunctionTable(nil); err == nil {
+	if err := e.SetJNIFunctionTable(jni.Functions{}); err == nil {
 		t.Fatal("expected error without JNI layer")
 	}
 }

@@ -300,7 +300,7 @@ func (c *Cache) GetInto(key string, v any) (json.RawMessage, bool) {
 	}
 	path := c.entryPath(key)
 	scratch := scratchPool.Get().(*[]byte)
-	data, mtime, err := readEntry(path, (*scratch)[:0])
+	data, mtime, err := readEntry(path, (*scratch)[:0], c.mode == ModeRW)
 	var payload json.RawMessage // non-empty on a hit
 	if err == nil {
 		if p, ok := decodeEntry(data, key, v); ok {
@@ -332,18 +332,22 @@ var scratchPool = sync.Pool{New: func() any {
 }}
 
 // readEntry appends the file at path to buf through a raw descriptor —
-// open, fstat, read until end of file, close — and returns the extended
-// buffer and the file's mtime (zero where fdMtime cannot tell). Entries
-// are a few hundred bytes, so the *os.File that os.ReadFile sets up and
-// tears down would cost more than the read itself. A directory or any
-// other unreadable path is an error.
-func readEntry(path string, buf []byte) ([]byte, time.Time, error) {
+// open, read until end of file, close — and returns the extended buffer.
+// With stat set it also fstats the descriptor and returns the file's
+// mtime (zero where fdMtime cannot tell); only an rw-mode hit uses it.
+// Entries are a few hundred bytes, so the *os.File that os.ReadFile sets
+// up and tears down would cost more than the read itself. A directory or
+// any other unreadable path is an error.
+func readEntry(path string, buf []byte, stat bool) ([]byte, time.Time, error) {
 	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	if err != nil {
 		return buf, time.Time{}, err
 	}
 	defer syscall.Close(fd)
-	mtime := fdMtime(fd)
+	var mtime time.Time
+	if stat {
+		mtime = fdMtime(fd)
+	}
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]

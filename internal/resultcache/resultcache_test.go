@@ -219,6 +219,31 @@ func TestRawReadEdges(t *testing.T) {
 	}
 }
 
+// TestReadEntryStatsOnlyWhenAsked: readEntry returns the same bytes
+// either way, and an mtime only when asked for one, which GetInto does
+// in rw mode alone — on Linux, where fdMtime can tell, it is the file's.
+func TestReadEntryStatsOnlyWhenAsked(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "entry")
+	then := time.Date(2001, 2, 3, 4, 5, 6, 0, time.UTC)
+	if err := os.WriteFile(path, []byte("payload"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, then, then); err != nil {
+		t.Fatal(err)
+	}
+	data, mtime, err := readEntry(path, nil, false)
+	if err != nil || string(data) != "payload" || !mtime.IsZero() {
+		t.Fatalf("unstatted read = %q, %v, %v; want the bytes and a zero mtime", data, mtime, err)
+	}
+	data, mtime, err = readEntry(path, nil, true)
+	if err != nil || string(data) != "payload" {
+		t.Fatalf("statted read = %q, %v", data, err)
+	}
+	if runtime.GOOS == "linux" && !mtime.Equal(then) {
+		t.Fatalf("statted read: mtime %v, want %v", mtime, then)
+	}
+}
+
 // TestWarmHitAllocation bounds what a warm hit on a ~500-byte entry
 // allocates: the exact payload copy, the decode into v, and the entry's
 // path (built once, and converted for the open) — never a read buffer
@@ -371,6 +396,13 @@ func TestROModeNeverWrites(t *testing.T) {
 	}
 	if !info.ModTime().Equal(past) {
 		t.Fatalf("ro hit moved the entry's mtime from %v to %v", past, info.ModTime())
+	}
+	// The entry is stale enough to touch: an rw-mode hit on it does.
+	if _, ok := rw.Get(key); !ok {
+		t.Fatal("rw mode missed an existing entry")
+	}
+	if info, err := os.Stat(rw.entryPath(key)); err != nil || time.Since(info.ModTime()) > time.Minute {
+		t.Fatalf("rw hit after the ro hit left the mtime at %v (%v), want about now", info.ModTime(), err)
 	}
 	if err := ro.Put(testKey(t, "ro-new"), json.RawMessage(`2`)); err != nil {
 		t.Fatal(err)

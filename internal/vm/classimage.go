@@ -1,8 +1,7 @@
 package vm
 
 import (
-	"sync"
-
+	"repro/internal/bounded"
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
 	"repro/internal/jit"
@@ -53,13 +52,7 @@ type methodImage struct {
 }
 
 // images is the process-wide store, keyed by classImageKey.
-var images = struct {
-	mu sync.Mutex
-	m  map[string][]methodImage
-}{m: make(map[string][]methodImage)}
-
-// keyBufs recycles the buffers classImageKey encodes into.
-var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+var images = bounded.New[[]methodImage](classImageMax)
 
 // classImageKey appends def's key to dst: the armed jit test defect,
 // which the lowering depends on, then def's classfile encoding. ok is
@@ -75,15 +68,12 @@ func classImageKey(dst []byte, def *classfile.Class, defect string) (key []byte,
 // the stored image of the same content, or a fresh one, which it stores.
 func loadImage(def *classfile.Class) ([]methodImage, error) {
 	defect := jit.ArmedTestDefect()
-	buf := keyBufs.Get().(*[]byte)
-	defer keyBufs.Put(buf)
-	key, keyed := classImageKey((*buf)[:0], def, defect)
+	buf := bounded.KeyBuf()
+	defer bounded.PutKeyBuf(buf)
+	key, keyed := classImageKey(*buf, def, defect)
 	*buf = key
 	if keyed {
-		images.mu.Lock()
-		img, hit := images.m[string(key)]
-		images.mu.Unlock()
-		if hit {
+		if img, hit := images.Get(key); hit {
 			return img, nil
 		}
 	}
@@ -94,12 +84,7 @@ func loadImage(def *classfile.Class) ([]methodImage, error) {
 	// A defect armed or disarmed while the class lowered leaves the
 	// lowering's defect unknown: do not store it.
 	if keyed && jit.ArmedTestDefect() == defect {
-		images.mu.Lock()
-		if len(images.m) >= classImageMax {
-			clear(images.m)
-		}
-		images.m[string(key)] = img
-		images.mu.Unlock()
+		images.Put(key, img)
 	}
 	return img, nil
 }

@@ -37,9 +37,7 @@ func imageStored(def *classfile.Class) bool {
 	if !ok {
 		return false
 	}
-	images.mu.Lock()
-	defer images.mu.Unlock()
-	_, hit := images.m[string(key)]
+	_, hit := images.Get(key)
 	return hit
 }
 
@@ -162,10 +160,7 @@ func TestClassImageBound(t *testing.T) {
 		if _, err := v.LoadClass(def); err != nil {
 			t.Fatal(err)
 		}
-		images.mu.Lock()
-		n := len(images.m)
-		images.mu.Unlock()
-		if n > classImageMax {
+		if n := images.Len(); n > classImageMax {
 			t.Fatalf("after %d loads the store holds %d images, bound %d", i+1, n, classImageMax)
 		}
 		if !imageStored(def) {

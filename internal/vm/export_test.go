@@ -23,21 +23,13 @@ var (
 )
 
 // ClearImages empties the class image store.
-func ClearImages() {
-	images.mu.Lock()
-	defer images.mu.Unlock()
-	clear(images.m)
-}
+func ClearImages() { images.Clear() }
 
 // ImageDigests returns a digest of the content of every stored class
 // image, by key.
 func ImageDigests() map[string][32]byte {
-	images.mu.Lock()
-	defer images.mu.Unlock()
-	out := make(map[string][32]byte, len(images.m))
-	for k, img := range images.m {
-		out[k] = imageDigest(img)
-	}
+	out := make(map[string][32]byte)
+	images.Range(func(k string, img []methodImage) { out[k] = imageDigest(img) })
 	return out
 }
 
@@ -45,42 +37,43 @@ func ImageDigests() map[string][32]byte {
 // against a fresh build of its key's class, and names the classes whose
 // stored image differs.
 func StaleImages() ([]string, error) {
-	images.mu.Lock()
-	defer images.mu.Unlock()
 	var stale []string
-	for k, img := range images.m {
-		if k[0] != 0 {
-			continue
+	var err error
+	images.Range(func(k string, img []methodImage) {
+		if k[0] != 0 || err != nil {
+			return
 		}
-		def, err := classfile.ReadClass(bytes.NewReader([]byte(k[1:])))
-		if err != nil {
-			return nil, err
+		def, rerr := classfile.ReadClass(bytes.NewReader([]byte(k[1:])))
+		if rerr != nil {
+			err = rerr
+			return
 		}
-		fresh, err := buildImage(def)
-		if err != nil {
-			return nil, fmt.Errorf("rebuilding %s: %w", def.Name, err)
+		fresh, berr := buildImage(def)
+		if berr != nil {
+			err = fmt.Errorf("rebuilding %s: %w", def.Name, berr)
+			return
 		}
 		if imageDigest(img) != imageDigest(fresh) {
 			stale = append(stale, def.Name)
 		}
-	}
+	})
 	sort.Strings(stale)
-	return stale, nil
+	return stale, err
 }
 
 // PlantImageWrite writes into the lowering of one stored image, as a VM
 // that wrote a shared jit.Unit would, and returns the function that
 // undoes the write. ok is false when no stored image has a lowered block.
 func PlantImageWrite() (undo func(), ok bool) {
-	images.mu.Lock()
-	defer images.mu.Unlock()
-	keys := make([]string, 0, len(images.m))
-	for k := range images.m {
+	stored := map[string][]methodImage{}
+	images.Range(func(k string, img []methodImage) { stored[k] = img })
+	keys := make([]string, 0, len(stored))
+	for k := range stored {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		for _, mi := range images.m[k] {
+		for _, mi := range stored[k] {
 			if mi.lowered != nil && len(mi.lowered.Blocks) > 0 {
 				b := &mi.lowered.Blocks[0]
 				b.NInstr++

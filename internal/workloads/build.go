@@ -1,11 +1,13 @@
 package workloads
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
 	"sync/atomic"
 
+	"repro/internal/bounded"
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
 	"repro/internal/core"
@@ -15,7 +17,10 @@ import (
 // BuildWorkload generates the program for a phase-described workload: its
 // classes, native library and entry point. Each call returns a fresh
 // Program with fresh native-library state, so concurrent runs do not share
-// counters.
+// counters. The generated class is a pure function of the workload, so a
+// process generates it once per distinct workload (see programClass) and
+// every Program built from an equal workload shares it: no caller may
+// write a Program's classes.
 //
 // The generated class always has the shape
 //
@@ -30,20 +35,7 @@ import (
 // legacy names ("helper", "arrwork", "nwork", "callback", ...) with an
 // ordinal suffix when a kind occurs more than once.
 func BuildWorkload(w Workload) (*core.Program, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	g := &generator{
-		w:         w,
-		funcs:     map[string]vm.NativeFunc{},
-		kindCount: map[string]int{},
-	}
-	for i := range w.Phases {
-		if err := g.addPhase(w.Phases[i]); err != nil {
-			return nil, fmt.Errorf("workloads: %s: phase %d (%s): %w", w.Name, i, w.Phases[i].Kind, err)
-		}
-	}
-	cls, err := g.assembleClass()
+	cls, err := programClass(w)
 	if err != nil {
 		return nil, err
 	}
@@ -56,21 +48,109 @@ func BuildWorkload(w Workload) (*core.Program, error) {
 		Args:      []int64{int64(w.OuterIters)},
 		Ops:       uint64(w.workers()) * uint64(w.OuterIters) * w.OpsPerIter,
 	}
-	if len(g.funcs) > 0 {
-		prog.Libraries = []vm.NativeLibrary{{Name: w.Name + "-native", Funcs: g.funcs}}
+	if funcs := natives(w); len(funcs) > 0 {
+		prog.Libraries = []vm.NativeLibrary{{Name: w.Name + "-native", Funcs: funcs}}
 	}
 	return prog, nil
 }
 
-// generator accumulates the class members and native functions the phases
-// contribute, in phase order.
+// programMax bounds the program store. The paper grid stores 11
+// classes and the all-family campaign, whose workloads include the
+// paper's, 26; a class retains about 1.6 KB with its key.
+const programMax = 64
+
+// programs holds the generated class of each distinct workload, keyed by
+// programKey.
+var programs = bounded.New[*classfile.Class](programMax)
+
+// programClass returns w's generated class: the stored class of an equal
+// workload, or a fresh one, which it stores. Generation is a pure
+// function of w and validation precedes it, so a stored key names a
+// valid workload and a hit skips both.
+func programClass(w Workload) (*classfile.Class, error) {
+	buf := bounded.KeyBuf()
+	defer bounded.PutKeyBuf(buf)
+	key := programKey(*buf, w)
+	*buf = key
+	if cls, ok := programs.Get(key); ok {
+		return cls, nil
+	}
+	cls, err := generate(w)
+	if err != nil {
+		return nil, err
+	}
+	programs.Put(key, cls)
+	return cls, nil
+}
+
+// programKey appends w's store key to dst: every field of w and of each
+// of its phases in declaration order, strings length-prefixed and
+// integers as varints, so two workloads share a key only when they are
+// equal field by field.
+func programKey(dst []byte, w Workload) []byte {
+	str := func(dst []byte, s string) []byte {
+		return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+	}
+	dst = str(dst, w.Name)
+	dst = str(dst, w.ClassName)
+	dst = binary.AppendVarint(dst, int64(w.OuterIters))
+	dst = binary.AppendVarint(dst, int64(w.Threads))
+	dst = binary.AppendUvarint(dst, w.OpsPerIter)
+	dst = binary.AppendUvarint(dst, uint64(len(w.Phases)))
+	for _, p := range w.Phases {
+		dst = str(dst, p.Kind)
+		for _, n := range [...]int{p.Calls, p.Work, p.Size, p.Depth,
+			p.JNIEvery, p.CallbacksPerNative, p.CallbackWork} {
+			dst = binary.AppendVarint(dst, int64(n))
+		}
+	}
+	return dst
+}
+
+// generate validates w and generates its class.
+func generate(w Workload) (*classfile.Class, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	g := &generator{w: w, kindCount: map[string]int{}}
+	for i := range w.Phases {
+		if err := g.addPhase(w.Phases[i]); err != nil {
+			return nil, fmt.Errorf("workloads: %s: phase %d (%s): %w", w.Name, i, w.Phases[i].Kind, err)
+		}
+	}
+	return g.assembleClass()
+}
+
+// natives returns w's native library functions, made afresh on every
+// call: each native phase's nwork kernel with its own invocation
+// counter, and the spawn helper when w has warehouses. Programs built
+// from one workload therefore never share a counter, even when they run
+// at once.
+func natives(w Workload) map[string]vm.NativeFunc {
+	funcs := map[string]vm.NativeFunc{}
+	ordinal := 0
+	for _, p := range w.Phases {
+		if p.Kind != PhaseNative {
+			continue
+		}
+		funcs[w.ClassName+"."+kernelName("nwork", ordinal)+"(J)J"] =
+			nworkNative(w.ClassName, kernelName("callback", ordinal), p)
+		ordinal++
+	}
+	if w.workers() > 1 {
+		funcs[w.ClassName+".spawn(I)V"] = spawnNative(w.ClassName, w.OuterIters)
+	}
+	return funcs
+}
+
+// generator accumulates the class members the phases contribute, in
+// phase order.
 type generator struct {
 	w Workload
 
 	kernels []rankedKernel                // Java kernel methods, layout order
 	decls   []*classfile.Method           // native method declarations
 	fields  []*classfile.Field            // static fields (contend)
-	funcs   map[string]vm.NativeFunc      // native library symbols
 	emit    []func(a *bytecode.Assembler) // per-iteration worker code, phase order
 
 	kindCount map[string]int
@@ -172,6 +252,8 @@ func (g *generator) addArray(p Phase, ordinal int) error {
 	return nil
 }
 
+// addNative declares the phase's native nwork kernel and adds its JNI
+// callback kernel; natives supplies nwork's implementation.
 func (g *generator) addNative(p Phase, ordinal int) error {
 	nworkName := kernelName("nwork", ordinal)
 	cbName := kernelName("callback", ordinal)
@@ -184,34 +266,6 @@ func (g *generator) addNative(p Phase, ordinal int) error {
 		Name: nworkName, Desc: "(J)J",
 		Flags: classfile.AccPublic | classfile.AccStatic | classfile.AccNative,
 	})
-
-	// The nwork kernel models p.Work cycles of native computation and
-	// performs JNI callbacks into Java on every JNIEvery-th invocation.
-	// The invocation counter is per phase instance and per Build call, so
-	// concurrent runs never share it.
-	cls := g.w.ClassName
-	nativeWork := uint64(p.Work)
-	jniEvery := p.JNIEvery
-	per := p.CallbacksPerNative
-	if per < 1 {
-		per = 1
-	}
-	var calls atomic.Uint64
-	g.funcs[cls+"."+nworkName+"(J)J"] = func(env vm.Env, args []int64) (int64, error) {
-		env.Work(nativeWork)
-		if jniEvery > 0 && calls.Add(1)%uint64(jniEvery) == 0 {
-			r := args[0]
-			for k := 0; k < per; k++ {
-				var err error
-				r, err = env.CallStatic1(cls, cbName, "(J)J", r)
-				if err != nil {
-					return 0, err
-				}
-			}
-			return r, nil
-		}
-		return args[0] + 1, nil
-	}
 	g.emitAccCalls(p.Calls, nworkName, "(J)J")
 	return nil
 }
@@ -334,7 +388,6 @@ func (g *generator) assembleClass() (*classfile.Class, error) {
 			Name: "spawn", Desc: "(I)V",
 			Flags: classfile.AccPublic | classfile.AccStatic | classfile.AccNative,
 		})
-		g.addSpawnNative()
 	}
 	cls := &classfile.Class{
 		Name:       w.ClassName,
@@ -387,15 +440,43 @@ func (g *generator) buildWorker() (*classfile.Method, error) {
 	return a.FinishMethod("worker", "(I)J", classfile.AccPublic|classfile.AccStatic, 3, nil)
 }
 
-// addSpawnNative registers the warehouse-creation helper: each spawned
+// nworkNative implements a native phase's nwork kernel: p.Work cycles
+// of native computation, and on every JNIEvery-th invocation
+// CallbacksPerNative JNI callbacks into the phase's callback kernel.
+// The invocation counter belongs to the returned function alone.
+func nworkNative(cls, cbName string, p Phase) vm.NativeFunc {
+	nativeWork := uint64(p.Work)
+	jniEvery := p.JNIEvery
+	per := p.CallbacksPerNative
+	if per < 1 {
+		per = 1
+	}
+	var calls atomic.Uint64
+	return func(env vm.Env, args []int64) (int64, error) {
+		env.Work(nativeWork)
+		if jniEvery > 0 && calls.Add(1)%uint64(jniEvery) == 0 {
+			r := args[0]
+			for k := 0; k < per; k++ {
+				var err error
+				r, err = env.CallStatic1(cls, cbName, "(J)J", r)
+				if err != nil {
+					return 0, err
+				}
+			}
+			return r, nil
+		}
+		return args[0] + 1, nil
+	}
+}
+
+// spawnNative implements the warehouse-creation helper: each spawned
 // thread runs the same worker loop.
-func (g *generator) addSpawnNative() {
-	w := g.w
-	g.funcs[w.ClassName+".spawn(I)V"] = func(env vm.Env, args []int64) (int64, error) {
+func spawnNative(cls string, iters int) vm.NativeFunc {
+	return func(env vm.Env, args []int64) (int64, error) {
 		env.Work(200) // thread-creation native cost
 		for i := int64(0); i < args[0]; i++ {
 			name := fmt.Sprintf("warehouse-%d", i+1)
-			if _, err := env.VM().SpawnThread(name, w.ClassName, "worker", "(I)J", int64(w.OuterIters)); err != nil {
+			if _, err := env.VM().SpawnThread(name, cls, "worker", "(I)J", int64(iters)); err != nil {
 				return 0, err
 			}
 		}
