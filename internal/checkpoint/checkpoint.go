@@ -1,7 +1,7 @@
 // Package checkpoint is the content-addressed identity of a measurement
 // cell: CellKey hashes the cell's full identity (scenario × agent ×
-// engine × heap spec × scale) and CanonicalPayload fixes the byte form of
-// its result. Any two cells with equal keys are interchangeable
+// engine × heap spec × scale), CanonicalPayload fixes the byte form of
+// its result and DecodePayload reads that form back. Any two cells with equal keys are interchangeable
 // pure-function evaluations, which is what lets the result cache
 // (internal/resultcache) serve, deduplicate and crash-resume them.
 package checkpoint
@@ -187,7 +187,8 @@ func compile(t reflect.Type, path string, schema *[]byte, open map[reflect.Type]
 // bit-exactly between the cache and an uncached run: encoding/json is
 // deterministic for struct-typed values (field order follows
 // declaration, float formatting is shortest-round-trip), which is what
-// makes byte-level cache verification possible at all.
+// makes byte-level cache verification possible at all. DecodePayload is
+// its inverse: it reads back exactly the bytes this writes.
 func CanonicalPayload(payload any) (json.RawMessage, error) {
 	raw, err := json.Marshal(payload)
 	if err != nil {

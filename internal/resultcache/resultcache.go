@@ -25,11 +25,13 @@
 // before the rename leaves only a ".put-*" temp file, which every reader
 // ignores and Evict sweeps once it is older than StrayGrace. A read is
 // one raw descriptor read into a pooled buffer; it checks the exact bytes
-// Put writes and makes one JSON pass over the payload (decoding it
-// straight into the caller's value, or validating it): an
-// unreadable, truncated, key-mismatched or non-canonical entry, or a
-// payload that does not decode into the caller's value, is a miss, never
-// a crash — a corrupted cache costs re-execution, not correctness.
+// Put writes and makes one pass over the payload: checkpoint.DecodePayload
+// decodes it straight into the caller's value, reading only the
+// canonical form json.Marshal writes, or, with no value to fill,
+// json.Valid validates it. An unreadable, truncated, key-mismatched or
+// non-canonical entry, or a payload that does not decode into the
+// caller's value, is a miss, never a crash — a corrupted cache costs
+// re-execution, not correctness.
 //
 // Eviction is a size-capped LRU pass over entry mtimes (an rw-mode hit
 // touches an entry whose mtime is older than a minute), run by Finish
@@ -44,7 +46,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -52,6 +53,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
@@ -282,15 +284,18 @@ func (c *Cache) Get(key string) (json.RawMessage, bool) {
 }
 
 // GetInto looks key up and, on a hit, decodes the stored payload into v
-// (a nil v only validates it) and returns an exactly sized copy of the
-// payload bytes. A hit costs one raw read (readEntry), one framing check
-// and one JSON pass; beyond what decoding into v allocates, it allocates
-// the payload copy and the entry's path. Every failure mode — absent
-// entry, unreadable file, an entry that is not byte-for-byte the framing
-// Put writes for key (truncated, key-mismatched, hand-edited or
-// re-indented), or a payload that does not decode into v — is a counted
-// miss: the cache never turns its own damage into a caller's crash. On a
-// miss v may have been partly written and must be discarded. An rw-mode
+// with checkpoint.DecodePayload (a nil v only validates it as JSON) and
+// returns an exactly sized copy of the payload bytes. A hit costs one raw
+// read (readEntry), one framing check and one pass of the compiled
+// decoder; beyond what decoding into v allocates, it allocates the
+// payload copy and the entry's path. Every failure mode — absent entry,
+// unreadable file, an entry that is not byte-for-byte the framing Put
+// writes for key (truncated, key-mismatched, hand-edited or re-indented),
+// or a payload that does not decode into v, or is not in canonical form
+// (reordered, whitespace, unknown or case-folded member names) — is a
+// counted miss, which the run that follows heals through Put: the cache
+// never turns its own damage into a caller's crash. On a miss v may have
+// been partly written and must be discarded. An rw-mode
 // hit on an entry whose mtime is older than touchAfter touches it, so
 // the LRU eviction pass sees recency, not just insertion order; ro mode
 // never writes, metadata included.
@@ -396,11 +401,12 @@ func plainKey(key string) bool {
 }
 
 // decodeEntry checks that data is framed exactly as Put frames it for
-// key and makes the one JSON pass over its payload P: json.Unmarshal
+// key and makes the one pass over its payload P: checkpoint.DecodePayload
 // into v, or json.Valid when v is nil. P must not start or end with JSON
 // whitespace, which a compacted payload never does; that rule keeps P
 // byte-identical to the payload json.Unmarshal would extract from the
-// same record.
+// same record. The decoder is as strict about P as this check is about
+// the framing: anything json.Marshal would not have written is a miss.
 func decodeEntry(data []byte, key string, v any) (json.RawMessage, bool) {
 	n := len(entryHead) + len(key) + len(entryMid)
 	if len(data) <= n+len(entryTail) || !plainKey(key) ||
@@ -418,7 +424,7 @@ func decodeEntry(data []byte, key string, v any) (json.RawMessage, bool) {
 		if !json.Valid(p) {
 			return nil, false
 		}
-	} else if json.Unmarshal(p, v) != nil {
+	} else if checkpoint.DecodePayload(p, v) != nil {
 		return nil, false
 	}
 	return p, true
@@ -750,7 +756,9 @@ func (g *Memo) Do(key string, fn func() (json.RawMessage, error)) (payload json.
 
 // Resolve serves one cell, cheapest source first, decodes its canonical
 // payload into v (a non-nil pointer) and reports the source that served
-// it:
+// it. Every source decodes with checkpoint.DecodePayload, so a payload
+// type that decoder cannot read fails every run cell loudly instead of
+// missing on every hit:
 //
 //   - "cache": a hit decodes the stored payload straight into v.
 //   - "verify": a hit in the deterministic 1-in-verifyN sample
@@ -811,9 +819,9 @@ func (c *Cache) Resolve(memo *Memo, key string, verifyN int, v any,
 	if err != nil {
 		return "", err
 	}
-	// A missed lookup may have partly decoded a damaged entry into v.
-	reflect.ValueOf(v).Elem().SetZero()
-	if err := json.Unmarshal(raw, v); err != nil {
+	// DecodePayload overwrites all of v, so nothing a missed lookup
+	// partly decoded into it survives.
+	if err := checkpoint.DecodePayload(raw, v); err != nil {
 		return "", fmt.Errorf("resultcache: decoding %s payload for %s: %w", source, key, err)
 	}
 	return source, nil

@@ -177,6 +177,56 @@ func TestNonCanonicalEntryIsMiss(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalPayloadIsMiss: a well-framed entry whose payload is
+// valid JSON that json.Unmarshal would read into v, but not the bytes
+// json.Marshal writes for it, is a counted miss for GetInto (Get, with
+// no value to decode into, still validates it as JSON); Resolve then
+// re-runs the cell and its Put heals the entry.
+func TestNonCanonicalPayloadIsMiss(t *testing.T) {
+	type cell struct {
+		Median int    `json:"median"`
+		Name   string `json:"name,omitempty"`
+	}
+	c, err := Open(t.TempDir(), ModeRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, "canonical payload")
+	canonical := `{"median":42,"name":"x"}`
+	for _, payload := range []string{
+		`{"name":"x","median":42}`,
+		`{"median": 42,"name":"x"}`,
+		`{"Median":42,"name":"x"}`,
+		`{"median":42,"name":"x","extra":1}`,
+		`{"median":42,"name":"x","name":"x"}`,
+		`{"median":42.0,"name":"x"}`,
+	} {
+		// Written by hand: Put would compact the whitespace away.
+		entry := `{"key":"` + key + `","payload":` + payload + `}`
+		if err := os.MkdirAll(filepath.Dir(c.entryPath(key)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(c.entryPath(key), []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(key); !ok {
+			t.Fatalf("Get missed the valid JSON payload %s", payload)
+		}
+		var v cell
+		if _, ok := c.GetInto(key, &v); ok {
+			t.Fatalf("non-canonical payload %s served a hit as %+v", payload, v)
+		}
+		var calls atomic.Int64
+		source, err := c.Resolve(new(Memo), key, 0, &v, resolveExec(&calls, canonical))
+		if err != nil || source != "run" || v != (cell{42, "x"}) {
+			t.Fatalf("after %s: source %q, value %+v, err %v; want a run decoding %s", payload, source, v, err, canonical)
+		}
+		if raw, ok := c.GetInto(key, &v); !ok || string(raw) != canonical {
+			t.Fatalf("after %s: the re-run's Put did not heal the entry: %s, %v", payload, raw, ok)
+		}
+	}
+}
+
 // TestRawReadEdges covers readEntry's edges: an entry larger than the
 // pooled scratch buffer still hits with its exact bytes, and an empty
 // file or a directory at the entry path is a miss.

@@ -456,12 +456,21 @@ func (v *VM) LoadLibrary(lib NativeLibrary) error {
 }
 
 // RegisterNative registers a single native function under the symbol
-// "Class.name(Desc)". It is the analogue of the JNI RegisterNatives call.
+// "Class.name(Desc)". It is the analogue of the JNI RegisterNatives call
+// and refuses what LoadLibrary refuses: a symbol already registered, or
+// a nil implementation.
 func (v *VM) RegisterNative(class, name, desc string, fn NativeFunc) error {
-	return v.LoadLibrary(NativeLibrary{
-		Name:  "registered",
-		Funcs: map[string]NativeFunc{class + "." + name + desc: fn},
-	})
+	sym := class + "." + name + desc
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if _, dup := v.natives[sym]; dup {
+		return fmt.Errorf("vm: native symbol %s already registered", sym)
+	}
+	if fn == nil {
+		return fmt.Errorf("vm: native symbol %s has nil implementation", sym)
+	}
+	v.natives[sym] = fn
+	return nil
 }
 
 // LoadClass links one class into the VM after running the ClassFileLoad

@@ -256,6 +256,37 @@ func TestLoadLibraryNilFunc(t *testing.T) {
 	}
 }
 
+// TestRegisterNativeErrors pins RegisterNative's two refusals, each
+// naming the symbol: a symbol already registered (by LoadLibrary or an
+// earlier RegisterNative) and a nil implementation, which registers
+// nothing.
+func TestRegisterNativeErrors(t *testing.T) {
+	v := New(DefaultOptions())
+	fn := func(env Env, args []int64) (int64, error) { return 0, nil }
+	lib := NativeLibrary{Name: "l", Funcs: map[string]NativeFunc{"a/B.f()V": fn}}
+	if err := v.LoadLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	err := v.RegisterNative("a/B", "f", "()V", fn)
+	if err == nil || err.Error() != "vm: native symbol a/B.f()V already registered" {
+		t.Fatalf("re-registering a library symbol: %v", err)
+	}
+	if err := v.RegisterNative("a/B", "g", "()V", fn); err != nil {
+		t.Fatal(err)
+	}
+	err = v.RegisterNative("a/B", "g", "()V", fn)
+	if err == nil || err.Error() != "vm: native symbol a/B.g()V already registered" {
+		t.Fatalf("registering a symbol twice: %v", err)
+	}
+	err = v.RegisterNative("a/B", "h", "()V", nil)
+	if err == nil || err.Error() != "vm: native symbol a/B.h()V has nil implementation" {
+		t.Fatalf("registering a nil implementation: %v", err)
+	}
+	if err := v.RegisterNative("a/B", "h", "()V", fn); err != nil {
+		t.Fatalf("the refused nil implementation was registered: %v", err)
+	}
+}
+
 func TestStaticFields(t *testing.T) {
 	a := bytecode.NewAssembler()
 	a.GetStatic("t/Main", "x")
