@@ -59,7 +59,8 @@ func runBin(t *testing.T, env []string, args ...string) (string, int) {
 }
 
 // TestStdoutGolden pins jprof's IPA reports of the paper scenarios byte
-// for byte, as text and as JSON.
+// for byte, as text and as JSON, and the chains and recorder reports of
+// every scenario.
 func TestStdoutGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -67,6 +68,8 @@ func TestStdoutGolden(t *testing.T) {
 	}{
 		{"testdata/ipa_paper_scale8.golden", []string{"-scale", "8", "-agent", "ipa", "paper"}},
 		{"testdata/ipa_paper_scale8_json.golden", []string{"-scale", "8", "-agent", "ipa", "-json", "paper"}},
+		{"testdata/chains_all_scale8.golden", []string{"-scale", "8", "-agent", "chains", "all"}},
+		{"testdata/recorder_all_scale8.golden", []string{"-scale", "8", "-agent", "recorder", "all"}},
 	} {
 		golden, err := os.ReadFile(tc.golden)
 		if err != nil {

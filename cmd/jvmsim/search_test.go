@@ -161,6 +161,22 @@ func TestSearchRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSearchRecordReproducesFound: recording ziptool and jdkapp prints
+// the checked-in found/ scenario files byte for byte, so the recording
+// agent's per-method profile cannot drift without the corpus noticing.
+func TestSearchRecordReproducesFound(t *testing.T) {
+	for _, app := range []string{"ziptool", "jdkapp"} {
+		want, err := os.ReadFile("../../examples/scenarios/found/" + app + "-trace.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, code := runBin(t, nil, "search", "-record", app)
+		if code != 0 || out != string(want) {
+			t.Errorf("search -record %s: exit %d, stdout differs from found/%s-trace.json:\n%s", app, code, app, out)
+		}
+	}
+}
+
 // TestFoundCorpusReplays: every checked-in found/ scenario still passes
 // its pins and every oracle — the corpus-replay contract CI enforces.
 func TestFoundCorpusReplays(t *testing.T) {
