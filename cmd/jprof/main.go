@@ -11,7 +11,8 @@
 // -parallel, -cell-timeout, -max-retries, the -cache* flags, -trace and
 // -metrics) are the same in jvmsim, jprof and tables; the "Shared flags"
 // table of docs/robustness.md describes them. The default agent is ipa;
-// the agents are spa, ipa, chains, sampler, bic, aprof and none.
+// the agents are spa, ipa, chains, sampler, bic, aprof, recorder and
+// none.
 //
 // A cell that panics, exceeds -cell-timeout or fails is reported in
 // place without aborting the batch; the process then exits with code 3
@@ -44,8 +45,8 @@ import (
 
 	"repro/internal/agents/aprof"
 	"repro/internal/agents/bic"
-	"repro/internal/agents/chains"
 	"repro/internal/agents/ipa"
+	"repro/internal/agents/recorder"
 	"repro/internal/agents/registry"
 	"repro/internal/cli"
 	"repro/internal/core"
@@ -168,7 +169,7 @@ func profileOne(ctx context.Context, s scenarios.Scenario, agentName string, sca
 		}
 		return buf.String(), nil
 	}
-	out := renderRun(res, agent, perMethod)
+	out := renderRun(res, agentName, agent, perMethod)
 	if tierStats {
 		ts := res.Tier
 		out += fmt.Sprintf("\ntier %s: %d methods compiled, %d compiled frames, %d deopts, %d fallback chunks, %d compile failures\n",
@@ -181,7 +182,7 @@ func profileOne(ctx context.Context, s scenarios.Scenario, agentName string, sca
 
 // renderRun formats one run the way jprof always has, including the
 // agent-specific extras for the chains, bic and per-method IPA agents.
-func renderRun(res *core.RunResult, agent core.Agent, perMethod bool) string {
+func renderRun(res *core.RunResult, agentName string, agent core.Agent, perMethod bool) string {
 	var out strings.Builder
 	fmt.Fprintf(&out, "benchmark %s: %d cycles, %d threads, %d JIT-compiled methods\n",
 		res.Program, res.TotalCycles, res.Threads, res.JITCompiled)
@@ -206,9 +207,11 @@ func renderRun(res *core.RunResult, agent core.Agent, perMethod bool) string {
 	case *aprof.Agent:
 		out.WriteString("\nhottest allocation sites:\n")
 		out.WriteString(a.RenderTop(10))
-	case *chains.Agent:
-		out.WriteString("\nhottest call chains:\n")
-		out.WriteString(a.RenderTop(10))
+	case *recorder.Agent:
+		if agentName == "chains" {
+			out.WriteString("\nhottest call chains:\n")
+			out.WriteString(a.RenderTop(10))
+		}
 	case *bic.Agent:
 		fmt.Fprintf(&out, "\nbytecode instructions executed: %d (over %d basic-block entries)\n",
 			a.Instructions(), a.Blocks())

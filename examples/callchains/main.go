@@ -16,7 +16,7 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/agents/chains"
+	"repro/internal/agents/recorder"
 	"repro/internal/core"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	agent := chains.New()
+	agent := recorder.NewChains()
 	res, err := core.Run(prog, agent, vm.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)

@@ -1,4 +1,4 @@
-package chains
+package recorder
 
 import (
 	"strings"
@@ -24,7 +24,7 @@ func runChains(t *testing.T, spec workloads.Spec) (*Agent, *core.RunResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent := New()
+	agent := NewChains()
 	res, err := core.Run(prog, agent, vm.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -131,33 +131,6 @@ func TestChainsReportInterface(t *testing.T) {
 		t.Fatalf("report components zero: %+v", r)
 	}
 	_ = agent
-}
-
-func TestMaxDepthFolding(t *testing.T) {
-	prog, err := workloads.Build(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent := New()
-	agent.MaxDepth = 2
-	if _, err := core.Run(prog, agent, vm.DefaultOptions()); err != nil {
-		t.Fatal(err)
-	}
-	for _, cs := range agent.Chains() {
-		if cs.Depth > 0 && strings.Count(cs.Chain, ">") > 2 {
-			t.Fatalf("chain %q exceeds depth bound", cs.Chain)
-		}
-	}
-	// Folded chains carry the ellipsis prefix.
-	var folded bool
-	for _, cs := range agent.Chains() {
-		if strings.HasPrefix(cs.Chain, "... > ") {
-			folded = true
-		}
-	}
-	if !folded {
-		t.Fatal("no folded chain found despite MaxDepth=2")
-	}
 }
 
 func TestRenderTop(t *testing.T) {

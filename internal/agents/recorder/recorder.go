@@ -1,25 +1,39 @@
-// Package recorder implements the trace-recording agent behind the
-// scenario diversity engine's record/replay half: a JVMTI agent driven by
-// MethodEntry/MethodExit that attributes each thread's self cycles (time
-// inside a method excluding its callees) to the method's full name and
-// counts its calls. The per-method profile is what the trace compiler
-// (internal/scenarios/trace) turns a real program — ziptool, jdkapp —
-// into a replayable phase-based scenario.
+// Package recorder implements the method-event profiler behind two
+// registry names. Driven by MethodEntry/MethodExit, it builds each
+// thread's calling context tree (Ammons, Ball & Larus, PLDI 1997): one
+// node per distinct stack of methods, Java and native frames mixed,
+// holding that context's calls and self cycles (time with exactly that
+// stack, callees excluded). At ThreadEnd the tree folds into two views:
 //
-// Unlike SPA, whose job is to reproduce the paper's perturbation, the
-// recorder's job is fidelity: its default handler cost is zero so the
-// recorded trace reflects the uninstrumented program as closely as the
-// event model allows.
+//   - per-method rows (Stats): self cycles and calls by full method
+//     name, which the trace compiler (internal/scenarios/trace) turns a
+//     real program — ziptool, jdkapp — into a replayable scenario;
+//   - per-chain rows (Chains): the extension sketched in the paper's
+//     conclusion, "tracking complete call chains including a mix of Java
+//     and native methods", which neither Java-only nor system-specific
+//     profilers can do because neither sees both kinds of stack frames.
+//
+// Like SPA the agent pays the method-event price (JIT disabled, dispatch
+// per event). New is the recorder, whose job is fidelity: its handler
+// costs nothing, so the trace reflects the uninstrumented program as
+// closely as the event model allows. NewChains is the chain tracker,
+// which models a real handler's per-event cost.
 package recorder
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/classfile"
 	"repro/internal/core"
 	"repro/internal/jvmti"
 	"repro/internal/vm"
 )
+
+// ChainsHandlerCost models the per-event cost of the chain-tracking
+// handler.
+const ChainsHandlerCost = 450
 
 // MethodStat is one recorded method's aggregate profile.
 type MethodStat struct {
@@ -34,75 +48,104 @@ type MethodStat struct {
 	SelfCycles uint64 `json:"selfCycles"`
 }
 
-// frame is one open activation on a recorded thread's shadow stack.
-type frame struct {
-	key    string
-	native bool
-	// enteredAt is the thread clock when the frame opened or when its
-	// most recent callee returned — the start of the current self-span.
-	enteredAt uint64
+// ChainStat aggregates one distinct mixed call chain.
+type ChainStat struct {
+	// Chain is the rendered chain of short method names, root first,
+	// native frames marked with a trailing '*', e.g.
+	// "main > nwork* > callback".
+	Chain string
+	// Calls is how many times the chain was entered (its leaf invoked
+	// with exactly this stack).
+	Calls uint64
+	// ExclusiveCycles is time spent with exactly this chain on the
+	// stack (leaf running, no deeper call).
+	ExclusiveCycles uint64
+	// Mixed is true if the chain contains both Java and native frames.
+	Mixed bool
+	// Depth is the number of frames.
+	Depth int
 }
 
-// threadContext is the recorder's per-thread state.
-type threadContext struct {
-	stack   []frame
-	methods map[string]*MethodStat
-	// rootCycles is self time attributed to code below the recorded
-	// stack (the launcher, entries that predate attach); rootSince is
-	// the thread clock when the stack last emptied, the start of the
-	// current root span.
-	rootCycles uint64
-	rootSince  uint64
+// node is one calling context: a method reached through exactly the
+// stack of its ancestors. The root has no method and holds the time the
+// thread spends with an empty recorded stack (the launcher, entries
+// that predate attach).
+type node struct {
+	parent   *node
+	method   *vm.Method
+	calls    uint64
+	self     uint64
+	children []*node
 }
 
-// Agent is the recording agent. A fresh Agent records one VM run.
+// child returns the context m opens under n, creating it on first use.
+func (n *node) child(m *vm.Method) *node {
+	for _, c := range n.children {
+		if c.method == m {
+			return c
+		}
+	}
+	c := &node{parent: n, method: m}
+	n.children = append(n.children, c)
+	return c
+}
+
+// threadState is one thread's tree: cursor is the context on top of the
+// stack, last the thread clock when its current self-span began.
+type threadState struct {
+	root   node
+	cursor *node
+	last   uint64
+}
+
+// charge books the span since the last event to the cursor's context.
+func (s *threadState) charge(now uint64) {
+	s.cursor.self += now - s.last
+	s.last = now
+}
+
+// Agent is the calling-context-tree profiler. A fresh Agent profiles one
+// VM run.
 type Agent struct {
-	// HandlerCost is the per-event cost on the recorded thread; the
-	// default of zero keeps the trace faithful.
+	// HandlerCost is the per-event cost on the profiled thread.
 	HandlerCost uint64
-	// MaxEvents bounds the ordered event log; 0 disables event capture
-	// entirely (the aggregate profile is always kept).
-	MaxEvents int
 
+	name    string
 	env     *jvmti.Env
 	monitor *jvmti.RawMonitor
 
 	// Guarded by the raw monitor once threads end.
 	methods    map[string]*MethodStat
+	chains     map[string]*ChainStat
 	rootCycles uint64
-	events     []Event
-	threads    int
 	perThread  []core.ThreadStats
 }
 
-// Event is one entry of the bounded ordered event log, used by tests to
-// assert call ordering.
-type Event struct {
-	// Enter is true for MethodEntry, false for MethodExit.
-	Enter bool
-	// Method is the full method name.
-	Method string
-	// Thread is the recorded thread's ID.
-	Thread int
-}
+// New returns an unattached recorder: no handler cost, reported as
+// "recorder".
+func New() *Agent { return newAgent("recorder", 0) }
 
-// New returns an unattached recorder.
-func New() *Agent {
-	return &Agent{methods: map[string]*MethodStat{}}
+// NewChains returns an unattached chain tracker: ChainsHandlerCost per
+// event, reported as "CHAINS".
+func NewChains() *Agent { return newAgent("CHAINS", ChainsHandlerCost) }
+
+func newAgent(name string, cost uint64) *Agent {
+	return &Agent{HandlerCost: cost, name: name,
+		methods: map[string]*MethodStat{}, chains: map[string]*ChainStat{}}
 }
 
 // Name implements core.Agent.
-func (a *Agent) Name() string { return "recorder" }
+func (a *Agent) Name() string { return a.name }
 
-// PrepareClasses implements core.Agent; the recorder rewrites nothing.
+// PrepareClasses implements core.Agent; the agent rewrites nothing.
 func (a *Agent) PrepareClasses(classes []*classfile.Class) ([]*classfile.Class, error) {
 	return classes, nil
 }
 
-// OnLoad attaches the recorder: method events on every thread, like SPA.
+// OnLoad attaches the agent: method events on every thread, like SPA.
 func (a *Agent) OnLoad(env *jvmti.Env) error {
 	a.env = env
-	a.monitor = env.CreateRawMonitor("recorder-stats")
+	a.monitor = env.CreateRawMonitor(a.name + "-stats")
 	env.AddCapabilities(jvmti.Capabilities{
 		CanGenerateMethodEntryEvents: true,
 		CanGenerateMethodExitEvents:  true,
@@ -124,129 +167,99 @@ func (a *Agent) OnLoad(env *jvmti.Env) error {
 	return nil
 }
 
-func (a *Agent) handlerWork(t *vm.Thread) {
+// event pays the handler cost and returns the thread's state with the
+// span up to now booked to the cursor.
+func (a *Agent) event(t *vm.Thread) *threadState {
 	if a.HandlerCost > 0 {
 		t.AdvanceCycles(a.HandlerCost)
 	}
-}
-
-// getContext allocates the thread context on demand — the JVMTI does not
-// signal ThreadStart for the bootstrapping thread.
-func (a *Agent) getContext(t *vm.Thread) *threadContext {
-	if tc, ok := a.env.GetThreadLocalStorage(t).(*threadContext); ok {
-		return tc
-	}
-	tc := &threadContext{methods: map[string]*MethodStat{}}
-	a.env.SetThreadLocalStorage(t, tc)
-	return tc
-}
-
-func (a *Agent) threadStart(env *jvmti.Env, t *vm.Thread) {
-	a.handlerWork(t)
-	env.SetThreadLocalStorage(t, &threadContext{methods: map[string]*MethodStat{}})
-}
-
-func (a *Agent) stat(tc *threadContext, key string, native bool) *MethodStat {
-	s := tc.methods[key]
-	if s == nil {
-		s = &MethodStat{Name: key, Native: native}
-		tc.methods[key] = s
-	}
+	s := a.state(t)
+	s.charge(a.env.Timestamp(t))
 	return s
 }
 
-func (a *Agent) logEvent(t *vm.Thread, enter bool, method string) {
-	if a.MaxEvents <= 0 {
-		return
+// state allocates the thread's tree on demand — the JVMTI does not
+// signal ThreadStart for the bootstrapping thread. The root span starts
+// at cycle 0.
+func (a *Agent) state(t *vm.Thread) *threadState {
+	if s, ok := a.env.GetThreadLocalStorage(t).(*threadState); ok {
+		return s
 	}
-	a.monitor.Enter()
-	if len(a.events) < a.MaxEvents {
-		a.events = append(a.events, Event{Enter: enter, Method: method, Thread: int(t.ID())})
-	}
-	a.monitor.Exit()
+	s := &threadState{}
+	s.cursor = &s.root
+	a.env.SetThreadLocalStorage(t, s)
+	return s
 }
 
+func (a *Agent) threadStart(env *jvmti.Env, t *vm.Thread) { a.event(t) }
+
 func (a *Agent) methodEntry(env *jvmti.Env, t *vm.Thread, m *vm.Method) {
-	a.handlerWork(t)
-	tc := a.getContext(t)
-	now := env.Timestamp(t)
-	// Close the caller's self-span.
-	if n := len(tc.stack); n > 0 {
-		top := &tc.stack[n-1]
-		a.stat(tc, top.key, top.native).SelfCycles += now - top.enteredAt
-	} else {
-		tc.rootCycles += now - tc.rootSince
-	}
-	key := m.FullName()
-	s := a.stat(tc, key, m.IsNative())
-	s.Calls++
-	tc.stack = append(tc.stack, frame{key: key, native: m.IsNative(), enteredAt: now})
-	a.logEvent(t, true, key)
+	s := a.event(t)
+	s.cursor = s.cursor.child(m)
+	s.cursor.calls++
 }
 
 func (a *Agent) methodExit(env *jvmti.Env, t *vm.Thread, m *vm.Method) {
-	a.handlerWork(t)
-	tc := a.getContext(t)
-	if len(tc.stack) == 0 {
-		// Exit without matching entry: the entry predated attach.
-		return
+	s := a.event(t)
+	// An exit on the empty stack matches an entry that predated attach.
+	if s.cursor.parent != nil {
+		s.cursor = s.cursor.parent
 	}
-	now := env.Timestamp(t)
-	top := tc.stack[len(tc.stack)-1]
-	tc.stack = tc.stack[:len(tc.stack)-1]
-	a.stat(tc, top.key, top.native).SelfCycles += now - top.enteredAt
-	// The caller's self-span resumes now, or the root span when the
-	// stack emptied.
-	if n := len(tc.stack); n > 0 {
-		tc.stack[n-1].enteredAt = now
-	} else {
-		tc.rootSince = now
-	}
-	a.logEvent(t, false, top.key)
 }
 
+// threadEnd closes the open span and folds the thread's tree into the
+// per-method and per-chain views.
 func (a *Agent) threadEnd(env *jvmti.Env, t *vm.Thread) {
-	a.handlerWork(t)
-	tc := a.getContext(t)
-	now := env.Timestamp(t)
-	// Close every still-open frame (abrupt completion).
-	for n := len(tc.stack); n > 0; n = len(tc.stack) {
-		top := tc.stack[n-1]
-		tc.stack = tc.stack[:n-1]
-		a.stat(tc, top.key, top.native).SelfCycles += now - top.enteredAt
-	}
-	var bc, nat, natCalls uint64
-	for _, s := range tc.methods {
-		if s.Native {
-			nat += s.SelfCycles
-			natCalls += s.Calls
-		} else {
-			bc += s.SelfCycles
-		}
-	}
+	s := a.event(t)
+	ts := core.ThreadStats{ThreadID: t.ID(), Name: t.Name()}
 	a.monitor.Enter()
-	for key, s := range tc.methods {
-		tot := a.methods[key]
-		if tot == nil {
-			tot = &MethodStat{Name: s.Name, Native: s.Native}
-			a.methods[key] = tot
-		}
-		tot.Calls += s.Calls
-		tot.SelfCycles += s.SelfCycles
+	defer a.monitor.Exit()
+	for _, c := range s.root.children {
+		a.fold(c, "", 1, false, false, &ts)
 	}
-	a.rootCycles += tc.rootCycles
-	a.threads++
-	a.perThread = append(a.perThread, core.ThreadStats{
-		ThreadID:          t.ID(),
-		Name:              t.Name(),
-		BytecodeCycles:    bc,
-		NativeCycles:      nat,
-		NativeMethodCalls: natCalls,
-	})
-	a.monitor.Exit()
+	a.rootCycles += s.root.self
+	a.perThread = append(a.perThread, ts)
 }
 
-// Stats returns the recorded per-method profile sorted by descending self
+// fold merges the context n, whose caller chain renders as prefix, and
+// its subtree into the agent's views. sawJava and sawNative record the
+// frame kinds above n.
+func (a *Agent) fold(n *node, prefix string, depth int, sawJava, sawNative bool, ts *core.ThreadStats) {
+	native := n.method.IsNative()
+	chain := n.method.Name()
+	if native {
+		chain += "*"
+		sawNative = true
+		ts.NativeCycles += n.self
+		ts.NativeMethodCalls += n.calls
+	} else {
+		sawJava = true
+		ts.BytecodeCycles += n.self
+	}
+	if prefix != "" {
+		chain = prefix + " > " + chain
+	}
+	full := n.method.FullName()
+	ms := a.methods[full]
+	if ms == nil {
+		ms = &MethodStat{Name: full, Native: native}
+		a.methods[full] = ms
+	}
+	ms.Calls += n.calls
+	ms.SelfCycles += n.self
+	cs := a.chains[chain]
+	if cs == nil {
+		cs = &ChainStat{Chain: chain, Mixed: sawJava && sawNative, Depth: depth}
+		a.chains[chain] = cs
+	}
+	cs.Calls += n.calls
+	cs.ExclusiveCycles += n.self
+	for _, c := range n.children {
+		a.fold(c, chain, depth+1, sawJava, sawNative, ts)
+	}
+}
+
+// Stats returns the per-method profile sorted by descending self
 // cycles, ties broken by name — a deterministic order for the compiler
 // and the tests.
 func (a *Agent) Stats() []MethodStat {
@@ -265,16 +278,51 @@ func (a *Agent) Stats() []MethodStat {
 	return out
 }
 
-// Events returns the bounded ordered event log (empty unless MaxEvents
-// was set before the run).
-func (a *Agent) Events() []Event {
+// Chains returns every observed chain, hottest (by exclusive cycles)
+// first, ties broken by chain.
+func (a *Agent) Chains() []ChainStat {
 	a.monitor.Enter()
 	defer a.monitor.Exit()
-	return append([]Event(nil), a.events...)
+	out := make([]ChainStat, 0, len(a.chains))
+	for _, cs := range a.chains {
+		out = append(out, *cs)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].ExclusiveCycles != out[j].ExclusiveCycles {
+			return out[i].ExclusiveCycles > out[j].ExclusiveCycles
+		}
+		return out[i].Chain < out[j].Chain
+	})
+	return out
 }
 
-// RootCycles returns the cycles attributed below the recorded stacks
-// (launcher code).
+// MixedChains returns only the chains crossing the Java/native boundary —
+// the profile no Java-only or system-only tool can produce.
+func (a *Agent) MixedChains() []ChainStat {
+	var out []ChainStat
+	for _, cs := range a.Chains() {
+		if cs.Mixed {
+			out = append(out, cs)
+		}
+	}
+	return out
+}
+
+// RenderTop formats the n hottest chains.
+func (a *Agent) RenderTop(n int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-12s %12s  %s\n", "cycles", "calls", "chain (native frames marked *)")
+	for i, cs := range a.Chains() {
+		if i >= n {
+			break
+		}
+		fmt.Fprintf(&b, "%-12d %12d  %s\n", cs.ExclusiveCycles, cs.Calls, cs.Chain)
+	}
+	return b.String()
+}
+
+// RootCycles returns the cycles the threads spent with an empty recorded
+// stack (launcher code).
 func (a *Agent) RootCycles() uint64 {
 	a.monitor.Enter()
 	defer a.monitor.Exit()
@@ -286,7 +334,7 @@ func (a *Agent) RootCycles() uint64 {
 func (a *Agent) Report() *core.Report {
 	a.monitor.Enter()
 	defer a.monitor.Exit()
-	r := &core.Report{AgentName: a.Name(),
+	r := &core.Report{AgentName: a.name,
 		PerThread: append([]core.ThreadStats(nil), a.perThread...)}
 	for _, s := range a.methods {
 		if s.Native {

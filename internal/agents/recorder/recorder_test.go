@@ -1,6 +1,7 @@
 package recorder
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -57,11 +58,10 @@ func twoMethodProgram(t *testing.T) *core.Program {
 
 // TestRecorderTwoMethodProgram records main → helper → nat: exact call
 // counts, native self time covering its work, self times that together
-// with root time never exceed the run's cycles, and an event log cut at
-// MaxEvents in call order.
+// with root time account for every cycle of the run, and the calling
+// contexts main → helper → nat* in the chain view.
 func TestRecorderTwoMethodProgram(t *testing.T) {
 	rec := New()
-	rec.MaxEvents = 5
 	res, err := core.Run(twoMethodProgram(t), rec, vm.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -90,37 +90,21 @@ func TestRecorderTwoMethodProgram(t *testing.T) {
 	if got["r/Main.helper()J"].SelfCycles == 0 || got["r/Main.main()J"].SelfCycles == 0 {
 		t.Fatalf("bytecode self cycles missing: %+v", got)
 	}
-	if total := self + rec.RootCycles(); total > res.TotalCycles {
-		t.Fatalf("self %d + root %d = %d, more than the run's %d cycles",
+	if total := self + rec.RootCycles(); total != res.TotalCycles {
+		t.Fatalf("self %d + root %d = %d, want the run's %d cycles",
 			self, rec.RootCycles(), total, res.TotalCycles)
 	}
 	rep := rec.Report()
 	if rep.TotalNativeCycles != nat.SelfCycles || rep.NativeMethodCalls != 3 {
 		t.Fatalf("report = %+v", rep)
 	}
-	want := []Event{
-		{Enter: true, Method: "r/Main.main()J"},
-		{Enter: true, Method: "r/Main.helper()J"},
-		{Enter: true, Method: "r/Main.nat()J"},
-		{Enter: false, Method: "r/Main.nat()J"},
-		{Enter: false, Method: "r/Main.helper()J"},
+	chains := map[string]uint64{}
+	for _, cs := range rec.Chains() {
+		chains[cs.Chain] = cs.Calls
 	}
-	ev := rec.Events()
-	if len(ev) != rec.MaxEvents {
-		t.Fatalf("events = %d, want the MaxEvents bound %d", len(ev), rec.MaxEvents)
-	}
-	for i := range want {
-		if ev[i].Enter != want[i].Enter || ev[i].Method != want[i].Method {
-			t.Fatalf("event %d = %+v, want %+v", i, ev[i], want[i])
-		}
-	}
-
-	off := New()
-	if _, err := core.Run(twoMethodProgram(t), off, vm.DefaultOptions()); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(off.Events()); n != 0 {
-		t.Fatalf("MaxEvents 0 logged %d events", n)
+	want := map[string]uint64{"main": 1, "main > helper": 3, "main > helper > nat*": 3}
+	if !reflect.DeepEqual(chains, want) {
+		t.Fatalf("chain calls = %v, want %v", chains, want)
 	}
 }
 
@@ -153,20 +137,24 @@ func TestRecorderRootSpanAfterStackEmpties(t *testing.T) {
 	if _, err := th.InvokeStatic("r/Main", "helper", "()J"); err != nil {
 		t.Fatal(err)
 	}
-	tc := rec.getContext(th)
-	if len(tc.stack) != 0 {
-		t.Fatalf("stack not empty after both calls: %+v", tc.stack)
+	s := rec.state(th)
+	if s.cursor != &s.root {
+		t.Fatalf("cursor not at the root after both calls: %+v", s.cursor)
 	}
-	var self uint64
-	for _, s := range tc.methods {
-		self += s.SelfCycles
+	var self func(n *node) uint64
+	self = func(n *node) uint64 {
+		sum := n.self
+		for _, c := range n.children {
+			sum += self(c)
+		}
+		return sum
 	}
-	// Every cycle is either some method's self time or root time, and
+	// Every cycle is either some context's self time or root time, and
 	// the root spans hold at least the time spent outside both calls.
-	if self+tc.rootCycles != th.Cycles() {
-		t.Fatalf("self %d + root %d != thread cycles %d", self, tc.rootCycles, th.Cycles())
+	if total := self(&s.root); total != th.Cycles() {
+		t.Fatalf("self + root = %d != thread cycles %d", total, th.Cycles())
 	}
-	if tc.rootCycles < before+between {
-		t.Fatalf("root cycles = %d, want at least %d", tc.rootCycles, before+between)
+	if s.root.self < before+between {
+		t.Fatalf("root cycles = %d, want at least %d", s.root.self, before+between)
 	}
 }

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/agents/aprof"
 	"repro/internal/agents/bic"
-	"repro/internal/agents/chains"
 	"repro/internal/agents/ipa"
 	"repro/internal/agents/recorder"
 	"repro/internal/agents/sampler"
@@ -35,50 +34,35 @@ type Config struct {
 
 // entry describes one named agent.
 type entry struct {
-	describe string
-	make     func(Config) core.Agent
-	tune     func(*vm.Options)
+	make func(Config) core.Agent
+	tune func(*vm.Options)
 }
 
 var agents = map[string]entry{
-	"none": {
-		describe: "no agent: uninstrumented run, ground truth only",
-		make:     func(Config) core.Agent { return nil },
-	},
-	"spa": {
-		describe: "Simple Profiling Agent (MethodEntry/MethodExit events)",
-		make:     func(Config) core.Agent { return spa.New() },
-	},
-	"ipa": {
-		describe: "Improved Profiling Agent (transition wrappers, compensated)",
-		make: func(c Config) core.Agent {
-			return ipa.NewWithConfig(ipa.Config{Compensate: true, PerMethod: c.PerMethod})
-		},
-	},
-	"chains": {
-		describe: "IPA extension collecting mixed Java/native call chains",
-		make:     func(Config) core.Agent { return chains.New() },
-	},
+	// No agent: an uninstrumented run, ground truth only.
+	"none": {make: func(Config) core.Agent { return nil }},
+	// The paper's Simple Profiling Agent (MethodEntry/MethodExit events).
+	"spa": {make: func(Config) core.Agent { return spa.New() }},
+	// The paper's Improved Profiling Agent (transition wrappers, compensated).
+	"ipa": {make: func(c Config) core.Agent {
+		return ipa.NewWithConfig(ipa.Config{Compensate: true, PerMethod: c.PerMethod})
+	}},
+	// Mixed Java/native call chains from the method-event calling context tree.
+	"chains": {make: func(Config) core.Agent { return recorder.NewChains() }},
+	// tprof-style PC-sampling comparator.
 	"sampler": {
-		describe: "tprof-style PC-sampling comparator",
-		make:     func(Config) core.Agent { return sampler.New() },
+		make: func(Config) core.Agent { return sampler.New() },
 		tune: func(o *vm.Options) {
 			o.SampleInterval = 2000
 			o.SampleCost = 20
 		},
 	},
-	"bic": {
-		describe: "bytecode instruction counter comparator",
-		make:     func(Config) core.Agent { return bic.New() },
-	},
-	"recorder": {
-		describe: "trace recorder: per-method self-cycle profile for scenario record/replay",
-		make:     func(Config) core.Agent { return recorder.New() },
-	},
-	"aprof": {
-		describe: "allocation-site profiler (VMObjectAlloc/GarbageCollection events)",
-		make:     func(Config) core.Agent { return aprof.New() },
-	},
+	// Bytecode instruction counter comparator.
+	"bic": {make: func(Config) core.Agent { return bic.New() }},
+	// Per-method self-cycle profile for scenario record/replay, at no handler cost.
+	"recorder": {make: func(Config) core.Agent { return recorder.New() }},
+	// Allocation-site profiler (VMObjectAlloc/GarbageCollection events).
+	"aprof": {make: func(Config) core.Agent { return aprof.New() }},
 }
 
 // Names lists the registered agent names in sorted order.
@@ -89,11 +73,6 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Describe returns the one-line description of a registered agent, or "".
-func Describe(name string) string {
-	return agents[name].describe
 }
 
 // New returns a fresh single-use agent for name. "none" yields a nil

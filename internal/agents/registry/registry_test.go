@@ -35,9 +35,6 @@ func TestNewKnownAgents(t *testing.T) {
 		if agent == nil {
 			t.Fatalf("New(%q) = nil", name)
 		}
-		if Describe(name) == "" {
-			t.Errorf("Describe(%q) empty", name)
-		}
 	}
 }
 

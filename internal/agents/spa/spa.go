@@ -33,7 +33,6 @@ type threadContext struct {
 	stack []bool
 	// invocation counters kept for the report (the paper's SPA reports
 	// only times; the counters cost nothing extra here).
-	jniCalls    uint64
 	nativeCalls uint64
 	name        string
 	id          int32

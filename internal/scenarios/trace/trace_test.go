@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/agents/recorder"
@@ -60,34 +61,36 @@ func TestRecordDeterministic(t *testing.T) {
 	}
 }
 
-// TestRecorderEventOrder: the bounded event log opens with the entry
-// method and nests enter/exit properly.
+// TestRecorderEventOrder: the recorded calling contexts open with the
+// entry method, and every chain's caller chain was recorded too — the
+// enter/exit events nested properly.
 func TestRecorderEventOrder(t *testing.T) {
 	prog, err := jdk.ZiptoolProgram(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := recorder.New()
-	rec.MaxEvents = 64
 	if _, err := core.Run(prog, rec, scenarios.CanonicalOptions()); err != nil {
 		t.Fatal(err)
 	}
-	evs := rec.Events()
-	if len(evs) == 0 {
-		t.Fatal("no events recorded")
+	chains := rec.Chains()
+	if len(chains) == 0 {
+		t.Fatal("no chains recorded")
 	}
-	if !evs[0].Enter || evs[0].Method != "app/ZipTool.main(I)J" {
-		t.Fatalf("first event = %+v", evs[0])
+	seen := map[string]bool{}
+	for _, cs := range chains {
+		seen[cs.Chain] = true
 	}
-	depth := 0
-	for i, e := range evs {
-		if e.Enter {
-			depth++
-		} else {
-			depth--
+	for _, cs := range chains {
+		i := strings.LastIndex(cs.Chain, " > ")
+		if i < 0 {
+			if cs.Chain != "main" {
+				t.Fatalf("root context %q, want the entry method main", cs.Chain)
+			}
+			continue
 		}
-		if depth < 0 {
-			t.Fatalf("event %d unbalances the stack: %+v", i, evs[:i+1])
+		if !seen[cs.Chain[:i]] {
+			t.Fatalf("chain %q recorded without its caller chain", cs.Chain)
 		}
 	}
 }

@@ -19,6 +19,11 @@
 #      fs.X("name", ...) or flag.X("name", ...) call (or the XVar form)
 #      under cmd/ or internal/, so a deleted flag cannot linger in the
 #      docs. Flags of the go tool go in the allowlist below.
+#   5. Agent lists: every agent name registered in
+#      internal/agents/registry/registry.go must appear backticked in
+#      README.md's `Agents:` paragraph and as a word in the `-agent NAME`
+#      row of docs/robustness.md, so registering an agent cannot leave
+#      either list short.
 #
 # Exits non-zero listing every violation.
 set -uo pipefail
@@ -82,6 +87,25 @@ for name in $(grep -ohE '`[^`]+`' README.md docs/*.md |
   case " $goflags " in *" $name "*) continue ;; esac
   if ! grep -qxF -- "$name" <<< "$registered"; then
     echo "STALE FLAG: \`$name\` is named in the docs but registered by no command"
+    fail=1
+  fi
+done
+
+# --- 5. agent lists --------------------------------------------------------
+agents=$(grep -oE '^[[:space:]]"[a-z]+": \{' internal/agents/registry/registry.go | grep -oE '[a-z]+')
+if [ -z "$agents" ]; then
+  echo "AGENT LIST: no agent names found in internal/agents/registry/registry.go"
+  fail=1
+fi
+readme_agents=$(awk '/^Agents:/ {p = 1} p && /^$/ {exit} p' README.md)
+agent_row=$(grep -F '| `-agent NAME` |' docs/robustness.md)
+for name in $agents; do
+  if ! grep -qF "\`$name\`" <<< "$readme_agents"; then
+    echo "AGENT LIST: \`$name\` is registered but missing from README.md's Agents: paragraph"
+    fail=1
+  fi
+  if ! grep -qw -- "$name" <<< "$agent_row"; then
+    echo "AGENT LIST: \`$name\` is registered but missing from the -agent NAME row of docs/robustness.md"
     fail=1
   fi
 done
